@@ -52,5 +52,5 @@ from irs_ssm.model import enumerate_hypotheses
 
 hyp = [h for h in enumerate_hypotheses(cfg, cons) if (h.subarray, h.symbol_index) == (2, 3)][0]
 eff_b, _ = effective_channels(ch, v)
-y = np.sqrt(cfg.beta * cfg.p_total) * (eff_b @ hyp.apply(p.p))
+y = np.sqrt(cfg.beta * cfg.p_total) * (eff_b @ (hyp.x_vec * p.p))
 print("ML detection of a clean (2, 3) transmission:", ml_detect(cfg, ch, v, p, cons, y))

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .irs_opt import IrsPhaseVector, build_quadratic_forms, irs_admm, irs_bca, irs_sdr
-from .joint import joint_optimize
+from .joint import NAMED_COMBINATIONS, joint_optimize
 from .model import (
     ChannelSet,
     Constellation,
@@ -49,6 +49,8 @@ EXPERIMENT_KINDS = ("sr_vs_power", "cdf", "convergence", "sr_vs_elements", "posi
 IRS_ONLY_METHODS = ("random_phase", "irs_bca", "irs_admm", "irs_sdr")
 PRECODER_RUN_METHODS = ("asr_sca", "cor_ga")
 JOINT_METHODS = ("joint_I", "joint_II", "joint_III")
+# joint solver names -> the run_method names whose FLOP models they use
+SOLVER_METHODS = {"bca": "irs_bca", "admm": "irs_admm", "sdr": "irs_sdr", "sca": "asr_sca", "ga": "cor_ga"}
 ALL_METHODS = IRS_ONLY_METHODS + PRECODER_RUN_METHODS + JOINT_METHODS
 
 CSV_COLUMNS = ("trial", "power_dbm", "n_irs", "n_e", "irs_y", "method",
@@ -307,8 +309,7 @@ def run_method(method: str, cfg: SystemConfig, ch: ChannelSet, seed: int) -> Met
     elif method in JOINT_METHODS:
         combo = method.split("_", 1)[1]
         res = joint_optimize(cfg, ch, combo, seed=seed)
-        irs_name = {"I": "irs_bca", "II": "irs_sdr", "III": "irs_admm"}[combo]
-        pre_name = {"I": "asr_sca", "II": "cor_ga", "III": "cor_ga"}[combo]
+        irs_name, pre_name = (SOLVER_METHODS[m] for m in NAMED_COMBINATIONS[combo])
         flops = sum(
             flop_estimates(cfg, irs_name, iterations=t.irs_iterations).count
             + flop_estimates(cfg, pre_name, iterations=t.precoder_iterations).count

@@ -9,7 +9,10 @@ so the Jensen-style surrogate of the secrecy objective collapses to
 
     v^H (Phi_B - Phi_E) v + 2 Re{(D - D') v} + C
 
-with Phi_B, Phi_E positive semidefinite Gram aggregates.  Three maximizers of
+with Phi_B, Phi_E positive semidefinite Gram aggregates.  The aggregates come
+from the K per-hypothesis stacks through the all-ones pair Laplacian,
+sum_{m,n} (x_m - x_n)^H (y_m - y_n) = 2K x^H y - 2 (1^T x)^H (1^T y), and the
+exact exponents from the K x K kernel in ``rates``.  Three maximizers of
 that surrogate over the unit-modulus constraint set live here: a DC-linearized
 ADMM, a cyclic per-element block coordinate ascent with a closed-form update,
 and a semidefinite relaxation with Gaussian randomization rounding backed by
@@ -32,8 +35,8 @@ from .model import (
     WhitenedChannels,
     enumerate_hypotheses,
     hypothesis_matrix,
-    pair_indices,
 )
+from .rates import exponent_sum, pair_distances, pair_laplacian
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,9 @@ class QuadraticForms:
     """Quadratic-form reduction of the secrecy objective in v, for a fixed p.
 
     Aggregates (phi_b, phi_e, d_row, d_prime_row, c_const) define the
-    surrogate; the per-pair caches keep the exact pairwise geometry around so
-    the true cut-off-rate objective stays evaluable from the same object.
+    surrogate; the per-hypothesis stacks keep the exact pairwise geometry
+    around so the true cut-off-rate objective stays evaluable from the same
+    object.
     """
 
     phi_b: np.ndarray
@@ -102,15 +106,11 @@ class QuadraticForms:
     c_const: float
     tau: float
     n_irs: int
-    n_hyp: int
-    ds: np.ndarray  # (P, N) per-pair incident-response diagonal differences
-    a_diff_b: np.ndarray  # (P, n_b) per-pair direct-response differences, Bob
-    a_diff_e: np.ndarray  # (P, n_e), Eve
     g_mat: np.ndarray  # whitened IRS->Bob channel (n_b, N)
     m_mat: np.ndarray  # whitened IRS->Eve channel (n_e, N)
-    s_hyp: np.ndarray = field(repr=False, default=None)  # (K, N) per-hypothesis s_ij
-    a_hyp_b: np.ndarray = field(repr=False, default=None)
-    a_hyp_e: np.ndarray = field(repr=False, default=None)
+    s_hyp: np.ndarray = field(repr=False)  # (K, N) p-weighted IRS-incident responses
+    a_hyp_b: np.ndarray = field(repr=False)  # (K, n_b) p-weighted direct responses, Bob
+    a_hyp_e: np.ndarray = field(repr=False)  # (K, n_e), Eve
 
     def surrogate(self) -> SurrogateObjective:
         return SurrogateObjective(
@@ -123,29 +123,17 @@ class QuadraticForms:
         return self.surrogate().value(v)
 
     def pair_quadratics(self, v: IrsPhaseVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact per-pair exponents ||A + C v||^2 for Bob and Eve."""
-        vv = as_phase_array(v)
-        dsv = self.ds * vv[None, :]
-        qb = np.sum(np.abs(self.a_diff_b + dsv @ self.g_mat.T) ** 2, axis=1)
-        qe = np.sum(np.abs(self.a_diff_e + dsv @ self.m_mat.T) ** 2, axis=1)
-        return qb, qe
+        """Exact K x K pair exponents ||A + C v||^2 for Bob and Eve."""
+        sv = self.s_hyp * as_phase_array(v)[None, :]
+        return (
+            pair_distances(self.a_hyp_b + sv @ self.g_mat.T),
+            pair_distances(self.a_hyp_e + sv @ self.m_mat.T),
+        )
 
     def secrecy_rate(self, v: IrsPhaseVector | np.ndarray) -> float:
         """True approximate secrecy rate log2 kappa_E - log2 kappa_B at this p."""
         qb, qe = self.pair_quadratics(v)
-        with np.errstate(under="ignore"):
-            kb = float(np.sum(np.exp(-self.tau * qb)))
-            ke = float(np.sum(np.exp(-self.tau * qe)))
-        return float(np.log2(ke) - np.log2(kb))
-
-    def pair_coupling(self, k: int, receiver: str = "bob") -> np.ndarray:
-        """Linear map C of pair k: receiver channel times the diagonal difference."""
-        mat = self.g_mat if receiver == "bob" else self.m_mat
-        return mat * self.ds[k][None, :]
-
-    def pair_gram(self, k: int, receiver: str = "bob") -> np.ndarray:
-        c = self.pair_coupling(k, receiver)
-        return c.conj().T @ c
+        return float(np.log2(exponent_sum(qe, self.tau)) - np.log2(exponent_sum(qb, self.tau)))
 
 
 def build_quadratic_forms(
@@ -154,11 +142,12 @@ def build_quadratic_forms(
     p: HybridPrecoder | np.ndarray,
     cons: Constellation | None = None,
 ) -> QuadraticForms:
-    """Assemble the per-pair and aggregate quadratic forms in v.
+    """Assemble the aggregate quadratic forms in v and the stacks behind them.
 
     For hypothesis (i, j): s_ij is the p-weighted IRS-incident response,
-    a_ij the p-weighted whitened direct response.  Diagonal pairs (m == n)
-    contribute nothing to the aggregates.
+    a_ij the p-weighted whitened direct response.  Every pair sum runs
+    through the all-ones pair Laplacian, under which diagonal pairs (m == n)
+    contribute nothing.
     """
     cons = cons if cons is not None else Constellation.psk(cfg.m_ary)
     hyps = enumerate_hypotheses(cfg, cons)
@@ -170,21 +159,21 @@ def build_quadratic_forms(
     a_hyp_b = xp @ wch.h_tilde.T  # (K, n_b)
     a_hyp_e = xp @ wch.q_tilde.T  # (K, n_e)
 
-    mi, ni = pair_indices(cfg.n_hyp)
-    ds = s_hyp[mi] - s_hyp[ni]
-    a_diff_b = a_hyp_b[mi] - a_hyp_b[ni]
-    a_diff_e = a_hyp_e[mi] - a_hyp_e[ni]
-
+    ones = np.ones((cfg.n_hyp, cfg.n_hyp))
+    ls = pair_laplacian(ones, s_hyp)
     scale = cfg.tau * LOG2E
-    ds_gram = ds.conj().T @ ds  # sum_p conj(ds_p) ds_p^T
+    ds_gram = s_hyp.conj().T @ ls  # sum_{m,n} conj(s_m - s_n) (s_m - s_n)^T
     phi_b = scale * ((wch.g_tilde.conj().T @ wch.g_tilde) * ds_gram)
     phi_e = scale * ((wch.m_tilde.conj().T @ wch.m_tilde) * ds_gram)
     phi_b = 0.5 * (phi_b + phi_b.conj().T)
     phi_e = 0.5 * (phi_e + phi_e.conj().T)
 
-    d_row = scale * np.einsum("pn,pn->n", a_diff_b.conj() @ wch.g_tilde, ds)
-    d_prime_row = scale * np.einsum("pn,pn->n", a_diff_e.conj() @ wch.m_tilde, ds)
-    c_const = scale * float(np.sum(np.abs(a_diff_b) ** 2) - np.sum(np.abs(a_diff_e) ** 2))
+    d_row = scale * np.sum((a_hyp_b.conj() @ wch.g_tilde) * ls, axis=0)
+    d_prime_row = scale * np.sum((a_hyp_e.conj() @ wch.m_tilde) * ls, axis=0)
+    c_const = scale * float(
+        np.vdot(a_hyp_b, pair_laplacian(ones, a_hyp_b)).real
+        - np.vdot(a_hyp_e, pair_laplacian(ones, a_hyp_e)).real
+    )
 
     return QuadraticForms(
         phi_b=phi_b,
@@ -194,10 +183,6 @@ def build_quadratic_forms(
         c_const=c_const,
         tau=cfg.tau,
         n_irs=cfg.n_irs,
-        n_hyp=cfg.n_hyp,
-        ds=ds,
-        a_diff_b=a_diff_b,
-        a_diff_e=a_diff_e,
         g_mat=wch.g_tilde,
         m_mat=wch.m_tilde,
         s_hyp=s_hyp,

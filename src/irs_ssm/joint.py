@@ -13,7 +13,6 @@ from a returned fixed point reproduces the same landscape.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 
@@ -36,8 +35,6 @@ from .model import (
     link_state,
 )
 from .precoder_opt import PrecoderResult, asr_sca, build_precoder_quadratics, cor_ga
-
-logger = logging.getLogger(__name__)
 
 IRS_METHODS = ("bca", "admm", "sdr")
 PRECODER_METHODS = ("sca", "ga")
@@ -129,8 +126,9 @@ def joint_optimize(
 
     Stops when the end-of-iteration objective changes by at most epsilon, or
     after max_outer iterations (converged flag cleared).  The recorded
-    objective after each outer iteration never decreases thanks to the
-    accept-if-improved guard on the v-step and the monotone precoder solvers.
+    objective after each outer iteration never decreases: a v-step that
+    lowers the true objective is reverted, and so is a precoder step that
+    lowers it by more than 1e-9 (counted in ``extras["precoder_rejected"]``).
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -156,6 +154,7 @@ def joint_optimize(
 
     trace: list[TraceEntry] = []
     converged = False
+    precoder_rejected = 0
     for k in range(1, max_outer + 1):
         tic = time.perf_counter()
         prev_objective = objective
@@ -173,15 +172,12 @@ def joint_optimize(
 
         pq = build_precoder_quadratics(cfg, wch, v, cons)
         res_p = _run_precoder(pre_method, pq, p, precoder_kwargs)
-        p = res_p.p
-        obj_after = pq.secrecy_rate(p.p)
+        obj_after = pq.secrecy_rate(res_p.p.p)
         if obj_after < objective - 1e-9:
-            logger.warning(
-                "precoder step lowered the objective by %.3e at outer iteration %d",
-                objective - obj_after, k,
-            )
-        objective = obj_after
-        qf = build_quadratic_forms(cfg, wch, p, cons)  # forms follow the new p
+            precoder_rejected += 1  # revert: keep p and the objective
+        else:
+            p, objective = res_p.p, obj_after
+        qf = build_quadratic_forms(cfg, wch, p, cons)  # forms follow the accepted p
 
         trace.append(TraceEntry(
             iteration=k,
@@ -202,5 +198,6 @@ def joint_optimize(
         converged=converged,
         combination_id=combo_id,
         objective=float(objective),
-        extras={"irs_method": irs_method, "precoder_method": pre_method},
+        extras={"irs_method": irs_method, "precoder_method": pre_method,
+                "precoder_rejected": precoder_rejected},
     )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LOG2E = math.log2(math.e)
+LN2 = math.log(2.0)
 
 AN_STRATEGIES = ("null_space", "random_unitary", "identity")
 
@@ -170,46 +171,6 @@ class TransmitHypothesis:
     x_vec: np.ndarray
     index: int  # 0-based position in enumeration order
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        n_k = _block_len(self)
-        out = np.zeros_like(p)
-        lo = (self.subarray - 1) * n_k
-        out[lo : lo + n_k] = self.symbol * p[lo : lo + n_k]
-        return out
-
-
-@dataclass(frozen=True)
-class DifferencePair:
-    """Ordered hypothesis difference D = X_m - X_n, kept in sparse block form."""
-
-    m: TransmitHypothesis
-    n: TransmitHypothesis
-
-    @property
-    def is_zero(self) -> bool:
-        return self.m.index == self.n.index
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        """D @ p touching at most two blocks (O(n_k) work)."""
-        out = np.zeros_like(p)
-        if self.is_zero:
-            return out
-        n_k = _block_len(self.m)
-        lo_m = (self.m.subarray - 1) * n_k
-        lo_n = (self.n.subarray - 1) * n_k
-        out[lo_m : lo_m + n_k] += self.m.symbol * p[lo_m : lo_m + n_k]
-        out[lo_n : lo_n + n_k] -= self.n.symbol * p[lo_n : lo_n + n_k]
-        return out
-
-    def d_vec(self) -> np.ndarray:
-        """Diagonal of D as a dense vector."""
-        return self.m.x_vec - self.n.x_vec
-
-
-def _block_len(hyp: TransmitHypothesis) -> int:
-    nz = int(np.count_nonzero(hyp.x_vec))
-    return nz if nz else len(hyp.x_vec)
-
 
 def enumerate_hypotheses(cfg: SystemConfig, cons: Constellation) -> list[TransmitHypothesis]:
     """All n_rf * m_ary transmit hypotheses, ordered by (subarray, symbol)."""
@@ -228,20 +189,9 @@ def enumerate_hypotheses(cfg: SystemConfig, cons: Constellation) -> list[Transmi
     return hyps
 
 
-def difference_operators(hyps: list[TransmitHypothesis]) -> list[DifferencePair]:
-    """All (n_rf * m_ary)^2 ordered pairs, m-major order."""
-    return [DifferencePair(hm, hn) for hm in hyps for hn in hyps]
-
-
 def hypothesis_matrix(hyps: list[TransmitHypothesis]) -> np.ndarray:
     """Stack of x_vec rows, shape (n_hyp, n_tx)."""
     return np.array([h.x_vec for h in hyps])
-
-
-def pair_indices(n_hyp: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (m, n) index arrays matching difference_operators order."""
-    mi, ni = np.meshgrid(np.arange(n_hyp), np.arange(n_hyp), indexing="ij")
-    return mi.ravel(), ni.ravel()
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@
 With the reflection vector fixed, every pairwise exponent is a Hermitian
 quadratic p^H B p (Bob) or p^H E p (Eve) in the stacked precoder, and the
 secrecy objective is a difference of log-sum-exp terms over those quadratics.
+No B or E is built: values are the K x K Gram distances of the response stack
+R = (X p) W^T, and a weighted sum of pair gradients is
+sum_m conj(x_m) * W^H (L_w R)_m with the pair Laplacian L_w from ``rates``.
 Two maximizers over ||p|| <= n_rf live here: a successive convex approximation
 that pairs a concave lower bound on the Eve rate with a convex upper bound on
 the Bob rate (both tight at the expansion point, so outer steps ascend), and
@@ -12,38 +15,28 @@ a direct gradient ascent on the cut-off-rate objective with backtracking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .model import (
+    LN2,
     Constellation,
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
     enumerate_hypotheses,
     hypothesis_matrix,
-    pair_indices,
 )
-
-LN2 = float(np.log(2.0))
-
-
-def _log2_sum_exp(x: np.ndarray) -> float:
-    """log2 sum exp with the max-shift trick (1-D input)."""
-    m = float(np.max(x))
-    with np.errstate(under="ignore"):
-        return (m + float(np.log(np.sum(np.exp(x - m))))) / LN2
+from .rates import effective_whitened, exponent_sum, pair_distances, pair_laplacian
 
 
 @dataclass(frozen=True)
 class PrecoderQuadratics:
     """Pairwise quadratic forms in the stacked precoder for both receivers.
 
-    The dense per-pair matrices are Gram products of the whitened effective
-    channel with the sparse diagonal difference operator, so each has support
-    on at most a 2 n_k x 2 n_k block; values and gradients are evaluated
-    through the factored form rather than the dense stacks.
+    Held in factored form: the whitened effective channels and the
+    hypothesis diagonals.  Values and gradients go through the (K, n_r)
+    response stacks and the K x K pair kernel.
     """
 
     tau: float
@@ -51,42 +44,22 @@ class PrecoderQuadratics:
     w_b: np.ndarray  # whitened effective Bob channel (n_b, n_tx)
     w_e: np.ndarray  # whitened effective Eve channel (n_e, n_tx)
     x_mat: np.ndarray  # (K, n_tx) hypothesis diagonals
-    mi: np.ndarray
-    ni: np.ndarray
-    d_vecs: np.ndarray  # (P, n_tx) pair diagonal differences
 
-    @property
-    def n_pairs(self) -> int:
-        return len(self.mi)
+    def response(self, w_eff: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """(K, n_r) stack of per-hypothesis responses W X_m p."""
+        return (self.x_mat * p[None, :]) @ w_eff.T
 
-    @cached_property
-    def b_mats(self) -> np.ndarray:
-        """Dense Bob pair matrices (P, n_tx, n_tx); test/inspection path."""
-        gram = self.w_b.conj().T @ self.w_b
-        return gram[None, :, :] * (self.d_vecs.conj()[:, :, None] * self.d_vecs[:, None, :])
-
-    @cached_property
-    def e_mats(self) -> np.ndarray:
-        gram = self.w_e.conj().T @ self.w_e
-        return gram[None, :, :] * (self.d_vecs.conj()[:, :, None] * self.d_vecs[:, None, :])
-
-    def _pair_responses(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        resp_b = (self.x_mat * p[None, :]) @ self.w_b.T  # (K, n_b)
-        resp_e = (self.x_mat * p[None, :]) @ self.w_e.T
-        return resp_b[self.mi] - resp_b[self.ni], resp_e[self.mi] - resp_e[self.ni]
+    def pull_back(self, w_eff: np.ndarray, weights: np.ndarray, resp: np.ndarray) -> np.ndarray:
+        """sum_{m,n} w_mn (X_m - X_n)^H W^H (r_m - r_n) for the response stack r."""
+        return np.sum(np.conj(self.x_mat) * (pair_laplacian(weights, resp) @ np.conj(w_eff)), axis=0)
 
     def pair_values(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(p^H B_k p, p^H E_k p) for every ordered pair."""
-        diff_b, diff_e = self._pair_responses(p)
-        return (
-            np.sum(np.abs(diff_b) ** 2, axis=1),
-            np.sum(np.abs(diff_e) ** 2, axis=1),
-        )
+        """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs."""
+        return pair_distances(self.response(self.w_b, p)), pair_distances(self.response(self.w_e, p))
 
     def kappas(self, p: np.ndarray) -> tuple[float, float]:
         qb, qe = self.pair_values(p)
-        with np.errstate(under="ignore"):
-            return float(np.sum(np.exp(-self.tau * qb))), float(np.sum(np.exp(-self.tau * qe)))
+        return exponent_sum(qb, self.tau), exponent_sum(qe, self.tau)
 
     def secrecy_rate(self, p: HybridPrecoder | np.ndarray) -> float:
         pvec = p.p if isinstance(p, HybridPrecoder) else np.asarray(p)
@@ -100,15 +73,12 @@ class PrecoderQuadratics:
         with chi the per-pair exponentials.  Real directional derivative along
         a direction d is Re{g^H d}.  Exactly zero at p = 0.
         """
-        diff_b, diff_e = self._pair_responses(p)
-        qb = np.sum(np.abs(diff_b) ** 2, axis=1)
-        qe = np.sum(np.abs(diff_e) ** 2, axis=1)
-        with np.errstate(under="ignore"):
-            chi_b = np.exp(-self.tau * qb)
-            chi_e = np.exp(-self.tau * qe)
-        bp = self.d_vecs.conj() * (diff_b @ np.conj(self.w_b))  # rows B_k p
-        ep = self.d_vecs.conj() * (diff_e @ np.conj(self.w_e))
-        g = 2.0 * (chi_b @ bp) / np.sum(chi_b) - 2.0 * (chi_e @ ep) / np.sum(chi_e)
+        g = np.zeros(len(p), dtype=complex)
+        for w_eff, sign in ((self.w_b, 1.0), (self.w_e, -1.0)):
+            resp = self.response(w_eff, p)
+            with np.errstate(under="ignore"):
+                chi = np.exp(-self.tau * pair_distances(resp))
+            g += (sign * 2.0 / np.sum(chi)) * self.pull_back(w_eff, chi, resp)
         return (self.tau / LN2) * g
 
 
@@ -120,21 +90,13 @@ def build_precoder_quadratics(
 ) -> PrecoderQuadratics:
     """Assemble the pairwise precoder quadratics for a fixed reflection vector."""
     cons = cons if cons is not None else Constellation.psk(cfg.m_ary)
-    hyps = enumerate_hypotheses(cfg, cons)
-    x_mat = hypothesis_matrix(hyps)
-    vf = v[:, None] * wch.f
-    w_b = wch.h_tilde + wch.g_tilde @ vf
-    w_e = wch.q_tilde + wch.m_tilde @ vf
-    mi, ni = pair_indices(cfg.n_hyp)
+    w_b, w_e = effective_whitened(wch, v)
     return PrecoderQuadratics(
         tau=cfg.tau,
         n_rf=cfg.n_rf,
         w_b=w_b,
         w_e=w_e,
-        x_mat=x_mat,
-        mi=mi,
-        ni=ni,
-        d_vecs=x_mat[mi] - x_mat[ni],
+        x_mat=hypothesis_matrix(enumerate_hypotheses(cfg, cons)),
     )
 
 
@@ -167,45 +129,43 @@ class ScaSubproblem:
     def __init__(self, pq: PrecoderQuadratics, p0: np.ndarray):
         self.pq = pq
         self.tau = pq.tau
-        qb0, qe0 = pq.pair_values(p0)
+        self.resp0_b = pq.response(pq.w_b, p0)  # Bob linearization point
+        self.qb0, self.qe0 = pq.pair_values(p0)
         with np.errstate(under="ignore"):
-            self.c_eve = np.exp(-self.tau * qe0)  # per-pair weights, Eve expansion
-        self.qe0 = qe0
-        self.qb0 = qb0
-        # Bob linearization vectors W_k = B_k p0
-        diff0_b, _ = pq._pair_responses(p0)
-        self.w_lin = pq.d_vecs.conj() * (diff0_b @ np.conj(pq.w_b))  # (P, n_tx)
+            self.c_eve = np.exp(-self.tau * self.qe0)  # per-pair weights, Eve expansion
 
     def eve_sum(self, p: np.ndarray) -> float:
-        _, qe = self.pq.pair_values(p)
+        qe = pair_distances(self.pq.response(self.pq.w_e, p))
         return float(np.sum(self.c_eve * (1.0 + self.tau * self.qe0 - self.tau * qe)))
 
     def _bob_exponents(self, p: np.ndarray) -> np.ndarray:
-        lin = np.real(np.conj(self.w_lin) @ p)  # Re{p0^H B_k p}
+        # Re{p0^H B_mn p} = Re<r0_m - r0_n, r_m - r_n> from the cross Gram conj(R0) R^T
+        cross = np.conj(self.resp0_b) @ self.pq.response(self.pq.w_b, p).T
+        diag = cross.diagonal()
+        lin = np.real(diag[:, None] + diag[None, :] - cross - cross.T)
         return self.tau * self.qb0 - 2.0 * self.tau * lin
 
     def value(self, p: np.ndarray) -> float:
         s = self.eve_sum(p)
         if s <= 0.0:
             return -np.inf
-        return float(np.log2(s)) - _log2_sum_exp(self._bob_exponents(p))
+        return float(np.log2(s)) - self.bob_upper(p)
 
     def eve_lower(self, p: np.ndarray) -> float:
         s = self.eve_sum(p)
         return float(np.log2(s)) if s > 0.0 else -np.inf
 
     def bob_upper(self, p: np.ndarray) -> float:
-        return _log2_sum_exp(self._bob_exponents(p))
+        return float(np.logaddexp.reduce(self._bob_exponents(p), axis=None)) / LN2
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
+        pq = self.pq
         s = self.eve_sum(p)
-        _, diff_e = self.pq._pair_responses(p)
-        ep = self.pq.d_vecs.conj() * (diff_e @ np.conj(self.pq.w_e))  # rows E_k p
-        g_eve = (-2.0 * self.tau / (s * LN2)) * (self.c_eve @ ep)
+        g_eve = (-2.0 * self.tau / (s * LN2)) * pq.pull_back(pq.w_e, self.c_eve, pq.response(pq.w_e, p))
         h = self._bob_exponents(p)
         weights = np.exp(h - np.max(h))
         weights /= np.sum(weights)
-        g_bob_upper = (-2.0 * self.tau / LN2) * (weights @ self.w_lin)
+        g_bob_upper = (-2.0 * self.tau / LN2) * pq.pull_back(pq.w_b, weights, self.resp0_b)
         return g_eve - g_bob_upper
 
 
@@ -310,7 +270,9 @@ def cor_ga(
     Steps p + mu * grad are radially projected onto the power ball; a step
     that lowers the objective is rejected and mu halves, five consecutive
     acceptances double mu back up to its initial value.  Stops when an
-    accepted step improves the objective by at most tol.
+    accepted step improves the objective by at most tol (converged), or when
+    mu falls below 1e-14 mu0 without an accepted step (``extras["stalled"]``,
+    not converged).
     """
     pvec = (p0.p if isinstance(p0, HybridPrecoder) else np.asarray(p0)).astype(complex)
     radius = float(pq.n_rf)
@@ -336,7 +298,7 @@ def cor_ga(
         raise ValueError("mu0 must be positive")
     mu = mu0
     streak = 0
-    converged = False
+    converged = stalled = False
     it = 0
     for it in range(1, max_iters + 1):
         p_cand = project_ball(pvec + mu * g, radius)
@@ -359,7 +321,7 @@ def cor_ga(
             mu *= 0.5
             streak = 0
             if mu < 1e-14 * mu0:
-                converged = True  # no ascent direction left at float resolution
+                stalled = True  # no ascent step left at float resolution
                 break
     return PrecoderResult(
         p=HybridPrecoder(p=pvec, n_rf=pq.n_rf),
@@ -367,7 +329,7 @@ def cor_ga(
         iterations=it,
         secrecy_rate=rate,
         trace=trace,
-        extras={"mu_final": mu},
+        extras={"mu_final": mu, "stalled": stalled},
     )
 
 

@@ -1,4 +1,4 @@
-"""Cut-off rates, the approximate secrecy rate, and a Monte Carlo MI oracle.
+"""Cut-off rates, the approximate secrecy rate, the pair kernel, and a Monte Carlo MI oracle.
 
 The cut-off rate of the discrete-input link is built from pairwise exponent
 terms over all ordered transmit-hypothesis pairs,
@@ -7,9 +7,12 @@ terms over all ordered transmit-hypothesis pairs,
 
 with W the whitened effective channel.  The approximate secrecy rate is
 log2(kappa_E) - log2(kappa_B), equal to the Bob/Eve cut-off rate difference.
-The Monte Carlo mutual information here is a validation oracle only; the
-optimizers never consume it because each estimate costs thousands of noise
-draws per channel.
+Every layer evaluates its pair sums with one kernel on a K-row stack R (here
+r_m = W X_m p): ``pair_distances`` gives the K x K distances from the Gram
+matrix conj(R) R^T, and ``pair_laplacian`` applies the pair Laplacian L_w, so
+sum_{m,n} w_mn (a_m - a_n)^H (b_m - b_n) = a^H L_w b.  The Monte Carlo mutual
+information here is a validation oracle only; the optimizers never consume
+it because each estimate costs thousands of noise draws per channel.
 """
 
 from __future__ import annotations
@@ -20,17 +23,14 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .model import (
+    LN2,
     Constellation,
-    DifferencePair,
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
     enumerate_hypotheses,
     hypothesis_matrix,
-    pair_indices,
 )
-
-LN2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -58,50 +58,44 @@ def _as_vector(p: HybridPrecoder | np.ndarray) -> np.ndarray:
     return p.p if isinstance(p, HybridPrecoder) else np.asarray(p)
 
 
-def pair_distances_sq(w_eff: np.ndarray, diffs: list[DifferencePair], p: np.ndarray) -> np.ndarray:
-    """||w_eff (X_m - X_n) p||^2 for every pair, via per-hypothesis caching."""
-    responses: dict[int, np.ndarray] = {}
-    for d in diffs:
-        for hyp in (d.m, d.n):
-            if hyp.index not in responses:
-                responses[hyp.index] = w_eff @ hyp.apply(p)
-    out = np.empty(len(diffs))
-    for k, d in enumerate(diffs):
-        delta = responses[d.m.index] - responses[d.n.index]
-        out[k] = float(np.vdot(delta, delta).real)
-    return out
+def pair_distances(stack: np.ndarray) -> np.ndarray:
+    """K x K squared distances ||r_m - r_n||^2 between the rows of ``stack``.
 
-
-def kappa(
-    w_eff: np.ndarray,
-    diffs: list[DifferencePair],
-    p: HybridPrecoder | np.ndarray,
-    tau: float,
-) -> float:
-    """Pairwise exponent sum over the supplied difference pairs.
-
-    Always lies in [K, K^2] for the full K^2 pair set because the K diagonal
-    pairs contribute exp(0) = 1 each.  Individual exp underflows saturate to
-    zero, which only sharpens the sum toward its lower bound.
+    Forward face of the pair kernel: d_mn = G_mm + G_nn - 2 Re G_mn from the
+    Gram matrix G = conj(R) R^T, with the diagonal set to exactly zero and
+    cancellation below zero clamped, so d >= 0 everywhere.
     """
-    dist_sq = pair_distances_sq(w_eff, diffs, _as_vector(p))
-    with np.errstate(under="ignore"):
-        value = float(np.sum(np.exp(-tau * dist_sq)))
-    n_pairs = len(diffs)
-    k_hyp = int(round(np.sqrt(n_pairs)))
-    if k_hyp * k_hyp == n_pairs:  # full ordered pair set: enforce the bounds
-        assert k_hyp - 1e-9 <= value <= k_hyp**2 + 1e-9, f"kappa {value} outside [{k_hyp}, {k_hyp**2}]"
-    return value
+    gram = np.conj(stack) @ stack.T
+    norms = gram.diagonal().real
+    dist = norms[:, None] + norms[None, :] - 2.0 * gram.real
+    np.fill_diagonal(dist, 0.0)
+    return np.maximum(dist, 0.0, out=dist)
 
 
-def _kappa_fast(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray, tau: float) -> float:
-    """kappa over all ordered pairs using the (K, n_r) response stack."""
-    resp = (x_mat * p[None, :]) @ w_eff.T  # (K, n_r)
-    mi, ni = pair_indices(x_mat.shape[0])
-    delta = resp[mi] - resp[ni]
-    dist_sq = np.sum(np.abs(delta) ** 2, axis=1)
+def pair_laplacian(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """L_w R for real K x K pair weights w, L_w = diag(w 1 + w^T 1) - w - w^T.
+
+    Adjoint face of the pair kernel: for row stacks a and b,
+    sum_{m,n} w_mn (a_m - a_n)^H (b_m - b_n) = a^H L_w b.
+    """
+    degree = w.sum(axis=1) + w.sum(axis=0)
+    return degree[:, None] * stack - (w + w.T) @ stack
+
+
+def exponent_sum(dist: np.ndarray, tau: float) -> float:
+    """sum exp(-tau d) over pair distances; in [K, K^2] for a K x K kernel output.
+
+    Individual exp underflows saturate to zero, which only sharpens the sum
+    toward its lower bound.
+    """
     with np.errstate(under="ignore"):
-        return float(np.sum(np.exp(-tau * dist_sq)))
+        return float(np.sum(np.exp(-tau * dist)))
+
+
+def kappa(w_eff: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float) -> float:
+    """Pairwise exponent sum over all ordered pairs of the (K, n_tx) hypothesis stack."""
+    resp = (x_mat * _as_vector(p)[None, :]) @ w_eff.T  # (K, n_r)
+    return exponent_sum(pair_distances(resp), tau)
 
 
 def approx_secrecy_rate(
@@ -121,12 +115,9 @@ def approx_secrecy_rate(
     x_mat = hypothesis_matrix(hyps)
     w_b, w_e = effective_whitened(wch, v)
     pvec = _as_vector(p)
-    kb = _kappa_fast(w_b, x_mat, pvec, cfg.tau)
-    ke = _kappa_fast(w_e, x_mat, pvec, cfg.tau)
-    k_hyp = cfg.n_hyp
-    assert k_hyp - 1e-9 <= kb <= k_hyp**2 + 1e-9
-    assert k_hyp - 1e-9 <= ke <= k_hyp**2 + 1e-9
-    log2k = np.log2(k_hyp)
+    kb = kappa(w_b, x_mat, pvec, cfg.tau)
+    ke = kappa(w_e, x_mat, pvec, cfg.tau)
+    log2k = np.log2(cfg.n_hyp)
     i0_bob = 2.0 * log2k - np.log2(kb)
     i0_eve = 2.0 * log2k - np.log2(ke)
     return RateReport(
@@ -136,16 +127,6 @@ def approx_secrecy_rate(
         kappa_b=kb,
         kappa_e=ke,
     )
-
-
-def secrecy_rate_value(
-    cfg: SystemConfig,
-    wch: WhitenedChannels,
-    v: np.ndarray,
-    p: HybridPrecoder | np.ndarray,
-    cons: Constellation | None = None,
-) -> float:
-    return approx_secrecy_rate(cfg, wch, v, p, cons).r_approx
 
 
 def _mc_mi_one_receiver(

@@ -47,6 +47,18 @@ def kappa_dense(
     return total
 
 
+def dense_pair_matrices(
+    w_eff: np.ndarray,
+    hyps: list[TransmitHypothesis],
+    n_rf: int,
+    n_k: int,
+) -> np.ndarray:
+    """(K, K, n_tx, n_tx) stack of D^H W^H W D with D = X_m - X_n, built densely."""
+    mats = [dense_selection_matrix(h, n_rf, n_k) for h in hyps]
+    gram = w_eff.conj().T @ w_eff
+    return np.array([[(xm - xn).conj().T @ gram @ (xm - xn) for xn in mats] for xm in mats])
+
+
 def secrecy_rate_dense(
     cfg: SystemConfig,
     wch: WhitenedChannels,

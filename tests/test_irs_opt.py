@@ -77,11 +77,14 @@ class TestQuadraticForms:
     def test_diagonal_pairs_contribute_nothing(self):
         inst = make_instance(1, n_irs=4)
         qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
-        k = inst.cfg.n_hyp
-        for idx in range(0, k * k, k + 1):  # the (m, m) pairs
-            assert np.allclose(qf.ds[idx], 0)
-            assert np.allclose(qf.a_diff_b[idx], 0)
-            assert np.allclose(qf.pair_gram(idx, "bob"), 0)
+        off = ~np.eye(inst.cfg.n_hyp, dtype=bool)
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            v = np.exp(1j * rng.uniform(0, 2 * np.pi, inst.cfg.n_irs))
+            qb, qe = qf.pair_quadratics(v)
+            assert np.all(np.diag(qb) == 0.0) and np.all(np.diag(qe) == 0.0)  # the (m, m) pairs
+            expect = inst.cfg.tau * LOG2E * (np.sum(qb[off]) - np.sum(qe[off]))
+            assert qf.surrogate_value(v) == pytest.approx(expect, rel=1e-10)
 
     def test_phi_hermitian_psd(self):
         for seed in range(5):

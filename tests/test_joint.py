@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from irs_ssm import joint
 from irs_ssm.harness import desk_config, draw_channels
 from irs_ssm.joint import joint_optimize, resolve_combination
-from irs_ssm.model import ChannelSet, db_to_linear
+from irs_ssm.model import ChannelSet, HybridPrecoder, db_to_linear
+from irs_ssm.precoder_opt import PrecoderResult
 
 
 def _zero_channels(cfg) -> ChannelSet:
@@ -64,6 +66,28 @@ class TestJointOptimize:
                 wch = link_state(cfg, ch, v0)[3]
                 start = build_quadratic_forms(cfg, wch, p0).secrecy_rate(v0)
                 assert res.objective >= start - 1e-9
+
+    def test_worse_precoder_step_is_reverted(self, monkeypatch):
+        cfg = desk_config(p_total=db_to_linear(20.0))
+        ch = draw_channels(cfg, 50)
+        p0 = HybridPrecoder.default_init(cfg)
+        calls = []
+
+        def worse_then_stationary(method, pq, p, kwargs):
+            calls.append(p)
+            # zero power gives a secrecy rate of exactly 0, below the start
+            zero = HybridPrecoder(p=np.zeros(cfg.n_tx, dtype=complex), n_rf=cfg.n_rf)
+            p_out = zero if len(calls) == 1 else p
+            return PrecoderResult(p=p_out, converged=True, iterations=1, secrecy_rate=0.0, trace=[0.0])
+
+        monkeypatch.setattr(joint, "_run_precoder", worse_then_stationary)
+        res = joint_optimize(cfg, ch, "II", p0=p0, seed=0)
+        objs = [t.objective for t in res.trace]
+        assert objs[0] > 0.0
+        assert all(b >= a for a, b in zip(objs, objs[1:]))
+        assert np.array_equal(res.p_star.p, p0.p)
+        assert all(p is p0 for p in calls)
+        assert res.extras["precoder_rejected"] == 1
 
     def test_idempotent_at_fixed_point(self):
         cfg = desk_config(p_total=db_to_linear(20.0))

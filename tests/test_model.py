@@ -13,7 +13,6 @@ from irs_ssm.model import (
     build_an_projection,
     db_to_linear,
     default_analog_blocks,
-    difference_operators,
     effective_channels,
     enumerate_hypotheses,
     hypothesis_matrix,
@@ -23,6 +22,7 @@ from irs_ssm.model import (
     ml_detect,
     whiten,
 )
+from irs_ssm.rates import pair_distances
 
 from _oracles import an_covariances_elementwise, dense_selection_matrix
 from conftest import make_instance
@@ -53,7 +53,8 @@ class TestHypotheses:
         cfg = desk_config(n_rf=8, n_k=4, m_ary=4)
         hyps = enumerate_hypotheses(cfg, Constellation.psk(4))
         assert len(hyps) == 32
-        assert len(difference_operators(hyps)) == 1024
+        resp = hypothesis_matrix(hyps) @ draw_channels(cfg, 0).h.T
+        assert pair_distances(resp).shape == (32, 32)  # 1024 ordered pairs
 
     def test_ordering_and_support(self):
         cfg = desk_config(n_rf=3, n_k=2, m_ary=4)
@@ -76,36 +77,34 @@ class TestHypotheses:
         cfg = desk_config(n_rf=2, n_k=2, m_ary=2)
         hyps = enumerate_hypotheses(cfg, Constellation.psk(2))
         p = np.arange(1, cfg.n_tx + 1).astype(complex)
-        for d in difference_operators(hyps):
-            if d.m.index == d.n.index:
-                assert d.is_zero
-                assert np.linalg.norm(d.apply(p)) == 0.0
+        resp = hypothesis_matrix(hyps) * p[None, :]
+        assert np.all(np.diag(pair_distances(resp)) == 0.0)
 
     def test_same_subarray_difference_structure(self):
         cfg = desk_config(n_rf=2, n_k=2, m_ary=4)
         cons = Constellation.psk(4)
         hyps = enumerate_hypotheses(cfg, cons)
-        d = difference_operators(hyps)[1]  # (i=1, j=1) vs (i=1, j=2)
         p = np.ones(cfg.n_tx, dtype=complex)
         expected = np.zeros(cfg.n_tx, dtype=complex)
         expected[:2] = cons.symbols[0] - cons.symbols[1]
-        assert np.allclose(d.apply(p), expected)
+        # (i=1, j=1) vs (i=1, j=2)
+        assert np.allclose((hyps[0].x_vec - hyps[1].x_vec) * p, expected)
 
     def test_sparse_apply_matches_dense_100_seeds(self):
         cfg = desk_config(n_rf=3, n_k=2, m_ary=2)
         cons = Constellation.psk(2)
         hyps = enumerate_hypotheses(cfg, cons)
-        diffs = difference_operators(hyps)
-        dense = [
-            dense_selection_matrix(d.m, cfg.n_rf, cfg.n_k)
-            - dense_selection_matrix(d.n, cfg.n_rf, cfg.n_k)
-            for d in diffs
-        ]
+        dense = [dense_selection_matrix(h, cfg.n_rf, cfg.n_k) for h in hyps]
         for seed in range(100):
             rng = np.random.default_rng(seed)
             p = rng.standard_normal(cfg.n_tx) + 1j * rng.standard_normal(cfg.n_tx)
-            for d, dm in zip(diffs, dense):
-                assert np.linalg.norm(d.apply(p) - dm @ p) < 1e-12
+            resp = hypothesis_matrix(hyps) * p[None, :]
+            for h, xm in zip(hyps, dense):
+                assert np.linalg.norm(h.x_vec * p - xm @ p) < 1e-12
+            dist = pair_distances(resp)
+            for m, xm in enumerate(dense):
+                for n, xn in enumerate(dense):
+                    assert abs(dist[m, n] - np.linalg.norm((xm - xn) @ p) ** 2) < 1e-12
 
 
 class TestAnProjection:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irs_ssm.model import HybridPrecoder
+from irs_ssm.model import HybridPrecoder, enumerate_hypotheses
 from irs_ssm.precoder_opt import (
     ScaSubproblem,
     asr_sca,
@@ -15,7 +15,7 @@ from irs_ssm.precoder_opt import (
     project_ball,
 )
 
-from _oracles import dense_selection_matrix, random_search_ball
+from _oracles import dense_pair_matrices, random_search_ball
 from conftest import make_instance
 
 
@@ -34,34 +34,39 @@ def _rate_batch(pq):
 class TestPrecoderQuadratics:
     def test_diagonal_pairs_are_zero(self):
         inst, pq = _quadratics(0)
-        k = inst.cfg.n_hyp
-        mats = pq.b_mats
-        for idx in range(0, k * k, k + 1):
-            assert np.allclose(mats[idx], 0)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            p = rng.standard_normal(inst.cfg.n_tx) + 1j * rng.standard_normal(inst.cfg.n_tx)
+            for q in pq.pair_values(p):
+                assert np.all(np.diag(q) == 0.0)
 
     def test_dense_assembly_matches_factored(self):
         inst, pq = _quadratics(1)
-        from irs_ssm.model import enumerate_hypotheses
-
         hyps = enumerate_hypotheses(inst.cfg, inst.cons)
+        b_mats = dense_pair_matrices(pq.w_b, hyps, inst.cfg.n_rf, inst.cfg.n_k)
+        e_mats = dense_pair_matrices(pq.w_e, hyps, inst.cfg.n_rf, inst.cfg.n_k)
         rng = np.random.default_rng(0)
         p = rng.standard_normal(inst.cfg.n_tx) + 1j * rng.standard_normal(inst.cfg.n_tx)
         qb, qe = pq.pair_values(p)
+        k = inst.cfg.n_hyp
         for idx in (1, 5, 9, 14):
-            d = dense_selection_matrix(hyps[pq.mi[idx]], inst.cfg.n_rf, inst.cfg.n_k) - \
-                dense_selection_matrix(hyps[pq.ni[idx]], inst.cfg.n_rf, inst.cfg.n_k)
-            b_dense = d.conj().T @ pq.w_b.conj().T @ pq.w_b @ d
-            e_dense = d.conj().T @ pq.w_e.conj().T @ pq.w_e @ d
-            assert np.linalg.norm(pq.b_mats[idx] - b_dense) < 1e-10 * max(1, np.linalg.norm(b_dense))
-            assert qb[idx] == pytest.approx(np.vdot(p, b_dense @ p).real, rel=1e-10)
-            assert qe[idx] == pytest.approx(np.vdot(p, e_dense @ p).real, rel=1e-10)
+            m, n = divmod(idx, k)
+            assert qb[m, n] == pytest.approx(np.vdot(p, b_mats[m, n] @ p).real, rel=1e-10)
+            assert qe[m, n] == pytest.approx(np.vdot(p, e_mats[m, n] @ p).real, rel=1e-10)
 
     def test_hermitian_psd(self):
-        _, pq = _quadratics(2)
-        for mats in (pq.b_mats, pq.e_mats):
-            for m in mats[:8]:
+        inst, pq = _quadratics(2)
+        hyps = enumerate_hypotheses(inst.cfg, inst.cons)
+        rng = np.random.default_rng(2)
+        p = rng.standard_normal(inst.cfg.n_tx) + 1j * rng.standard_normal(inst.cfg.n_tx)
+        for w_eff, q in zip((pq.w_b, pq.w_e), pq.pair_values(p)):
+            mats = dense_pair_matrices(w_eff, hyps, inst.cfg.n_rf, inst.cfg.n_k)
+            for m in mats.reshape(-1, inst.cfg.n_tx, inst.cfg.n_tx)[:8]:
                 assert np.linalg.norm(m - m.conj().T) < 1e-10 * max(1, np.linalg.norm(m))
                 assert np.linalg.eigvalsh(m)[0] > -1e-10 * max(1, np.linalg.norm(m))
+            # the factored values are the same nonnegative, pair-symmetric quadratics
+            assert np.all(q >= 0.0)
+            assert np.allclose(q, q.T, rtol=1e-12, atol=0.0)
 
     def test_zero_channels_give_zero_rate(self):
         inst = make_instance(0, n_rf=2, n_k=2, n_irs=4, m_ary=2)
@@ -125,6 +130,19 @@ class TestScaBounds:
                 assert sub.eve_lower(p) <= np.log2(ke) + 1e-9
                 assert sub.bob_upper(p) >= np.log2(kb) - 1e-9
 
+    def test_surrogate_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(5)
+        for seed in range(3):
+            _, pq = _quadratics(seed, power_dbm=12.0)
+            p0 = project_ball(rng.standard_normal(4) + 1j * rng.standard_normal(4), 2.0)
+            sub = ScaSubproblem(pq, p0)
+            for _ in range(5):
+                p = p0 + 0.05 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+                d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                d /= np.linalg.norm(d)
+                fd = (sub.value(p + 1e-6 * d) - sub.value(p - 1e-6 * d)) / 2e-6
+                assert np.real(np.vdot(sub.gradient(p), d)) == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
 
 class TestAsrSca:
     def test_reaches_random_search_baseline(self):
@@ -178,6 +196,28 @@ class TestCorGa:
         p0 = HybridPrecoder.default_init(inst.cfg)
         res = cor_ga(pq, p0)
         assert res.secrecy_rate >= pq.secrecy_rate(p0.p)
+        assert res.extras["stalled"] is False
+
+    def test_step_collapse_is_reported_as_stall(self):
+        inst, pq = _quadratics(2)
+        p0 = HybridPrecoder.default_init(inst.cfg)
+        start = pq.secrecy_rate(p0)
+
+        class RejectEveryStep:
+            # the true quadratics at p0, and a rate no candidate step can match
+            n_rf = pq.n_rf
+            gradient = staticmethod(pq.gradient)
+
+            @staticmethod
+            def secrecy_rate(p):
+                return start if np.array_equal(np.asarray(p), p0.p) else start - 1.0
+
+        res = cor_ga(RejectEveryStep(), p0)
+        assert res.converged is False
+        assert res.extras["stalled"] is True
+        assert res.extras["mu_final"] < 1e-14 * 0.1 * pq.n_rf / np.linalg.norm(pq.gradient(p0.p))
+        assert res.trace == [start]
+        assert np.array_equal(res.p.p, p0.p)
 
 
 class TestFactorizeHybrid:

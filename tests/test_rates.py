@@ -9,9 +9,10 @@ from irs_ssm.harness import desk_config, draw_channels, full_scale_config
 from irs_ssm.model import (
     Constellation,
     HybridPrecoder,
+    SystemConfig,
     WhitenedChannels,
-    difference_operators,
     enumerate_hypotheses,
+    hypothesis_matrix,
     link_state,
 )
 from irs_ssm.rates import (
@@ -19,6 +20,7 @@ from irs_ssm.rates import (
     effective_whitened,
     kappa,
     mc_mutual_information,
+    pair_distances,
 )
 
 from _oracles import kappa_dense
@@ -39,47 +41,82 @@ def _zero_wch(inst) -> WhitenedChannels:
     )
 
 
+def _x_mat(cfg, cons):
+    return hypothesis_matrix(enumerate_hypotheses(cfg, cons))
+
+
 class TestKappa:
     def test_zero_channel_hits_upper_bound(self):
         cfg = desk_config(n_rf=8, n_k=4, n_irs=4, m_ary=4)
-        cons = Constellation.psk(4)
-        diffs = difference_operators(enumerate_hypotheses(cfg, cons))
+        x_mat = _x_mat(cfg, Constellation.psk(4))
         w_zero = np.zeros((cfg.n_b, cfg.n_tx), dtype=complex)
         p = HybridPrecoder.default_init(cfg)
-        assert kappa(w_zero, diffs, p, cfg.tau) == pytest.approx(1024.0)
+        assert kappa(w_zero, x_mat, p, cfg.tau) == pytest.approx(1024.0)
 
     def test_huge_tau_hits_lower_bound(self):
         inst = make_instance(0, n_rf=8, n_k=4, n_irs=4, m_ary=4, sigma_dbm=-80.0)
-        diffs = difference_operators(enumerate_hypotheses(inst.cfg, inst.cons))
         w_b, _ = effective_whitened(inst.wch, inst.v)
-        assert kappa(w_b, diffs, inst.p, 1e12) == pytest.approx(32.0)
+        assert kappa(w_b, _x_mat(inst.cfg, inst.cons), inst.p, 1e12) == pytest.approx(32.0)
 
     def test_matches_dense_oracle(self):
         for seed in range(5):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=5, m_ary=2, power_dbm=12.0)
             hyps = enumerate_hypotheses(inst.cfg, inst.cons)
-            diffs = difference_operators(hyps)
             for w_eff in effective_whitened(inst.wch, inst.v):
-                fast = kappa(w_eff, diffs, inst.p, inst.cfg.tau)
+                fast = kappa(w_eff, hypothesis_matrix(hyps), inst.p, inst.cfg.tau)
                 slow = kappa_dense(w_eff, hyps, inst.p.p, inst.cfg.tau, inst.cfg.n_rf, inst.cfg.n_k)
                 assert abs(fast - slow) < 1e-10 * slow
 
     def test_monotone_in_tau(self):
         inst = make_instance(1, power_dbm=15.0)
-        diffs = difference_operators(enumerate_hypotheses(inst.cfg, inst.cons))
+        x_mat = _x_mat(inst.cfg, inst.cons)
         w_b, _ = effective_whitened(inst.wch, inst.v)
-        values = [kappa(w_b, diffs, inst.p, t) for t in (0.0, 0.1, 1.0, 10.0, 1e3, 1e6)]
+        values = [kappa(w_b, x_mat, inst.p, t) for t in (0.0, 0.1, 1.0, 10.0, 1e3, 1e6)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_bounds_always_hold(self):
         for seed in range(10):
             inst = make_instance(seed, power_dbm=25.0)
             k_hyp = inst.cfg.n_hyp
-            diffs = difference_operators(enumerate_hypotheses(inst.cfg, inst.cons))
+            x_mat = _x_mat(inst.cfg, inst.cons)
             w_b, w_e = effective_whitened(inst.wch, inst.v)
             for w in (w_b, w_e):
-                val = kappa(w, diffs, inst.p, inst.cfg.tau)
+                val = kappa(w, x_mat, inst.p, inst.cfg.tau)
                 assert k_hyp - 1e-9 <= val <= k_hyp**2 + 1e-9
+
+    def test_bounds_hold_when_gram_distances_cancel_below_zero(self):
+        # two hypotheses whose responses agree to ~1e-12 relative at norm ~1e6:
+        # the raw Gram distance G_mm + G_nn - 2 Re G_mn is rounding noise of
+        # order 1e-4, negative for some draws; the kernel must clamp it
+        cfg = SystemConfig(n_rf=1, n_k=2, n_b=2, n_e=2, n_irs=2, m_ary=2, p_total=1e6)
+        cons = Constellation(np.exp(1j * np.array([0.0, 1e-12])))
+        x_mat = _x_mat(cfg, cons)
+        p = HybridPrecoder.default_init(cfg)
+        k_hyp = cfg.n_hyp
+        negative = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            q = rng.standard_normal((cfg.n_e, cfg.n_tx)) + 1j * rng.standard_normal((cfg.n_e, cfg.n_tx))
+            wch = WhitenedChannels(
+                h_tilde=np.zeros((cfg.n_b, cfg.n_tx), dtype=complex),
+                g_tilde=np.zeros((cfg.n_b, cfg.n_irs), dtype=complex),
+                q_tilde=q * (1e6 / np.linalg.norm(q @ (x_mat[0] * p.p))),
+                m_tilde=np.zeros((cfg.n_e, cfg.n_irs), dtype=complex),
+                f=np.zeros((cfg.n_irs, cfg.n_tx), dtype=complex),
+            )
+            v = np.ones(cfg.n_irs, dtype=complex)
+            _, w_e = effective_whitened(wch, v)
+            resp = (x_mat * p.p[None, :]) @ w_e.T
+            gram = np.conj(resp) @ resp.T
+            norms = gram.diagonal().real
+            negative += (norms[0] + norms[1] - 2.0 * gram[0, 1].real) < 0.0
+            terms = np.exp(-cfg.tau * pair_distances(resp))
+            assert np.all((terms >= 0.0) & (terms <= 1.0))
+            rep = approx_secrecy_rate(cfg, wch, v, p, cons)
+            assert k_hyp <= rep.kappa_e <= k_hyp**2
+            assert k_hyp <= rep.kappa_b <= k_hyp**2
+            assert abs(rep.r_approx) <= np.log2(k_hyp)
+        assert negative > 0  # the cancellation the clamp guards against did occur
 
 
 class TestApproxSecrecyRate:
