@@ -34,7 +34,7 @@ an, omega_b, omega_e, wch = link_state(cfg, ch, v)
 print(f"AN strategy: {an.strategy_used}; Bob AN covariance norm "
       f"{np.linalg.norm(an.effective_an_cov_b):.2e} (nulled), Eve "
       f"{np.linalg.norm(an.effective_an_cov_e):.2e}")
-print(f"noise-whitened Bob channel gain: {np.linalg.norm(wch.h_tilde):.3f} "
+print(f"noise-whitened Bob channel gain: {np.linalg.norm(wch.h):.3f} "
       f"(raw {np.linalg.norm(ch.h):.2e} over sqrt(noise))")
 
 rep = approx_secrecy_rate(cfg, wch, v, p)

@@ -14,13 +14,16 @@ from .model import (
     Constellation,
     HybridPrecoder,
     SystemConfig,
+    assemble_analog_matrix,
+    default_analog_blocks,
+    effective_channels,
     enumerate_hypotheses,
     hypothesis_matrix,
     inv_sqrt_hermitian,
     link_state,
 )
 from .precoder_opt import ScaSubproblem, build_precoder_quadratics
-from .rates import effective_whitened, kappa
+from .rates import kappa
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -94,7 +97,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         cons = Constellation.psk(cfg.m_ary)
         p = HybridPrecoder.default_init(cfg)
         hyps = enumerate_hypotheses(cfg, cons)
-        w_b, _ = effective_whitened(wch, v)
+        w_b, _ = effective_channels(wch, v)
         fast = kappa(w_b, hypothesis_matrix(hyps), p, cfg.tau)
         naive = 0.0
         for hm in hyps:
@@ -171,20 +174,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     cfg, ch, v, wch = _validation_instance(2)
     an, omega_b, _, _ = link_state(cfg, ch, v)
     round_trip = np.linalg.norm(
-        np.linalg.inv(inv_sqrt_hermitian(omega_b)) @ wch.h_tilde - ch.h
+        np.linalg.inv(inv_sqrt_hermitian(omega_b)) @ wch.h - ch.h
     ) / np.linalg.norm(ch.h)
     ok &= _check("whitening round trip", round_trip < 1e-8, f"rel err {round_trip:.2e}")
 
     # AN projection nulls the effective Bob channel when n_rf > n_b
-    from .model import assemble_analog_matrix, default_analog_blocks, effective_channels
-
     cfg4 = harness.desk_config(n_irs=8)
     ch4 = harness.draw_channels(cfg4, 3)
     v4 = np.ones(cfg4.n_irs, dtype=complex)
     an4 = link_state(cfg4, ch4, v4)[0]
-    eff_b, _ = effective_channels(ch4, v4)
-    leak = np.linalg.norm(eff_b @ assemble_analog_matrix(default_analog_blocks(cfg4)) @ an4.t_an)
-    scale = np.linalg.norm(eff_b @ assemble_analog_matrix(default_analog_blocks(cfg4)))
+    base = effective_channels(ch4, v4)[0] @ assemble_analog_matrix(default_analog_blocks(cfg4))
+    leak = np.linalg.norm(base @ an4.t_an)
+    scale = np.linalg.norm(base)
     ok &= _check("AN projection null-space property", leak < 1e-6 * scale,
                  f"leak {leak:.2e}")
 

@@ -213,6 +213,10 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {m!r}; choose from {ALL_METHODS}")
         if not self.combinations:
             raise ValueError("combinations must be non-empty")
+        for name in ("powers_dbm", "irs_y_values"):
+            values = getattr(self, name)
+            if not all(math.isfinite(x) for x in values):
+                raise ValueError(f"{name} must be finite, got {values}")
 
     def grid_points(self) -> list[dict]:
         cfg = self.system

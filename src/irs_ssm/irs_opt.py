@@ -53,10 +53,6 @@ class IrsPhaseVector:
         return len(self.v)
 
     @classmethod
-    def ones(cls, n: int) -> "IrsPhaseVector":
-        return cls(np.ones(n, dtype=complex))
-
-    @classmethod
     def from_phases(cls, theta: np.ndarray) -> "IrsPhaseVector":
         return cls(np.exp(1j * np.asarray(theta, dtype=float)))
 
@@ -156,20 +152,20 @@ def build_quadratic_forms(
     xp = x_mat * pvec[None, :]  # (K, n_tx)
 
     s_hyp = xp @ wch.f.T  # (K, N)
-    a_hyp_b = xp @ wch.h_tilde.T  # (K, n_b)
-    a_hyp_e = xp @ wch.q_tilde.T  # (K, n_e)
+    a_hyp_b = xp @ wch.h.T  # (K, n_b)
+    a_hyp_e = xp @ wch.q.T  # (K, n_e)
 
     ones = np.ones((cfg.n_hyp, cfg.n_hyp))
     ls = pair_laplacian(ones, s_hyp)
     scale = cfg.tau * LOG2E
     ds_gram = s_hyp.conj().T @ ls  # sum_{m,n} conj(s_m - s_n) (s_m - s_n)^T
-    phi_b = scale * ((wch.g_tilde.conj().T @ wch.g_tilde) * ds_gram)
-    phi_e = scale * ((wch.m_tilde.conj().T @ wch.m_tilde) * ds_gram)
+    phi_b = scale * ((wch.g.conj().T @ wch.g) * ds_gram)
+    phi_e = scale * ((wch.m.conj().T @ wch.m) * ds_gram)
     phi_b = 0.5 * (phi_b + phi_b.conj().T)
     phi_e = 0.5 * (phi_e + phi_e.conj().T)
 
-    d_row = scale * np.sum((a_hyp_b.conj() @ wch.g_tilde) * ls, axis=0)
-    d_prime_row = scale * np.sum((a_hyp_e.conj() @ wch.m_tilde) * ls, axis=0)
+    d_row = scale * np.sum((a_hyp_b.conj() @ wch.g) * ls, axis=0)
+    d_prime_row = scale * np.sum((a_hyp_e.conj() @ wch.m) * ls, axis=0)
     c_const = scale * float(
         np.vdot(a_hyp_b, pair_laplacian(ones, a_hyp_b)).real
         - np.vdot(a_hyp_e, pair_laplacian(ones, a_hyp_e)).real
@@ -183,8 +179,8 @@ def build_quadratic_forms(
         c_const=c_const,
         tau=cfg.tau,
         n_irs=cfg.n_irs,
-        g_mat=wch.g_tilde,
-        m_mat=wch.m_tilde,
+        g_mat=wch.g,
+        m_mat=wch.m,
         s_hyp=s_hyp,
         a_hyp_b=a_hyp_b,
         a_hyp_e=a_hyp_e,

@@ -4,9 +4,11 @@ Each outer iteration runs the chosen IRS beamformer at the current precoder,
 keeps the new reflection vector only if the true secrecy objective did not
 drop (the whitening covariances move with v, so a surrogate gain can be a
 true-objective loss), then runs the chosen precoder optimizer at the accepted
-reflection state.  The AN projection and whitening are refreshed whenever v
-changes; the analog blocks feeding the AN projection stay pinned to the
-default zero-phase subarrays so the covariances depend on v alone, the
+reflection state.  The whitened link is refreshed through ``model.link_state``
+whenever v changes.  That map is a pure function of v: AN rides on the
+zero-phase analog subarrays, and its shaping matrix is the null-space
+projector of the effective Bob channel (n_rf > n_b) or the identity, the
+only choice needed since every unitary gives the same covariances.  So the
 precoder steps are genuine ascent of the recorded objective, and restarting
 from a returned fixed point reproduces the same landscape.
 """
@@ -31,7 +33,6 @@ from .model import (
     Constellation,
     HybridPrecoder,
     SystemConfig,
-    default_analog_blocks,
     link_state,
 )
 from .precoder_opt import PrecoderResult, asr_sca, build_precoder_quadratics, cor_ga
@@ -117,7 +118,6 @@ def joint_optimize(
     epsilon: float = 0.01,
     max_outer: int = 30,
     seed: int = 0,
-    an_strategy: str = "null_space",
     cons: Constellation | None = None,
     irs_kwargs: dict | None = None,
     precoder_kwargs: dict | None = None,
@@ -139,14 +139,8 @@ def joint_optimize(
     irs_kwargs = dict(irs_kwargs or {})
     precoder_kwargs = dict(precoder_kwargs or {})
 
-    # AN analog chain pinned to the zero-phase subarrays for the whole run
-    fa_blocks = default_analog_blocks(cfg)
-
     def refresh(v_now: np.ndarray):
-        # fresh generator per call keeps the state map v -> whitening pure
-        # even under the random-unitary AN strategy
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xA11))))
-        return link_state(cfg, ch, v_now, fa_blocks, strategy=an_strategy, rng=rng)[3]
+        return link_state(cfg, ch, v_now)[3]
 
     wch = refresh(v)
     qf = build_quadratic_forms(cfg, wch, p, cons)

@@ -7,8 +7,11 @@ select the active subarray, an M-ary symbol rides on it, and artificial noise
 the direct path and the path reflected by an IRS with ``n_irs`` unit-modulus
 elements.  This module holds the configuration and channel containers, the
 transmit-hypothesis enumeration, AN projection, interference-plus-noise
-whitening, and ML detection.  Everything downstream (cut-off rates, the IRS
-and precoder optimizers, the experiment harness) is built on these pieces.
+whitening, and ML detection.  ``link_state`` is the one map from a reflection
+vector v to the whitened link; the whitened channels are a ``ChannelSet``, so
+``effective_channels`` gives H + GVF and Q + MVF for raw and whitened sets
+alike.  Everything downstream (cut-off rates, the IRS and precoder
+optimizers, the experiment harness) is built on these pieces.
 
 All powers are linear milliwatts; dB/dBm conversions happen at config load.
 """
@@ -23,15 +26,9 @@ import numpy as np
 LOG2E = math.log2(math.e)
 LN2 = math.log(2.0)
 
-AN_STRATEGIES = ("null_space", "random_unitary", "identity")
-
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -84,10 +81,10 @@ class SystemConfig:
             raise ValueError(f"m_ary must be a power of two >= 2, got {m}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.p_total <= 0.0:
-            raise ValueError("p_total must be positive")
-        if self.sigma_b2 <= 0.0 or self.sigma_e2 <= 0.0:
-            raise ValueError("noise variances must be positive")
+        for name in ("p_total", "sigma_b2", "sigma_e2"):
+            x = getattr(self, name)
+            if not (math.isfinite(x) and x > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {x}")
 
     @property
     def n_tx(self) -> int:
@@ -269,8 +266,9 @@ class AnProjection:
     """AN shaping matrix plus its cached covariance contributions.
 
     ``t_an`` is n_rf x n_rf with ||t_an||_F^2 = n_rf so the total AN power is
-    independent of the strategy.  ``effective_an_cov_b/e`` cache
-    (ch F_A T) (ch F_A T)^H for the Bob and Eve effective channels.
+    the same for the null-space projector and the identity fallback.
+    ``effective_an_cov_b/e`` cache (ch F_A T) (ch F_A T)^H for the Bob and
+    Eve effective channels.
     """
 
     t_an: np.ndarray
@@ -287,55 +285,31 @@ class AnProjection:
 
 
 def effective_channels(ch: ChannelSet, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H + G V F, Q + M V F) for the reflection vector v."""
+    """(H + G V F, Q + M V F) for the reflection vector v; whitened sets give H~ + G~ V F."""
     vf = v[:, None] * ch.f
     return ch.h + ch.g @ vf, ch.q + ch.m @ vf
 
 
-def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    qmat, r = np.linalg.qr(z)
-    # fix the phase ambiguity so the draw is a Haar sample
-    return qmat * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def build_an_projection(
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    v: np.ndarray,
-    fa_blocks: np.ndarray,
-    strategy: str = "null_space",
-    rng: np.random.Generator | None = None,
-) -> AnProjection:
+def build_an_projection(cfg: SystemConfig, ch: ChannelSet, v: np.ndarray) -> AnProjection:
     """Construct the AN shaping matrix for the current reflection state.
 
-    The default strategy projects onto the null space of the effective Bob
-    channel times the analog precoder, (H + GVF) F_A, which exists whenever
-    n_rf > n_b; otherwise a random unitary is used.  A rank-zero effective
-    channel falls back to the identity and sets the ``degenerate`` flag.
+    AN rides on the zero-phase analog subarrays F_A.  When n_rf > n_b, T is
+    the projector onto the null space of the effective Bob channel times the
+    analog precoder, (H + GVF) F_A, scaled to ||T||_F^2 = n_rf.  Otherwise
+    T = I: every unitary T gives (X T)(X T)^H = X X^H, so no other choice
+    changes the covariances.  A rank-zero effective channel also falls back
+    to the identity and sets the ``degenerate`` flag.
     """
-    if strategy not in AN_STRATEGIES:
-        raise ValueError(f"unknown AN strategy {strategy!r}")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    fa = assemble_analog_matrix(fa_blocks)
+    fa = assemble_analog_matrix(default_analog_blocks(cfg))
     eff_b, eff_e = effective_channels(ch, v)
     xb = eff_b @ fa  # n_b x n_rf
     n_rf = cfg.n_rf
-    degenerate = False
-
-    if strategy == "identity":
-        t_an = np.eye(n_rf, dtype=complex)
-        used = "identity"
-    elif strategy == "random_unitary" or n_rf <= cfg.n_b:
-        t_an = _random_unitary(n_rf, rng)
-        used = "random_unitary"
-    else:
+    t_an = np.eye(n_rf, dtype=complex)
+    used, degenerate = "identity", False
+    if n_rf > cfg.n_b:
         _, s, vh = np.linalg.svd(xb)
-        smax = s[0] if len(s) else 0.0
-        rank = int(np.sum(s > 1e-12 * max(smax, 1e-300)))
+        rank = int(np.sum(s > 1e-12 * max(s[0], 1e-300)))
         if rank == 0:
-            t_an = np.eye(n_rf, dtype=complex)
-            used = "identity"
             degenerate = True
         else:
             null_basis = vh[rank:].conj().T  # n_rf x (n_rf - rank)
@@ -365,13 +339,12 @@ def interference_covariances(
     """Interference-plus-noise covariances at Bob and Eve.
 
     Omega = (1 - beta) p_total C + sigma^2 I with C the cached AN covariance
-    contribution; the projection must have been built for the same v.
+    contribution; the projection must have been built for the same v.  C is
+    exactly Hermitian, so Omega is too.
     """
     an_power = (1.0 - cfg.beta) * cfg.p_total
     omega_b = an_power * an.effective_an_cov_b + cfg.sigma_b2 * np.eye(cfg.n_b)
     omega_e = an_power * an.effective_an_cov_e + cfg.sigma_e2 * np.eye(cfg.n_e)
-    omega_b = 0.5 * (omega_b + omega_b.conj().T)
-    omega_e = 0.5 * (omega_e + omega_e.conj().T)
     for name, omega in (("omega_b", omega_b), ("omega_e", omega_e)):
         lam_min = float(np.linalg.eigvalsh(omega)[0])
         if lam_min <= 0.0:
@@ -380,23 +353,27 @@ def interference_covariances(
 
 
 @dataclass(frozen=True)
-class WhitenedChannels:
+class WhitenedChannels(ChannelSet):
     """Channels premultiplied by the inverse square root of their covariance.
 
-    ``f`` is the raw Alice->IRS channel carried along so downstream code can
-    assemble the whitened effective channels H~ + G~ V F and Q~ + M~ V F.
+    h and g carry Omega_B^{-1/2}, q and m carry Omega_E^{-1/2}, and ``f`` is
+    the raw Alice->IRS channel, so ``effective_channels`` gives the whitened
+    effective channels H~ + G~ V F and Q~ + M~ V F.
     """
-
-    h_tilde: np.ndarray
-    g_tilde: np.ndarray
-    q_tilde: np.ndarray
-    m_tilde: np.ndarray
-    f: np.ndarray
 
 
 def inv_sqrt_hermitian(omega: np.ndarray, cond_tol: float = 1e-12) -> np.ndarray:
-    """Omega^{-1/2} via Hermitian eigendecomposition; errors when ill-conditioned."""
+    """Omega^{-1/2} via Hermitian eigendecomposition.
+
+    Raises, naming the cause, when Omega is non-finite, not positive
+    definite, or ill-conditioned (smallest eigenvalue below cond_tol times
+    the largest).
+    """
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("whitener input is non-finite")
     lam, u = np.linalg.eigh(omega)
+    if not lam[0] > 0.0:
+        raise ValueError(f"whitener input is not positive definite (smallest eigenvalue {lam[0]:.3e})")
     if lam[0] < cond_tol * lam[-1]:
         raise ValueError(
             f"whitener is ill-conditioned (eigenvalue {lam[0]:.3e} below "
@@ -409,13 +386,7 @@ def whiten(ch: ChannelSet, omega_b: np.ndarray, omega_e: np.ndarray) -> Whitened
     """Premultiply the Bob channels by Omega_B^{-1/2} and the Eve channels by Omega_E^{-1/2}."""
     wb = inv_sqrt_hermitian(omega_b)
     we = inv_sqrt_hermitian(omega_e)
-    return WhitenedChannels(
-        h_tilde=wb @ ch.h,
-        g_tilde=wb @ ch.g,
-        q_tilde=we @ ch.q,
-        m_tilde=we @ ch.m,
-        f=ch.f,
-    )
+    return WhitenedChannels(h=wb @ ch.h, q=we @ ch.q, f=ch.f, g=wb @ ch.g, m=we @ ch.m)
 
 
 def ml_detect(
@@ -441,15 +412,13 @@ def ml_detect(
 
 
 def link_state(
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    v: np.ndarray,
-    fa_blocks: np.ndarray | None = None,
-    strategy: str = "null_space",
-    rng: np.random.Generator | None = None,
+    cfg: SystemConfig, ch: ChannelSet, v: np.ndarray
 ) -> tuple[AnProjection, np.ndarray, np.ndarray, WhitenedChannels]:
-    """AN projection, covariances and whitened channels for one reflection state."""
-    fa = fa_blocks if fa_blocks is not None else default_analog_blocks(cfg)
-    an = build_an_projection(cfg, ch, v, fa, strategy=strategy, rng=rng)
+    """AN projection, covariances and whitened channels for one reflection state.
+
+    A pure function of (cfg, ch, v): the one map from v to the whitened link
+    that every optimizer reads.
+    """
+    an = build_an_projection(cfg, ch, v)
     omega_b, omega_e = interference_covariances(cfg, ch, v, an)
     return an, omega_b, omega_e, whiten(ch, omega_b, omega_e)

@@ -24,10 +24,11 @@ from .model import (
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
+    effective_channels,
     enumerate_hypotheses,
     hypothesis_matrix,
 )
-from .rates import effective_whitened, exponent_sum, pair_distances, pair_laplacian
+from .rates import exponent_sum, pair_distances, pair_laplacian
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def build_precoder_quadratics(
 ) -> PrecoderQuadratics:
     """Assemble the pairwise precoder quadratics for a fixed reflection vector."""
     cons = cons if cons is not None else Constellation.psk(cfg.m_ary)
-    w_b, w_e = effective_whitened(wch, v)
+    w_b, w_e = effective_channels(wch, v)
     return PrecoderQuadratics(
         tau=cfg.tau,
         n_rf=cfg.n_rf,
@@ -133,17 +134,33 @@ class ScaSubproblem:
         self.qb0, self.qe0 = pq.pair_values(p0)
         with np.errstate(under="ignore"):
             self.c_eve = np.exp(-self.tau * self.qe0)  # per-pair weights, Eve expansion
+        # p-independent parts of the two bounds
+        self._eve_base = 1.0 + self.tau * self.qe0
+        self._bob_base = self.tau * self.qb0
+        self._resp0_b_conj = np.conj(self.resp0_b)
+        # terms at the last evaluated point: the ascent asks for the value
+        # and then the gradient at the same p
+        self._key: bytes | None = None
+        self._terms: tuple[np.ndarray, float, np.ndarray] | None = None
+
+    def _at(self, p: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        """(Eve response stack, Eve-bound sum, Bob exponents) at p."""
+        key = p.tobytes()
+        if key != self._key:
+            resp_e = self.pq.response(self.pq.w_e, p)
+            s = float((self.c_eve * (self._eve_base - self.tau * pair_distances(resp_e))).sum())
+            self._key, self._terms = key, (resp_e, s, self._bob_exponents(p))
+        return self._terms
 
     def eve_sum(self, p: np.ndarray) -> float:
-        qe = pair_distances(self.pq.response(self.pq.w_e, p))
-        return float(np.sum(self.c_eve * (1.0 + self.tau * self.qe0 - self.tau * qe)))
+        return self._at(p)[1]
 
     def _bob_exponents(self, p: np.ndarray) -> np.ndarray:
         # Re{p0^H B_mn p} = Re<r0_m - r0_n, r_m - r_n> from the cross Gram conj(R0) R^T
-        cross = np.conj(self.resp0_b) @ self.pq.response(self.pq.w_b, p).T
+        cross = (self._resp0_b_conj @ self.pq.response(self.pq.w_b, p).T).real
         diag = cross.diagonal()
-        lin = np.real(diag[:, None] + diag[None, :] - cross - cross.T)
-        return self.tau * self.qb0 - 2.0 * self.tau * lin
+        lin = diag[:, None] + diag[None, :] - cross - cross.T
+        return self._bob_base - 2.0 * self.tau * lin
 
     def value(self, p: np.ndarray) -> float:
         s = self.eve_sum(p)
@@ -156,15 +173,14 @@ class ScaSubproblem:
         return float(np.log2(s)) if s > 0.0 else -np.inf
 
     def bob_upper(self, p: np.ndarray) -> float:
-        return float(np.logaddexp.reduce(self._bob_exponents(p), axis=None)) / LN2
+        return float(np.logaddexp.reduce(self._at(p)[2], axis=None)) / LN2
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         pq = self.pq
-        s = self.eve_sum(p)
-        g_eve = (-2.0 * self.tau / (s * LN2)) * pq.pull_back(pq.w_e, self.c_eve, pq.response(pq.w_e, p))
-        h = self._bob_exponents(p)
+        resp_e, s, h = self._at(p)
+        g_eve = (-2.0 * self.tau / (s * LN2)) * pq.pull_back(pq.w_e, self.c_eve, resp_e)
         weights = np.exp(h - np.max(h))
-        weights /= np.sum(weights)
+        weights /= weights.sum()
         g_bob_upper = (-2.0 * self.tau / LN2) * pq.pull_back(pq.w_b, weights, self.resp0_b)
         return g_eve - g_bob_upper
 

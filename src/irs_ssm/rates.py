@@ -5,7 +5,11 @@ terms over all ordered transmit-hypothesis pairs,
 
     kappa = sum_{m,n} exp(-tau * ||W (X_m - X_n) p||^2),    tau = beta P / 4,
 
-with W the whitened effective channel.  The approximate secrecy rate is
+with W the whitened effective channel H~ + G~ V F (Bob) or Q~ + M~ V F (Eve),
+given by ``model.effective_channels`` on the whitened channels that
+``model.link_state`` returns.  Those depend on v alone: the AN shaping matrix
+is the null-space projector of Bob's effective channel when n_rf > n_b and
+the identity otherwise, since every unitary gives the same AN covariance.  The approximate secrecy rate is
 log2(kappa_E) - log2(kappa_B), equal to the Bob/Eve cut-off rate difference.
 Every layer evaluates its pair sums with one kernel on a K-row stack R (here
 r_m = W X_m p): ``pair_distances`` gives the K x K distances from the Gram
@@ -28,6 +32,7 @@ from .model import (
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
+    effective_channels,
     enumerate_hypotheses,
     hypothesis_matrix,
 )
@@ -42,16 +47,6 @@ class RateReport:
     r_approx: float
     kappa_b: float
     kappa_e: float
-    mc_mi_bob: float | None = None
-    mc_mi_eve: float | None = None
-    mc_std_err_bob: float | None = None
-    mc_std_err_eve: float | None = None
-
-
-def effective_whitened(wch: WhitenedChannels, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened effective channels (H~ + G~ V F, Q~ + M~ V F)."""
-    vf = v[:, None] * wch.f
-    return wch.h_tilde + wch.g_tilde @ vf, wch.q_tilde + wch.m_tilde @ vf
 
 
 def _as_vector(p: HybridPrecoder | np.ndarray) -> np.ndarray:
@@ -113,7 +108,7 @@ def approx_secrecy_rate(
     cons = cons if cons is not None else Constellation.psk(cfg.m_ary)
     hyps = enumerate_hypotheses(cfg, cons)
     x_mat = hypothesis_matrix(hyps)
-    w_b, w_e = effective_whitened(wch, v)
+    w_b, w_e = effective_channels(wch, v)
     pvec = _as_vector(p)
     kb = kappa(w_b, x_mat, pvec, cfg.tau)
     ke = kappa(w_e, x_mat, pvec, cfg.tau)
@@ -184,7 +179,7 @@ def mc_mutual_information(
     ss = np.random.SeedSequence(entropy=seed)
     stream_b, stream_e = ss.spawn(2)
     results = []
-    for w_eff, stream in zip(effective_whitened(wch, v), (stream_b, stream_e)):
+    for w_eff, stream in zip(effective_channels(wch, v), (stream_b, stream_e)):
         resp = scale * ((x_mat * pvec[None, :]) @ w_eff.T)  # (K, n_r)
         f_pairs = resp[:, None, :] - resp[None, :, :]
         rng = np.random.Generator(np.random.Philox(stream))

@@ -70,8 +70,8 @@ def secrecy_rate_dense(
 
     hyps = enumerate_hypotheses(cfg, cons)
     vf = v[:, None] * wch.f
-    w_b = wch.h_tilde + wch.g_tilde @ vf
-    w_e = wch.q_tilde + wch.m_tilde @ vf
+    w_b = wch.h + wch.g @ vf
+    w_e = wch.q + wch.m @ vf
     kb = kappa_dense(w_b, hyps, p, cfg.tau, cfg.n_rf, cfg.n_k)
     ke = kappa_dense(w_e, hyps, p, cfg.tau, cfg.n_rf, cfg.n_k)
     return float(np.log2(ke) - np.log2(kb))
@@ -118,8 +118,8 @@ def surrogate_direct(
 
     hyps = enumerate_hypotheses(cfg, cons)
     vf = v[:, None] * wch.f
-    w_b = wch.h_tilde + wch.g_tilde @ vf
-    w_e = wch.q_tilde + wch.m_tilde @ vf
+    w_b = wch.h + wch.g @ vf
+    w_e = wch.q + wch.m @ vf
     total = 0.0
     for hm in hyps:
         for hn in hyps:

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+# hypothesis caches the constants it mines from local modules on disk; keep
+# that cache inside pytest's own cache directory rather than a new .hypothesis/
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY",
+    str(Path(__file__).resolve().parents[1] / ".pytest_cache" / "hypothesis"),
+)
 
 from irs_ssm.harness import desk_config, draw_channels
 from irs_ssm.model import (

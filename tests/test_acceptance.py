@@ -23,7 +23,7 @@ from irs_ssm.harness import (
 )
 from irs_ssm.irs_opt import build_quadratic_forms, irs_admm, irs_bca, irs_sdr
 from irs_ssm.joint import joint_optimize
-from irs_ssm.model import HybridPrecoder, db_to_linear, enumerate_hypotheses, link_state
+from irs_ssm.model import HybridPrecoder, db_to_linear, effective_channels, enumerate_hypotheses, link_state
 from irs_ssm.precoder_opt import (
     ScaSubproblem,
     asr_sca,
@@ -31,7 +31,7 @@ from irs_ssm.precoder_opt import (
     cor_ga,
     project_ball,
 )
-from irs_ssm.rates import approx_secrecy_rate, effective_whitened
+from irs_ssm.rates import approx_secrecy_rate
 
 from _oracles import grid_search_phases, kappa_dense, surrogate_direct
 from conftest import make_instance
@@ -60,7 +60,7 @@ def test_criterion_1_oracle_equivalence():
         inst = make_instance(seed, power_dbm=20.0, **DESK)
         rep = approx_secrecy_rate(inst.cfg, inst.wch, inst.v, inst.p, inst.cons)
         hyps = enumerate_hypotheses(inst.cfg, inst.cons)
-        w_b, w_e = effective_whitened(inst.wch, inst.v)
+        w_b, w_e = effective_channels(inst.wch, inst.v)
         kb = kappa_dense(w_b, hyps, inst.p.p, inst.cfg.tau, inst.cfg.n_rf, inst.cfg.n_k)
         ke = kappa_dense(w_e, hyps, inst.p.p, inst.cfg.tau, inst.cfg.n_rf, inst.cfg.n_k)
         worst = max(
@@ -280,6 +280,7 @@ def _per_trial(records, gp_index, method):
     return np.array([r.outputs[method].sr_bits for r in records if r.gp_index == gp_index])
 
 
+@pytest.mark.slow
 def test_criterion_8_qualitative_replication(desk_campaigns):
     failures = []
 

@@ -226,6 +226,14 @@ class TestRunExperiment:
             ExperimentSpec(kind="cdf", combinations=("irs_bca",), n_channel_trials=0)
         with pytest.raises(ValueError):
             ExperimentSpec(kind="cdf", combinations=("who",))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="powers_dbm"):
+                ExperimentSpec(kind="cdf", combinations=("irs_bca",), powers_dbm=(10.0, bad))
+            with pytest.raises(ValueError, match="irs_y_values"):
+                ExperimentSpec(kind="position_sweep", combinations=("irs_bca",), irs_y_values=(bad,))
+        # a YAML ``p_total_dbm: .nan`` is rejected at load, naming the field
+        with pytest.raises(ValueError, match="p_total"):
+            system_config_from_dict({"p_total_dbm": float("nan")})
 
     def test_csv_deterministic_order(self, tmp_path):
         spec = _tiny_spec(tmp_path)

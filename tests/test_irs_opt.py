@@ -26,10 +26,10 @@ def _zero_forms(n_irs: int = 4):
 
     wch = dataclasses.replace(
         inst.wch,
-        h_tilde=np.zeros_like(inst.wch.h_tilde),
-        g_tilde=np.zeros_like(inst.wch.g_tilde),
-        q_tilde=np.zeros_like(inst.wch.q_tilde),
-        m_tilde=np.zeros_like(inst.wch.m_tilde),
+        h=np.zeros_like(inst.wch.h),
+        g=np.zeros_like(inst.wch.g),
+        q=np.zeros_like(inst.wch.q),
+        m=np.zeros_like(inst.wch.m),
     )
     return build_quadratic_forms(inst.cfg, wch, inst.p, inst.cons)
 

@@ -36,6 +36,10 @@ class TestConfig:
             desk_config(beta=0.0)
         with pytest.raises(ValueError):
             desk_config(n_rf=0)
+        for name in ("p_total", "sigma_b2", "sigma_e2"):
+            for bad in (float("nan"), float("inf"), 0.0, -1.0):
+                with pytest.raises(ValueError, match=name):
+                    desk_config(**{name: bad})
         cfg = desk_config()
         assert cfg.n_tx == cfg.n_rf * cfg.n_k
         assert cfg.tau == pytest.approx(cfg.beta * cfg.p_total / 4)
@@ -113,7 +117,7 @@ class TestAnProjection:
         ch = draw_channels(cfg, 0)
         v = np.exp(1j * np.linspace(0, 1, cfg.n_irs))
         fa = default_analog_blocks(cfg)
-        an = build_an_projection(cfg, ch, v, fa)
+        an = build_an_projection(cfg, ch, v)
         assert an.strategy_used == "null_space"
         eff_b, _ = effective_channels(ch, v)
         base = eff_b @ assemble_analog_matrix(fa)
@@ -124,11 +128,20 @@ class TestAnProjection:
     def test_no_null_space_random_unitary(self):
         cfg = desk_config(n_rf=2, n_k=2, n_irs=4, m_ary=2, n_b=2)
         ch = draw_channels(cfg, 1)
-        an = build_an_projection(cfg, ch, np.ones(4, dtype=complex), default_analog_blocks(cfg))
-        assert an.strategy_used == "random_unitary"
+        v = np.ones(4, dtype=complex)
+        an = build_an_projection(cfg, ch, v)
+        assert an.strategy_used == "identity"
+        assert not an.degenerate
         assert np.linalg.norm(an.t_an, "fro") ** 2 == pytest.approx(2.0, rel=1e-9)
         # unitary: T T^H = I
         assert np.allclose(an.t_an @ an.t_an.conj().T, np.eye(2), atol=1e-10)
+        # any unitary U gives (X U)(X U)^H = X X^H, the covariance a random unitary produced
+        x = effective_channels(ch, v)[0] @ assemble_analog_matrix(default_analog_blocks(cfg))
+        z = np.random.default_rng(5).standard_normal((2, 4)).view(complex)
+        u, _ = np.linalg.qr(z)
+        xu = x @ u
+        for cov in (x @ x.conj().T, xu @ xu.conj().T):
+            assert np.linalg.norm(an.effective_an_cov_b - cov) < 1e-12 * np.linalg.norm(cov)
 
     def test_zero_irs_path_reduces_to_direct(self):
         cfg = desk_config(n_rf=4, n_k=2, n_irs=4, m_ary=2)
@@ -137,8 +150,8 @@ class TestAnProjection:
         fa = default_analog_blocks(cfg)
         v1 = np.ones(4, dtype=complex)
         v2 = np.exp(1j * np.arange(4))
-        an1 = build_an_projection(cfg, ch_zero_g, v1, fa)
-        an2 = build_an_projection(cfg, ch_zero_g, v2, fa)
+        an1 = build_an_projection(cfg, ch_zero_g, v1)
+        an2 = build_an_projection(cfg, ch_zero_g, v2)
         assert np.allclose(an1.t_an, an2.t_an)  # no v dependence without G
         leak = np.linalg.norm((ch.h @ assemble_analog_matrix(fa)) @ an1.t_an)
         assert leak < 1e-6 * np.linalg.norm(ch.h @ assemble_analog_matrix(fa))
@@ -152,7 +165,7 @@ class TestAnProjection:
             g=np.zeros((cfg.n_b, cfg.n_irs), dtype=complex),
             m=np.zeros((cfg.n_e, cfg.n_irs), dtype=complex),
         )
-        an = build_an_projection(cfg, zero, np.ones(4, dtype=complex), default_analog_blocks(cfg))
+        an = build_an_projection(cfg, zero, np.ones(4, dtype=complex))
         assert an.degenerate
         assert np.allclose(an.t_an, np.eye(4))
 
@@ -160,7 +173,7 @@ class TestAnProjection:
 class TestCovariancesAndWhitening:
     def test_beta_one_gives_noise_only(self):
         inst = make_instance(0, beta=1.0)
-        an = build_an_projection(inst.cfg, inst.ch, inst.v, default_analog_blocks(inst.cfg))
+        an = build_an_projection(inst.cfg, inst.ch, inst.v)
         omega_b, omega_e = interference_covariances(inst.cfg, inst.ch, inst.v, an)
         assert np.allclose(omega_b, inst.cfg.sigma_b2 * np.eye(inst.cfg.n_b))
         assert np.allclose(omega_e, inst.cfg.sigma_e2 * np.eye(inst.cfg.n_e))
@@ -176,7 +189,7 @@ class TestCovariancesAndWhitening:
         for seed in range(4):
             inst = make_instance(seed, n_rf=4, n_k=2, n_irs=5, m_ary=2)
             fa = default_analog_blocks(inst.cfg)
-            an = build_an_projection(inst.cfg, inst.ch, inst.v, fa)
+            an = build_an_projection(inst.cfg, inst.ch, inst.v)
             got_b, got_e = interference_covariances(inst.cfg, inst.ch, inst.v, an)
             want_b, want_e = an_covariances_elementwise(inst.cfg, inst.ch, inst.v, fa, an.t_an)
             scale_e = np.linalg.norm(want_e)
@@ -196,10 +209,10 @@ class TestCovariancesAndWhitening:
         eye_b = np.eye(inst.cfg.n_b)
         eye_e = np.eye(inst.cfg.n_e)
         wch = whiten(inst.ch, 4.0 * eye_b, eye_e)
-        assert np.allclose(wch.h_tilde, inst.ch.h / 2.0)
-        assert np.allclose(wch.q_tilde, inst.ch.q)
+        assert np.allclose(wch.h, inst.ch.h / 2.0)
+        assert np.allclose(wch.q, inst.ch.q)
         wch_id = whiten(inst.ch, eye_b, eye_e)
-        assert np.allclose(wch_id.h_tilde, inst.ch.h)
+        assert np.allclose(wch_id.h, inst.ch.h)
 
     def test_round_trip(self):
         for seed in range(5):
@@ -207,22 +220,27 @@ class TestCovariancesAndWhitening:
             sqrt_b = np.linalg.inv(inv_sqrt_hermitian(inst.omega_b))
             sqrt_e = np.linalg.inv(inv_sqrt_hermitian(inst.omega_e))
             for tilde, raw, sq in (
-                (inst.wch.h_tilde, inst.ch.h, sqrt_b),
-                (inst.wch.g_tilde, inst.ch.g, sqrt_b),
-                (inst.wch.q_tilde, inst.ch.q, sqrt_e),
-                (inst.wch.m_tilde, inst.ch.m, sqrt_e),
+                (inst.wch.h, inst.ch.h, sqrt_b),
+                (inst.wch.g, inst.ch.g, sqrt_b),
+                (inst.wch.q, inst.ch.q, sqrt_e),
+                (inst.wch.m, inst.ch.m, sqrt_e),
             ):
                 assert np.linalg.norm(sq @ tilde - raw) < 1e-8 * max(1.0, np.linalg.norm(raw))
 
     def test_ill_conditioned_whitener_raises(self):
         inst = make_instance(0)
+        eye_e = np.eye(inst.cfg.n_e)
         bad = np.diag([1.0, 1e-14]).astype(complex)
         with pytest.raises(ValueError, match="ill-conditioned"):
-            whiten(inst.ch, bad, np.eye(inst.cfg.n_e))
+            whiten(inst.ch, bad, eye_e)
+        with pytest.raises(ValueError, match="not positive definite"):
+            whiten(inst.ch, np.zeros((2, 2), dtype=complex), eye_e)
+        with pytest.raises(ValueError, match="non-finite"):
+            whiten(inst.ch, np.full((2, 2), np.nan, dtype=complex), eye_e)
 
     def test_non_pd_covariance_names_eigenvalue(self):
         inst = make_instance(0)
-        an = build_an_projection(inst.cfg, inst.ch, inst.v, default_analog_blocks(inst.cfg))
+        an = build_an_projection(inst.cfg, inst.ch, inst.v)
         bad_cfg = desk_config(
             n_rf=inst.cfg.n_rf, n_k=inst.cfg.n_k, n_irs=inst.cfg.n_irs,
             m_ary=inst.cfg.m_ary, sigma_b2=1e-300, sigma_e2=1e-300,

@@ -72,10 +72,10 @@ class TestPrecoderQuadratics:
         inst = make_instance(0, n_rf=2, n_k=2, n_irs=4, m_ary=2)
         wch = replace(
             inst.wch,
-            h_tilde=np.zeros_like(inst.wch.h_tilde),
-            g_tilde=np.zeros_like(inst.wch.g_tilde),
-            q_tilde=np.zeros_like(inst.wch.q_tilde),
-            m_tilde=np.zeros_like(inst.wch.m_tilde),
+            h=np.zeros_like(inst.wch.h),
+            g=np.zeros_like(inst.wch.g),
+            q=np.zeros_like(inst.wch.q),
+            m=np.zeros_like(inst.wch.m),
         )
         pq = build_precoder_quadratics(inst.cfg, wch, inst.v, inst.cons)
         rng = np.random.default_rng(1)

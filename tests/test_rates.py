@@ -11,13 +11,13 @@ from irs_ssm.model import (
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
+    effective_channels,
     enumerate_hypotheses,
     hypothesis_matrix,
     link_state,
 )
 from irs_ssm.rates import (
     approx_secrecy_rate,
-    effective_whitened,
     kappa,
     mc_mutual_information,
     pair_distances,
@@ -34,10 +34,10 @@ FULL_SCALE_ANCHOR = 3.99656051113462
 def _zero_wch(inst) -> WhitenedChannels:
     return replace(
         inst.wch,
-        h_tilde=np.zeros_like(inst.wch.h_tilde),
-        g_tilde=np.zeros_like(inst.wch.g_tilde),
-        q_tilde=np.zeros_like(inst.wch.q_tilde),
-        m_tilde=np.zeros_like(inst.wch.m_tilde),
+        h=np.zeros_like(inst.wch.h),
+        g=np.zeros_like(inst.wch.g),
+        q=np.zeros_like(inst.wch.q),
+        m=np.zeros_like(inst.wch.m),
     )
 
 
@@ -55,14 +55,14 @@ class TestKappa:
 
     def test_huge_tau_hits_lower_bound(self):
         inst = make_instance(0, n_rf=8, n_k=4, n_irs=4, m_ary=4, sigma_dbm=-80.0)
-        w_b, _ = effective_whitened(inst.wch, inst.v)
+        w_b, _ = effective_channels(inst.wch, inst.v)
         assert kappa(w_b, _x_mat(inst.cfg, inst.cons), inst.p, 1e12) == pytest.approx(32.0)
 
     def test_matches_dense_oracle(self):
         for seed in range(5):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=5, m_ary=2, power_dbm=12.0)
             hyps = enumerate_hypotheses(inst.cfg, inst.cons)
-            for w_eff in effective_whitened(inst.wch, inst.v):
+            for w_eff in effective_channels(inst.wch, inst.v):
                 fast = kappa(w_eff, hypothesis_matrix(hyps), inst.p, inst.cfg.tau)
                 slow = kappa_dense(w_eff, hyps, inst.p.p, inst.cfg.tau, inst.cfg.n_rf, inst.cfg.n_k)
                 assert abs(fast - slow) < 1e-10 * slow
@@ -70,7 +70,7 @@ class TestKappa:
     def test_monotone_in_tau(self):
         inst = make_instance(1, power_dbm=15.0)
         x_mat = _x_mat(inst.cfg, inst.cons)
-        w_b, _ = effective_whitened(inst.wch, inst.v)
+        w_b, _ = effective_channels(inst.wch, inst.v)
         values = [kappa(w_b, x_mat, inst.p, t) for t in (0.0, 0.1, 1.0, 10.0, 1e3, 1e6)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -79,7 +79,7 @@ class TestKappa:
             inst = make_instance(seed, power_dbm=25.0)
             k_hyp = inst.cfg.n_hyp
             x_mat = _x_mat(inst.cfg, inst.cons)
-            w_b, w_e = effective_whitened(inst.wch, inst.v)
+            w_b, w_e = effective_channels(inst.wch, inst.v)
             for w in (w_b, w_e):
                 val = kappa(w, x_mat, inst.p, inst.cfg.tau)
                 assert k_hyp - 1e-9 <= val <= k_hyp**2 + 1e-9
@@ -98,14 +98,14 @@ class TestKappa:
             rng = np.random.default_rng(seed)
             q = rng.standard_normal((cfg.n_e, cfg.n_tx)) + 1j * rng.standard_normal((cfg.n_e, cfg.n_tx))
             wch = WhitenedChannels(
-                h_tilde=np.zeros((cfg.n_b, cfg.n_tx), dtype=complex),
-                g_tilde=np.zeros((cfg.n_b, cfg.n_irs), dtype=complex),
-                q_tilde=q * (1e6 / np.linalg.norm(q @ (x_mat[0] * p.p))),
-                m_tilde=np.zeros((cfg.n_e, cfg.n_irs), dtype=complex),
+                h=np.zeros((cfg.n_b, cfg.n_tx), dtype=complex),
+                g=np.zeros((cfg.n_b, cfg.n_irs), dtype=complex),
+                q=q * (1e6 / np.linalg.norm(q @ (x_mat[0] * p.p))),
+                m=np.zeros((cfg.n_e, cfg.n_irs), dtype=complex),
                 f=np.zeros((cfg.n_irs, cfg.n_tx), dtype=complex),
             )
             v = np.ones(cfg.n_irs, dtype=complex)
-            _, w_e = effective_whitened(wch, v)
+            _, w_e = effective_channels(wch, v)
             resp = (x_mat * p.p[None, :]) @ w_e.T
             gram = np.conj(resp) @ resp.T
             norms = gram.diagonal().real
@@ -122,7 +122,7 @@ class TestKappa:
 class TestApproxSecrecyRate:
     def test_identical_links_give_zero(self):
         inst = make_instance(3, n_rf=2, n_k=2)
-        sym = replace(inst.wch, q_tilde=inst.wch.h_tilde.copy(), m_tilde=inst.wch.g_tilde.copy())
+        sym = replace(inst.wch, q=inst.wch.h.copy(), m=inst.wch.g.copy())
         rep = approx_secrecy_rate(inst.cfg, sym, inst.v, inst.p, inst.cons)
         assert rep.r_approx == pytest.approx(0.0, abs=1e-12)
 
@@ -130,8 +130,8 @@ class TestApproxSecrecyRate:
         inst = make_instance(4, power_dbm=20.0)
         blind = replace(
             inst.wch,
-            q_tilde=np.zeros_like(inst.wch.q_tilde),
-            m_tilde=np.zeros_like(inst.wch.m_tilde),
+            q=np.zeros_like(inst.wch.q),
+            m=np.zeros_like(inst.wch.m),
         )
         rep = approx_secrecy_rate(inst.cfg, blind, inst.v, inst.p, inst.cons)
         assert rep.kappa_e == pytest.approx(inst.cfg.n_hyp**2)
@@ -168,10 +168,10 @@ class TestApproxSecrecyRate:
         ub, ue = haar(inst.cfg.n_b), haar(inst.cfg.n_e)
         rotated = replace(
             inst.wch,
-            h_tilde=ub @ inst.wch.h_tilde,
-            g_tilde=ub @ inst.wch.g_tilde,
-            q_tilde=ue @ inst.wch.q_tilde,
-            m_tilde=ue @ inst.wch.m_tilde,
+            h=ub @ inst.wch.h,
+            g=ub @ inst.wch.g,
+            q=ue @ inst.wch.q,
+            m=ue @ inst.wch.m,
         )
         rep_rot = approx_secrecy_rate(inst.cfg, rotated, inst.v, inst.p, inst.cons)
         assert rep_rot.r_approx == pytest.approx(rep.r_approx, abs=1e-10)
@@ -195,10 +195,10 @@ class TestMcMutualInformation:
         inst = make_instance(1, n_rf=2, n_k=2, m_ary=2)
         boosted = replace(
             inst.wch,
-            h_tilde=inst.wch.h_tilde * 1e4,
-            g_tilde=inst.wch.g_tilde * 1e4,
-            q_tilde=inst.wch.q_tilde * 1e4,
-            m_tilde=inst.wch.m_tilde * 1e4,
+            h=inst.wch.h * 1e4,
+            g=inst.wch.g * 1e4,
+            q=inst.wch.q * 1e4,
+            m=inst.wch.m * 1e4,
         )
         mib, mie, _ = mc_mutual_information(
             inst.cfg, boosted, inst.v, inst.p, 500, seed=0, cons=inst.cons
