@@ -8,11 +8,11 @@ objective against the Monte Carlo mutual-information oracle.
 import numpy as np
 
 from irs_ssm import (
-    Constellation,
     HybridPrecoder,
     approx_secrecy_rate,
     desk_config,
     draw_channels,
+    enumerate_hypotheses,
     link_state,
     mc_mutual_information,
     ml_detect,
@@ -47,10 +47,7 @@ print("the cut-off rate sits below the MC mutual information on both links:",
       rep.i0_bob <= mib + 3 * seb and rep.i0_eve <= mie + 3 * see)
 
 # round-trip sanity: transmit hypothesis (2, 3) noiselessly and detect it
-cons = Constellation.psk(cfg.m_ary)
-from irs_ssm.model import enumerate_hypotheses
-
-hyp = [h for h in enumerate_hypotheses(cfg, cons) if (h.subarray, h.symbol_index) == (2, 3)][0]
+hyp = [h for h in enumerate_hypotheses(cfg) if (h.subarray, h.symbol_index) == (2, 3)][0]
 eff_b, _ = effective_channels(ch, v)
 y = np.sqrt(cfg.beta * cfg.p_total) * (eff_b @ (hyp.x_vec * p.p))
-print("ML detection of a clean (2, 3) transmission:", ml_detect(cfg, ch, v, p, cons, y))
+print("ML detection of a clean (2, 3) transmission:", ml_detect(cfg, ch, v, p, y))

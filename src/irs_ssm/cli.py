@@ -11,7 +11,6 @@ import numpy as np
 from . import harness
 from .irs_opt import IrsPhaseVector, build_quadratic_forms, sdp_unit_diag
 from .model import (
-    Constellation,
     HybridPrecoder,
     SystemConfig,
     assemble_analog_matrix,
@@ -94,11 +93,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     worst = 0.0
     for seed in range(3):
         cfg, ch, v, wch = _validation_instance(seed)
-        cons = Constellation.psk(cfg.m_ary)
         p = HybridPrecoder.default_init(cfg)
-        hyps = enumerate_hypotheses(cfg, cons)
+        hyps = enumerate_hypotheses(cfg)
         w_b, _ = effective_channels(wch, v)
-        fast = kappa(w_b, hypothesis_matrix(hyps), p, cfg.tau)
+        fast = kappa(w_b, hypothesis_matrix(cfg), p, cfg.tau)
         naive = 0.0
         for hm in hyps:
             for hn in hyps:

@@ -35,14 +35,16 @@ from .irs_opt import IrsPhaseVector, build_quadratic_forms, irs_admm, irs_bca, i
 from .joint import NAMED_COMBINATIONS, joint_optimize
 from .model import (
     ChannelSet,
-    Constellation,
     Geometry,
     HybridPrecoder,
     SystemConfig,
     db_to_linear,
+    effective_channels,
+    hypothesis_matrix,
     link_state,
 )
 from .precoder_opt import asr_sca, build_precoder_quadratics, cor_ga
+from .rates import secrecy_rate
 
 EXPERIMENT_KINDS = ("sr_vs_power", "cdf", "convergence", "sr_vs_elements", "position_sweep")
 
@@ -268,12 +270,11 @@ def run_method(method: str, cfg: SystemConfig, ch: ChannelSet, seed: int) -> Met
     always evaluated with the whitening refreshed at the final v.
     """
     tic = time.perf_counter()
-    cons = Constellation.psk(cfg.m_ary)
     p0 = HybridPrecoder.default_init(cfg)
 
     def final_rate(v: np.ndarray, p: HybridPrecoder) -> float:
         wch = link_state(cfg, ch, v)[3]
-        return build_quadratic_forms(cfg, wch, p, cons).secrecy_rate(v)
+        return secrecy_rate(*effective_channels(wch, v), hypothesis_matrix(cfg), p, cfg.tau)
 
     if method == "random_phase":
         v = IrsPhaseVector.random(cfg.n_irs, _method_rng(seed, 0x0BA5E)).v
@@ -281,7 +282,7 @@ def run_method(method: str, cfg: SystemConfig, ch: ChannelSet, seed: int) -> Met
     elif method in ("irs_bca", "irs_admm", "irs_sdr"):
         v0 = np.ones(cfg.n_irs, dtype=complex)
         wch = link_state(cfg, ch, v0)[3]
-        qf = build_quadratic_forms(cfg, wch, p0, cons)
+        qf = build_quadratic_forms(cfg, wch, p0)
         if method == "irs_bca":
             res = irs_bca(qf, v0=v0)
         elif method == "irs_admm":
@@ -299,10 +300,10 @@ def run_method(method: str, cfg: SystemConfig, ch: ChannelSet, seed: int) -> Met
     elif method in ("asr_sca", "cor_ga"):
         v0 = np.ones(cfg.n_irs, dtype=complex)
         wch = link_state(cfg, ch, v0)[3]
-        qf = build_quadratic_forms(cfg, wch, p0, cons)
+        qf = build_quadratic_forms(cfg, wch, p0)
         v = irs_bca(qf, v0=v0).v.v
         wch = link_state(cfg, ch, v)[3]
-        pq = build_precoder_quadratics(cfg, wch, v, cons)
+        pq = build_precoder_quadratics(cfg, wch, v)
         res = asr_sca(pq, p0) if method == "asr_sca" else cor_ga(pq, p0)
         out = MethodOutcome(
             pq.secrecy_rate(res.p.p),

@@ -11,8 +11,9 @@ so the Jensen-style surrogate of the secrecy objective collapses to
 
 with Phi_B, Phi_E positive semidefinite Gram aggregates.  The aggregates come
 from the K per-hypothesis stacks through the all-ones pair Laplacian,
-sum_{m,n} (x_m - x_n)^H (y_m - y_n) = 2K x^H y - 2 (1^T x)^H (1^T y), and the
-exact exponents from the K x K kernel in ``rates``.  Three maximizers of
+sum_{m,n} (x_m - x_n)^H (y_m - y_n) = 2K x^H y - 2 (1^T x)^H (1^T y).  The
+true objective at a candidate v is ``rates.secrecy_rate`` on the effective
+channels at v, the same evaluation every other layer uses.  Three maximizers of
 that surrogate over the unit-modulus constraint set live here: a DC-linearized
 ADMM, a cyclic per-element block coordinate ascent with a closed-form update,
 and a semidefinite relaxation with Gaussian randomization rounding backed by
@@ -29,14 +30,13 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .model import (
     LOG2E,
-    Constellation,
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
-    enumerate_hypotheses,
+    effective_channels,
     hypothesis_matrix,
 )
-from .rates import exponent_sum, pair_distances, pair_laplacian
+from .rates import pair_laplacian, response_distances, secrecy_rate
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class SurrogateObjective:
         return float(quad + lin + self.constant)
 
     def values(self, v_batch: np.ndarray) -> np.ndarray:
-        quad = np.einsum("si,ij,sj->s", np.conj(v_batch), self.phi, v_batch).real
+        quad = np.einsum("si,si->s", np.conj(v_batch) @ self.phi, v_batch).real
         lin = 2.0 * np.real(v_batch @ self.delta)
         return quad + lin + self.constant
 
@@ -90,9 +90,9 @@ class QuadraticForms:
     """Quadratic-form reduction of the secrecy objective in v, for a fixed p.
 
     Aggregates (phi_b, phi_e, d_row, d_prime_row, c_const) define the
-    surrogate; the per-hypothesis stacks keep the exact pairwise geometry
-    around so the true cut-off-rate objective stays evaluable from the same
-    object.
+    surrogate.  The whitened channels, the hypothesis stack and p they were
+    built from keep the true objective evaluable from the same object,
+    through ``rates.secrecy_rate``.
     """
 
     phi_b: np.ndarray
@@ -101,12 +101,13 @@ class QuadraticForms:
     d_prime_row: np.ndarray
     c_const: float
     tau: float
-    n_irs: int
-    g_mat: np.ndarray  # whitened IRS->Bob channel (n_b, N)
-    m_mat: np.ndarray  # whitened IRS->Eve channel (n_e, N)
-    s_hyp: np.ndarray = field(repr=False)  # (K, N) p-weighted IRS-incident responses
-    a_hyp_b: np.ndarray = field(repr=False)  # (K, n_b) p-weighted direct responses, Bob
-    a_hyp_e: np.ndarray = field(repr=False)  # (K, n_e), Eve
+    wch: WhitenedChannels = field(repr=False)
+    x_mat: np.ndarray = field(repr=False)  # (K, n_tx) hypothesis stack
+    p: np.ndarray = field(repr=False)  # stacked precoder the forms were built at
+
+    @property
+    def n_irs(self) -> int:
+        return self.wch.f.shape[0]
 
     def surrogate(self) -> SurrogateObjective:
         return SurrogateObjective(
@@ -119,35 +120,28 @@ class QuadraticForms:
         return self.surrogate().value(v)
 
     def pair_quadratics(self, v: IrsPhaseVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact K x K pair exponents ||A + C v||^2 for Bob and Eve."""
-        sv = self.s_hyp * as_phase_array(v)[None, :]
-        return (
-            pair_distances(self.a_hyp_b + sv @ self.g_mat.T),
-            pair_distances(self.a_hyp_e + sv @ self.m_mat.T),
-        )
+        """Exact K x K pair exponents ||W (X_m - X_n) p||^2 for Bob and Eve at v."""
+        w_b, w_e = effective_channels(self.wch, as_phase_array(v))
+        return response_distances(w_b, self.x_mat, self.p), response_distances(w_e, self.x_mat, self.p)
 
     def secrecy_rate(self, v: IrsPhaseVector | np.ndarray) -> float:
         """True approximate secrecy rate log2 kappa_E - log2 kappa_B at this p."""
-        qb, qe = self.pair_quadratics(v)
-        return float(np.log2(exponent_sum(qe, self.tau)) - np.log2(exponent_sum(qb, self.tau)))
+        return secrecy_rate(*effective_channels(self.wch, as_phase_array(v)), self.x_mat, self.p, self.tau)
 
 
 def build_quadratic_forms(
     cfg: SystemConfig,
     wch: WhitenedChannels,
     p: HybridPrecoder | np.ndarray,
-    cons: Constellation | None = None,
 ) -> QuadraticForms:
-    """Assemble the aggregate quadratic forms in v and the stacks behind them.
+    """Assemble the aggregate quadratic forms in v.
 
     For hypothesis (i, j): s_ij is the p-weighted IRS-incident response,
     a_ij the p-weighted whitened direct response.  Every pair sum runs
     through the all-ones pair Laplacian, under which diagonal pairs (m == n)
     contribute nothing.
     """
-    cons = cons if cons is not None else Constellation.psk(cfg.m_ary)
-    hyps = enumerate_hypotheses(cfg, cons)
-    x_mat = hypothesis_matrix(hyps)
+    x_mat = hypothesis_matrix(cfg)
     pvec = p.p if isinstance(p, HybridPrecoder) else np.asarray(p)
     xp = x_mat * pvec[None, :]  # (K, n_tx)
 
@@ -178,12 +172,9 @@ def build_quadratic_forms(
         d_prime_row=d_prime_row,
         c_const=c_const,
         tau=cfg.tau,
-        n_irs=cfg.n_irs,
-        g_mat=wch.g,
-        m_mat=wch.m,
-        s_hyp=s_hyp,
-        a_hyp_b=a_hyp_b,
-        a_hyp_e=a_hyp_e,
+        wch=wch,
+        x_mat=x_mat,
+        p=pvec,
     )
 
 

@@ -5,7 +5,9 @@ keeps the new reflection vector only if the true secrecy objective did not
 drop (the whitening covariances move with v, so a surrogate gain can be a
 true-objective loss), then runs the chosen precoder optimizer at the accepted
 reflection state.  The whitened link is refreshed through ``model.link_state``
-whenever v changes.  That map is a pure function of v: AN rides on the
+whenever v changes, and every objective value the loop compares is
+``rates.secrecy_rate`` on the hypothesis stack of the config; the IRS forms
+are built once per outer iteration, for the solver alone.  That map is a pure function of v: AN rides on the
 zero-phase analog subarrays, and its shaping matrix is the null-space
 projector of the effective Bob channel (n_rf > n_b) or the identity, the
 only choice needed since every unitary gives the same covariances.  So the
@@ -30,12 +32,14 @@ from .irs_opt import (
 )
 from .model import (
     ChannelSet,
-    Constellation,
     HybridPrecoder,
     SystemConfig,
+    effective_channels,
+    hypothesis_matrix,
     link_state,
 )
 from .precoder_opt import PrecoderResult, asr_sca, build_precoder_quadratics, cor_ga
+from .rates import secrecy_rate
 
 IRS_METHODS = ("bca", "admm", "sdr")
 PRECODER_METHODS = ("sca", "ga")
@@ -118,7 +122,6 @@ def joint_optimize(
     epsilon: float = 0.01,
     max_outer: int = 30,
     seed: int = 0,
-    cons: Constellation | None = None,
     irs_kwargs: dict | None = None,
     precoder_kwargs: dict | None = None,
 ) -> JointResult:
@@ -133,7 +136,7 @@ def joint_optimize(
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     irs_method, pre_method, combo_id = resolve_combination(combination)
-    cons = cons if cons is not None else Constellation.psk(cfg.m_ary)
+    x_mat = hypothesis_matrix(cfg)
     p = p0 if p0 is not None else HybridPrecoder.default_init(cfg)
     v = (v0.v if isinstance(v0, IrsPhaseVector) else np.asarray(v0)).copy() if v0 is not None else np.ones(cfg.n_irs, dtype=complex)
     irs_kwargs = dict(irs_kwargs or {})
@@ -142,9 +145,11 @@ def joint_optimize(
     def refresh(v_now: np.ndarray):
         return link_state(cfg, ch, v_now)[3]
 
+    def rate(wch_now, v_now: np.ndarray, p_now: HybridPrecoder) -> float:
+        return secrecy_rate(*effective_channels(wch_now, v_now), x_mat, p_now, cfg.tau)
+
     wch = refresh(v)
-    qf = build_quadratic_forms(cfg, wch, p, cons)
-    objective = qf.secrecy_rate(v)
+    objective = rate(wch, v, p)
 
     trace: list[TraceEntry] = []
     converged = False
@@ -153,25 +158,24 @@ def joint_optimize(
         tic = time.perf_counter()
         prev_objective = objective
 
+        qf = build_quadratic_forms(cfg, wch, p)
         res_v = _run_irs(irs_method, qf, v, seed=seed + k, kwargs=irs_kwargs)
         v_cand = res_v.v.v
         wch_cand = refresh(v_cand)
-        qf_cand = build_quadratic_forms(cfg, wch_cand, p, cons)
-        obj_cand = qf_cand.secrecy_rate(v_cand)
+        obj_cand = rate(wch_cand, v_cand, p)
         if obj_cand < objective:
-            accepted = False  # revert: keep v, wch, qf
+            accepted = False  # revert: keep v and wch
         else:
             accepted = True
-            v, wch, qf, objective = v_cand, wch_cand, qf_cand, obj_cand
+            v, wch, objective = v_cand, wch_cand, obj_cand
 
-        pq = build_precoder_quadratics(cfg, wch, v, cons)
+        pq = build_precoder_quadratics(cfg, wch, v)
         res_p = _run_precoder(pre_method, pq, p, precoder_kwargs)
         obj_after = pq.secrecy_rate(res_p.p.p)
         if obj_after < objective - 1e-9:
             precoder_rejected += 1  # revert: keep p and the objective
         else:
             p, objective = res_p.p, obj_after
-        qf = build_quadratic_forms(cfg, wch, p, cons)  # forms follow the accepted p
 
         trace.append(TraceEntry(
             iteration=k,

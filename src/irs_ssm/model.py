@@ -6,12 +6,15 @@ select the active subarray, an M-ary symbol rides on it, and artificial noise
 (AN) fills the remaining power budget.  Bob and Eve receive a superposition of
 the direct path and the path reflected by an IRS with ``n_irs`` unit-modulus
 elements.  This module holds the configuration and channel containers, the
-transmit-hypothesis enumeration, AN projection, interference-plus-noise
-whitening, and ML detection.  ``link_state`` is the one map from a reflection
-vector v to the whitened link; the whitened channels are a ``ChannelSet``, so
-``effective_channels`` gives H + GVF and Q + MVF for raw and whitened sets
-alike.  Everything downstream (cut-off rates, the IRS and precoder
-optimizers, the experiment harness) is built on these pieces.
+transmit hypotheses, AN projection, interference-plus-noise whitening, and
+ML detection.  The hypotheses are a function of the config alone: the M-PSK
+set of ``m_ary`` on each of the ``n_rf`` subarrays, as the labelled list
+``enumerate_hypotheses(cfg)`` or the (K, n_tx) stack ``hypothesis_matrix(cfg)``
+that every rate and optimizer reads.  ``link_state`` is the one map from a
+reflection vector v to the whitened link; the whitened channels are a
+``ChannelSet``, so ``effective_channels`` gives H + GVF and Q + MVF for raw
+and whitened sets alike.  Everything downstream (cut-off rates, the IRS and
+precoder optimizers, the experiment harness) is built on these pieces.
 
 All powers are linear milliwatts; dB/dBm conversions happen at config load.
 """
@@ -148,10 +151,6 @@ class Constellation:
         k = np.arange(m)
         return cls(np.exp(2j * np.pi * k / m))
 
-    @property
-    def order(self) -> int:
-        return len(self.symbols)
-
 
 @dataclass(frozen=True)
 class TransmitHypothesis:
@@ -166,29 +165,33 @@ class TransmitHypothesis:
     symbol_index: int  # 1-based
     symbol: complex
     x_vec: np.ndarray
-    index: int  # 0-based position in enumeration order
 
 
-def enumerate_hypotheses(cfg: SystemConfig, cons: Constellation) -> list[TransmitHypothesis]:
-    """All n_rf * m_ary transmit hypotheses, ordered by (subarray, symbol)."""
-    if cons.order != cfg.m_ary:
-        raise ValueError(f"constellation order {cons.order} != m_ary {cfg.m_ary}")
+def enumerate_hypotheses(cfg: SystemConfig) -> list[TransmitHypothesis]:
+    """All n_rf * m_ary labelled M-PSK transmit hypotheses, ordered by (subarray, symbol)."""
+    symbols = Constellation.psk(cfg.m_ary).symbols
     hyps = []
-    idx = 0
     for i in range(1, cfg.n_rf + 1):
         lo = (i - 1) * cfg.n_k
         for j in range(1, cfg.m_ary + 1):
-            b = complex(cons.symbols[j - 1])
+            b = complex(symbols[j - 1])
             x = np.zeros(cfg.n_tx, dtype=complex)
             x[lo : lo + cfg.n_k] = b
-            hyps.append(TransmitHypothesis(i, j, b, x, idx))
-            idx += 1
+            hyps.append(TransmitHypothesis(i, j, b, x))
     return hyps
 
 
-def hypothesis_matrix(hyps: list[TransmitHypothesis]) -> np.ndarray:
-    """Stack of x_vec rows, shape (n_hyp, n_tx)."""
-    return np.array([h.x_vec for h in hyps])
+def hypothesis_matrix(cfg: SystemConfig) -> np.ndarray:
+    """(n_hyp, n_tx) stack of the x_vec rows of ``enumerate_hypotheses(cfg)``, built directly.
+
+    Row (i - 1) * m_ary + (j - 1) holds M-PSK symbol j on the entries of
+    subarray i and zeros elsewhere.
+    """
+    x = np.zeros((cfg.n_rf, cfg.m_ary, cfg.n_rf, cfg.n_k), dtype=complex)
+    symbols = Constellation.psk(cfg.m_ary).symbols
+    for i in range(cfg.n_rf):
+        x[i, :, i, :] = symbols[:, None]
+    return x.reshape(cfg.n_hyp, cfg.n_tx)
 
 
 @dataclass(frozen=True)
@@ -330,25 +333,16 @@ def build_an_projection(cfg: SystemConfig, ch: ChannelSet, v: np.ndarray) -> AnP
     )
 
 
-def interference_covariances(
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    v: np.ndarray,
-    an: AnProjection,
-) -> tuple[np.ndarray, np.ndarray]:
+def interference_covariances(cfg: SystemConfig, an: AnProjection) -> tuple[np.ndarray, np.ndarray]:
     """Interference-plus-noise covariances at Bob and Eve.
 
     Omega = (1 - beta) p_total C + sigma^2 I with C the cached AN covariance
-    contribution; the projection must have been built for the same v.  C is
-    exactly Hermitian, so Omega is too.
+    contribution of the projection.  C is exactly Hermitian, so Omega is too;
+    ``whiten`` rejects an Omega that is not positive definite.
     """
     an_power = (1.0 - cfg.beta) * cfg.p_total
     omega_b = an_power * an.effective_an_cov_b + cfg.sigma_b2 * np.eye(cfg.n_b)
     omega_e = an_power * an.effective_an_cov_e + cfg.sigma_e2 * np.eye(cfg.n_e)
-    for name, omega in (("omega_b", omega_b), ("omega_e", omega_e)):
-        lam_min = float(np.linalg.eigvalsh(omega)[0])
-        if lam_min <= 0.0:
-            raise ValueError(f"{name} is not positive definite (smallest eigenvalue {lam_min:.6e})")
     return omega_b, omega_e
 
 
@@ -362,22 +356,26 @@ class WhitenedChannels(ChannelSet):
     """
 
 
-def inv_sqrt_hermitian(omega: np.ndarray, cond_tol: float = 1e-12) -> np.ndarray:
+# smallest-to-largest eigenvalue ratio below which a whitener is rejected
+WHITEN_COND_TOL = 1e-12
+
+
+def inv_sqrt_hermitian(omega: np.ndarray) -> np.ndarray:
     """Omega^{-1/2} via Hermitian eigendecomposition.
 
     Raises, naming the cause, when Omega is non-finite, not positive
-    definite, or ill-conditioned (smallest eigenvalue below cond_tol times
-    the largest).
+    definite, or ill-conditioned (smallest eigenvalue below WHITEN_COND_TOL
+    times the largest).
     """
     if not np.all(np.isfinite(omega)):
         raise ValueError("whitener input is non-finite")
     lam, u = np.linalg.eigh(omega)
     if not lam[0] > 0.0:
         raise ValueError(f"whitener input is not positive definite (smallest eigenvalue {lam[0]:.3e})")
-    if lam[0] < cond_tol * lam[-1]:
+    if lam[0] < WHITEN_COND_TOL * lam[-1]:
         raise ValueError(
             f"whitener is ill-conditioned (eigenvalue {lam[0]:.3e} below "
-            f"{cond_tol:.0e} * {lam[-1]:.3e})"
+            f"{WHITEN_COND_TOL:.0e} * {lam[-1]:.3e})"
         )
     return (u * (1.0 / np.sqrt(lam))) @ u.conj().T
 
@@ -394,21 +392,20 @@ def ml_detect(
     ch: ChannelSet,
     v: np.ndarray,
     p: HybridPrecoder | np.ndarray,
-    cons: Constellation,
     y: np.ndarray,
 ) -> tuple[int, int]:
     """Maximum-likelihood detection of (subarray, symbol) from a Bob observation.
 
-    Ties resolve to the smallest (i, j) in lexicographic order.
+    Both labels are 1-based.  Ties resolve to the smallest (i, j) in
+    lexicographic order.
     """
     pvec = p.p if isinstance(p, HybridPrecoder) else np.asarray(p)
     eff_b, _ = effective_channels(ch, v)
-    hyps = enumerate_hypotheses(cfg, cons)
-    xp = hypothesis_matrix(hyps) * pvec[None, :]
+    xp = hypothesis_matrix(cfg) * pvec[None, :]
     signals = np.sqrt(cfg.beta * cfg.p_total) * (xp @ eff_b.T)  # (n_hyp, n_b)
     dists = np.sum(np.abs(y[None, :] - signals) ** 2, axis=1)
     k = int(np.argmin(dists))  # first minimum = smallest (i, j)
-    return hyps[k].subarray, hyps[k].symbol_index
+    return k // cfg.m_ary + 1, k % cfg.m_ary + 1
 
 
 def link_state(
@@ -420,5 +417,5 @@ def link_state(
     that every optimizer reads.
     """
     an = build_an_projection(cfg, ch, v)
-    omega_b, omega_e = interference_covariances(cfg, ch, v, an)
+    omega_b, omega_e = interference_covariances(cfg, an)
     return an, omega_b, omega_e, whiten(ch, omega_b, omega_e)

@@ -20,15 +20,13 @@ import numpy as np
 
 from .model import (
     LN2,
-    Constellation,
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
     effective_channels,
-    enumerate_hypotheses,
     hypothesis_matrix,
 )
-from .rates import exponent_sum, pair_distances, pair_laplacian
+from .rates import kappa, pair_distances, pair_laplacian, response_distances, secrecy_rate
 
 
 @dataclass(frozen=True)
@@ -56,16 +54,14 @@ class PrecoderQuadratics:
 
     def pair_values(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs."""
-        return pair_distances(self.response(self.w_b, p)), pair_distances(self.response(self.w_e, p))
+        return response_distances(self.w_b, self.x_mat, p), response_distances(self.w_e, self.x_mat, p)
 
     def kappas(self, p: np.ndarray) -> tuple[float, float]:
-        qb, qe = self.pair_values(p)
-        return exponent_sum(qb, self.tau), exponent_sum(qe, self.tau)
+        return kappa(self.w_b, self.x_mat, p, self.tau), kappa(self.w_e, self.x_mat, p, self.tau)
 
     def secrecy_rate(self, p: HybridPrecoder | np.ndarray) -> float:
-        pvec = p.p if isinstance(p, HybridPrecoder) else np.asarray(p)
-        kb, ke = self.kappas(pvec)
-        return float(np.log2(ke) - np.log2(kb))
+        """log2 kappa_E - log2 kappa_B at p, through ``rates.secrecy_rate``."""
+        return secrecy_rate(self.w_b, self.w_e, self.x_mat, p, self.tau)
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         """Gradient of the secrecy objective with respect to p.
@@ -87,17 +83,15 @@ def build_precoder_quadratics(
     cfg: SystemConfig,
     wch: WhitenedChannels,
     v: np.ndarray,
-    cons: Constellation | None = None,
 ) -> PrecoderQuadratics:
     """Assemble the pairwise precoder quadratics for a fixed reflection vector."""
-    cons = cons if cons is not None else Constellation.psk(cfg.m_ary)
     w_b, w_e = effective_channels(wch, v)
     return PrecoderQuadratics(
         tau=cfg.tau,
         n_rf=cfg.n_rf,
         w_b=w_b,
         w_e=w_e,
-        x_mat=hypothesis_matrix(enumerate_hypotheses(cfg, cons)),
+        x_mat=hypothesis_matrix(cfg),
     )
 
 

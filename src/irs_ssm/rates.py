@@ -9,8 +9,11 @@ with W the whitened effective channel H~ + G~ V F (Bob) or Q~ + M~ V F (Eve),
 given by ``model.effective_channels`` on the whitened channels that
 ``model.link_state`` returns.  Those depend on v alone: the AN shaping matrix
 is the null-space projector of Bob's effective channel when n_rf > n_b and
-the identity otherwise, since every unitary gives the same AN covariance.  The approximate secrecy rate is
-log2(kappa_E) - log2(kappa_B), equal to the Bob/Eve cut-off rate difference.
+the identity otherwise, since every unitary gives the same AN covariance.
+The approximate secrecy rate log2(kappa_E) - log2(kappa_B), the Bob/Eve
+cut-off rate difference, is computed one way, by ``secrecy_rate``; the rate
+report, the IRS and precoder layers, the joint loop and the harness all
+return its float.  The hypothesis stack X is ``model.hypothesis_matrix(cfg)``.
 Every layer evaluates its pair sums with one kernel on a K-row stack R (here
 r_m = W X_m p): ``pair_distances`` gives the K x K distances from the Gram
 matrix conj(R) R^T, and ``pair_laplacian`` applies the pair Laplacian L_w, so
@@ -28,12 +31,10 @@ from scipy.special import logsumexp
 
 from .model import (
     LN2,
-    Constellation,
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
     effective_channels,
-    enumerate_hypotheses,
     hypothesis_matrix,
 )
 
@@ -87,10 +88,25 @@ def exponent_sum(dist: np.ndarray, tau: float) -> float:
         return float(np.sum(np.exp(-tau * dist)))
 
 
+def response_distances(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """K x K pair exponents ||W (X_m - X_n) p||^2 of the response stack r_m = W X_m p."""
+    return pair_distances((x_mat * p[None, :]) @ w_eff.T)
+
+
 def kappa(w_eff: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float) -> float:
     """Pairwise exponent sum over all ordered pairs of the (K, n_tx) hypothesis stack."""
-    resp = (x_mat * _as_vector(p)[None, :]) @ w_eff.T  # (K, n_r)
-    return exponent_sum(pair_distances(resp), tau)
+    return exponent_sum(response_distances(w_eff, x_mat, _as_vector(p)), tau)
+
+
+def secrecy_rate(
+    w_b: np.ndarray, w_e: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float
+) -> float:
+    """log2 kappa_E - log2 kappa_B on the whitened effective channels (W_B, W_E).
+
+    The one evaluation of the approximate secrecy rate: the IRS forms, the
+    precoder quadratics, the joint loop and the harness all read it here.
+    """
+    return float(np.log2(kappa(w_e, x_mat, p, tau)) - np.log2(kappa(w_b, x_mat, p, tau)))
 
 
 def approx_secrecy_rate(
@@ -98,27 +114,21 @@ def approx_secrecy_rate(
     wch: WhitenedChannels,
     v: np.ndarray,
     p: HybridPrecoder | np.ndarray,
-    cons: Constellation | None = None,
 ) -> RateReport:
     """Cut-off rates for Bob and Eve and their difference.
 
-    ``r_approx`` may be negative when Eve holds the better link; no clamping
-    is applied.
+    ``r_approx`` equals ``secrecy_rate`` at the same state bit for bit, and
+    may be negative when Eve holds the better link; no clamping is applied.
     """
-    cons = cons if cons is not None else Constellation.psk(cfg.m_ary)
-    hyps = enumerate_hypotheses(cfg, cons)
-    x_mat = hypothesis_matrix(hyps)
+    x_mat = hypothesis_matrix(cfg)
     w_b, w_e = effective_channels(wch, v)
-    pvec = _as_vector(p)
-    kb = kappa(w_b, x_mat, pvec, cfg.tau)
-    ke = kappa(w_e, x_mat, pvec, cfg.tau)
+    kb = kappa(w_b, x_mat, p, cfg.tau)
+    ke = kappa(w_e, x_mat, p, cfg.tau)
     log2k = np.log2(cfg.n_hyp)
-    i0_bob = 2.0 * log2k - np.log2(kb)
-    i0_eve = 2.0 * log2k - np.log2(ke)
     return RateReport(
-        i0_bob=float(i0_bob),
-        i0_eve=float(i0_eve),
-        r_approx=float(i0_bob - i0_eve),
+        i0_bob=float(2.0 * log2k - np.log2(kb)),
+        i0_eve=float(2.0 * log2k - np.log2(ke)),
+        r_approx=float(np.log2(ke) - np.log2(kb)),
         kappa_b=kb,
         kappa_e=ke,
     )
@@ -161,7 +171,6 @@ def mc_mutual_information(
     p: HybridPrecoder | np.ndarray,
     n_noise_samples: int,
     seed: int,
-    cons: Constellation | None = None,
 ) -> tuple[float, float, tuple[float, float]]:
     """Monte Carlo mutual information (bits) at Bob and Eve.
 
@@ -171,9 +180,7 @@ def mc_mutual_information(
     """
     if n_noise_samples < 100:
         raise ValueError("n_noise_samples must be >= 100")
-    cons = cons if cons is not None else Constellation.psk(cfg.m_ary)
-    hyps = enumerate_hypotheses(cfg, cons)
-    x_mat = hypothesis_matrix(hyps)
+    x_mat = hypothesis_matrix(cfg)
     pvec = _as_vector(p)
     scale = np.sqrt(cfg.beta * cfg.p_total)
     ss = np.random.SeedSequence(entropy=seed)

@@ -12,7 +12,6 @@ import numpy as np
 
 from irs_ssm.model import (
     ChannelSet,
-    Constellation,
     SystemConfig,
     TransmitHypothesis,
     WhitenedChannels,
@@ -64,11 +63,10 @@ def secrecy_rate_dense(
     wch: WhitenedChannels,
     v: np.ndarray,
     p: np.ndarray,
-    cons: Constellation,
 ) -> float:
     from irs_ssm.model import enumerate_hypotheses
 
-    hyps = enumerate_hypotheses(cfg, cons)
+    hyps = enumerate_hypotheses(cfg)
     vf = v[:, None] * wch.f
     w_b = wch.h + wch.g @ vf
     w_e = wch.q + wch.m @ vf
@@ -111,12 +109,11 @@ def surrogate_direct(
     wch: WhitenedChannels,
     p: np.ndarray,
     v: np.ndarray,
-    cons: Constellation,
 ) -> float:
     """tau log2(e) [sum of Bob pair norms - sum of Eve pair norms] at v."""
     from irs_ssm.model import enumerate_hypotheses
 
-    hyps = enumerate_hypotheses(cfg, cons)
+    hyps = enumerate_hypotheses(cfg)
     vf = v[:, None] * wch.f
     w_b = wch.h + wch.g @ vf
     w_e = wch.q + wch.m @ vf

@@ -19,7 +19,6 @@ os.environ.setdefault(
 from irs_ssm.harness import desk_config, draw_channels
 from irs_ssm.model import (
     ChannelSet,
-    Constellation,
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
@@ -32,7 +31,6 @@ from irs_ssm.model import (
 class Instance:
     cfg: SystemConfig
     ch: ChannelSet
-    cons: Constellation
     v: np.ndarray
     p: HybridPrecoder
     wch: WhitenedChannels
@@ -73,7 +71,6 @@ def make_instance(
     return Instance(
         cfg=cfg,
         ch=ch,
-        cons=Constellation.psk(cfg.m_ary),
         v=v,
         p=HybridPrecoder.default_init(cfg),
         wch=wch,

@@ -58,8 +58,8 @@ def test_criterion_1_oracle_equivalence():
     worst = 0.0
     for seed in range(50):
         inst = make_instance(seed, power_dbm=20.0, **DESK)
-        rep = approx_secrecy_rate(inst.cfg, inst.wch, inst.v, inst.p, inst.cons)
-        hyps = enumerate_hypotheses(inst.cfg, inst.cons)
+        rep = approx_secrecy_rate(inst.cfg, inst.wch, inst.v, inst.p)
+        hyps = enumerate_hypotheses(inst.cfg)
         w_b, w_e = effective_channels(inst.wch, inst.v)
         kb = kappa_dense(w_b, hyps, inst.p.p, inst.cfg.tau, inst.cfg.n_rf, inst.cfg.n_k)
         ke = kappa_dense(w_e, hyps, inst.p.p, inst.cfg.tau, inst.cfg.n_rf, inst.cfg.n_k)
@@ -82,11 +82,11 @@ def test_criterion_2_quadratic_form_consistency():
     worst = 0.0
     for seed in range(20):
         inst = make_instance(seed, n_rf=2, n_k=2, n_irs=4, m_ary=2, power_dbm=15.0)
-        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
         rng = np.random.default_rng(seed)
         for _ in range(50):
             v = np.exp(1j * rng.uniform(0, 2 * np.pi, inst.cfg.n_irs))
-            direct = surrogate_direct(inst.cfg, inst.wch, inst.p.p, v, inst.cons)
+            direct = surrogate_direct(inst.cfg, inst.wch, inst.p.p, v)
             err = abs(qf.surrogate_value(v) - direct) / max(1.0, abs(direct))
             worst = max(worst, err)
     report("2", worst < 1e-8, f"surrogate vs direct exponent norms: worst rel err {worst:.2e}")
@@ -98,7 +98,7 @@ def grid_instances():
     out = []
     for seed in range(10):
         inst = make_instance(seed, n_rf=2, n_k=2, n_irs=3, m_ary=2, power_dbm=15.0)
-        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
         opt, _ = grid_search_phases(qf.surrogate().values, 3, n_points=360)
         out.append((inst, qf, opt))
     return out
@@ -171,7 +171,7 @@ def test_criterion_5_gradient_check():
     checked = 0
     for seed in range(4):
         inst = make_instance(seed, n_rf=2, n_k=2, n_irs=6, m_ary=2, power_dbm=12.0)
-        pq = build_precoder_quadratics(inst.cfg, inst.wch, inst.v, inst.cons)
+        pq = build_precoder_quadratics(inst.cfg, inst.wch, inst.v)
         for _ in range(5):
             p = project_ball(
                 rng.standard_normal(inst.cfg.n_tx) + 1j * rng.standard_normal(inst.cfg.n_tx),
@@ -194,7 +194,7 @@ def test_criterion_6_sca_bounds():
     violations = 0
     for seed in range(20):
         inst = make_instance(seed, n_rf=2, n_k=2, n_irs=5, m_ary=2, power_dbm=12.0)
-        pq = build_precoder_quadratics(inst.cfg, inst.wch, inst.v, inst.cons)
+        pq = build_precoder_quadratics(inst.cfg, inst.wch, inst.v)
         p0 = project_ball(
             rng.standard_normal(inst.cfg.n_tx) + 1j * rng.standard_normal(inst.cfg.n_tx),
             inst.cfg.n_rf,
@@ -220,11 +220,11 @@ def test_criterion_7_monotone_ascent():
     bad = []
     for seed in range(50):
         inst = make_instance(seed, power_dbm=20.0, **DESK)
-        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
         tr = np.array(irs_bca(qf, trace_elements=True).trace)
         if not np.all(np.diff(tr) >= -1e-9):
             bad.append(("bca", seed))
-        pq = build_precoder_quadratics(inst.cfg, inst.wch, inst.v, inst.cons)
+        pq = build_precoder_quadratics(inst.cfg, inst.wch, inst.v)
         tr = np.array(cor_ga(pq, HybridPrecoder.default_init(inst.cfg)).trace)
         if not np.all(np.diff(tr) >= -1e-9):
             bad.append(("cor_ga", seed))

@@ -31,7 +31,7 @@ def _zero_forms(n_irs: int = 4):
         q=np.zeros_like(inst.wch.q),
         m=np.zeros_like(inst.wch.m),
     )
-    return build_quadratic_forms(inst.cfg, wch, inst.p, inst.cons)
+    return build_quadratic_forms(inst.cfg, wch, inst.p)
 
 
 class TestIrsPhaseVector:
@@ -56,7 +56,7 @@ class TestQuadraticForms:
         import dataclasses
 
         wch = dataclasses.replace(inst.wch, f=np.zeros_like(inst.wch.f))
-        qf = build_quadratic_forms(inst.cfg, wch, inst.p, inst.cons)
+        qf = build_quadratic_forms(inst.cfg, wch, inst.p)
         assert np.allclose(qf.phi_b, 0) and np.allclose(qf.phi_e, 0)
         assert np.allclose(qf.d_row, 0) and np.allclose(qf.d_prime_row, 0)
         rng = np.random.default_rng(0)
@@ -67,16 +67,16 @@ class TestQuadraticForms:
 
     def test_surrogate_matches_direct_norms(self):
         inst = make_instance(7, n_rf=1, n_k=2, n_irs=2, m_ary=2, power_dbm=15.0)
-        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
         rng = np.random.default_rng(3)
         for _ in range(50):
             v = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
-            direct = surrogate_direct(inst.cfg, inst.wch, inst.p.p, v, inst.cons)
+            direct = surrogate_direct(inst.cfg, inst.wch, inst.p.p, v)
             assert qf.surrogate_value(v) == pytest.approx(direct, abs=1e-8 * max(1, abs(direct)))
 
     def test_diagonal_pairs_contribute_nothing(self):
         inst = make_instance(1, n_irs=4)
-        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
         off = ~np.eye(inst.cfg.n_hyp, dtype=bool)
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -89,14 +89,14 @@ class TestQuadraticForms:
     def test_phi_hermitian_psd(self):
         for seed in range(5):
             inst = make_instance(seed, n_irs=6, power_dbm=20.0)
-            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
             for phi in (qf.phi_b, qf.phi_e):
                 assert np.linalg.norm(phi - phi.conj().T) < 1e-10 * max(1, np.linalg.norm(phi))
                 assert np.linalg.eigvalsh(phi)[0] > -1e-10 * max(1, np.linalg.norm(phi))
 
     def test_surrogate_value_is_real_scale(self):
         inst = make_instance(2, n_irs=5, power_dbm=18.0)
-        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
         qb, qe = qf.pair_quadratics(inst.v)
         expect = inst.cfg.tau * LOG2E * (np.sum(qb) - np.sum(qe))
         assert qf.surrogate_value(inst.v) == pytest.approx(expect, rel=1e-10)
@@ -105,7 +105,7 @@ class TestQuadraticForms:
 class TestBca:
     def test_single_element_closed_form(self):
         inst = make_instance(3, n_rf=2, n_k=2, n_irs=1, m_ary=2, power_dbm=15.0)
-        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
         delta = (qf.d_row - qf.d_prime_row)[0]
         assert abs(delta) > 0
         res = irs_bca(qf, v0=np.ones(1, dtype=complex))
@@ -120,7 +120,7 @@ class TestBca:
     def test_monotone_per_element(self):
         for seed in range(6):
             inst = make_instance(seed, n_irs=6, power_dbm=20.0)
-            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
             res = irs_bca(qf, trace_elements=True)
             trace = np.array(res.trace)
             assert np.all(np.diff(trace) >= -1e-10 * np.maximum(1, np.abs(trace[:-1])))
@@ -128,7 +128,7 @@ class TestBca:
     def test_grid_optimality_n3(self):
         for seed in range(3):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=3, m_ary=2, power_dbm=15.0)
-            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
             opt, _ = grid_search_phases(qf.surrogate().values, 3, n_points=180)
             res = irs_bca(qf)
             assert res.surrogate_value >= opt - 0.05 * abs(opt)
@@ -145,7 +145,7 @@ class TestAdmm:
     def test_never_below_start(self):
         for seed in range(8):
             inst = make_instance(seed, n_irs=8, power_dbm=20.0)
-            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
             v0 = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, 8))
             res = irs_admm(qf, v0=v0)
             assert res.surrogate_value >= qf.surrogate_value(v0) - 1e-8
@@ -158,7 +158,7 @@ class TestAdmm:
 
     def test_primal_residual_small_when_converged(self):
         inst = make_instance(2, n_irs=6, power_dbm=20.0)
-        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
         res = irs_admm(qf, tol=1e-4, max_iters=100, inner_max=300)
         if res.converged:
             assert res.extras["primal_residual"] <= 1e-4
@@ -166,7 +166,7 @@ class TestAdmm:
     def test_grid_optimality_n3(self):
         for seed in range(3):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=3, m_ary=2, power_dbm=15.0)
-            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
             opt, _ = grid_search_phases(qf.surrogate().values, 3, n_points=180)
             res = irs_admm(qf, tol=1e-6, max_iters=200, inner_max=300)
             assert res.surrogate_value >= opt - 0.02 * abs(opt)
@@ -225,7 +225,7 @@ class TestSdr:
 
     def test_relaxation_dominates_random_vectors(self):
         inst = make_instance(4, n_irs=6, power_dbm=20.0)
-        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
         res = irs_sdr(qf, seed=2)
         bound = res.extras["sdp_bound"]
         rng = np.random.default_rng(8)
@@ -236,7 +236,7 @@ class TestSdr:
     def test_grid_optimality_and_bound_n3(self):
         for seed in range(3):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=3, m_ary=2, power_dbm=15.0)
-            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
             opt, _ = grid_search_phases(qf.surrogate().values, 3, n_points=180)
             res = irs_sdr(qf, seed=seed)
             assert res.surrogate_value >= opt - 0.02 * abs(opt)
@@ -244,7 +244,7 @@ class TestSdr:
 
     def test_deterministic_per_seed(self):
         inst = make_instance(5, n_irs=5, power_dbm=20.0)
-        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
         a = irs_sdr(qf, seed=3)
         b = irs_sdr(qf, seed=3)
         assert np.array_equal(a.v.v, b.v.v)
@@ -255,7 +255,7 @@ class TestSurrogateAgainstTruth:
         # surrogate-based ranking must track the true cut-off objective
         for seed in (3, 4):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=8, m_ary=2, power_dbm=20.0)
-            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p, inst.cons)
+            qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
             rng = np.random.default_rng(seed)
             vs = np.exp(1j * rng.uniform(0, 2 * np.pi, (200, 8)))
             sur = qf.surrogate().values(vs)

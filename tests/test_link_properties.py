@@ -3,7 +3,9 @@
 Each example draws a system (n_rf <= n_b included, so the identity AN
 fallback is exercised; beta = 1 included), seeded channels, a random
 reflection vector and a random precoder inside the power ball, then checks
-the link state and the rate against the brute-force oracles.
+the link state and the rate against the brute-force oracles, and that the
+three rate entry points (the rate report, the IRS forms and the precoder
+quadratics) return the same float.
 """
 
 import numpy as np
@@ -11,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irs_ssm.harness import desk_config, draw_channels
+from irs_ssm.irs_opt import build_quadratic_forms
 from irs_ssm.model import (
-    Constellation,
     db_to_linear,
     default_analog_blocks,
     enumerate_hypotheses,
     link_state,
 )
+from irs_ssm.precoder_opt import build_precoder_quadratics
 from irs_ssm.rates import approx_secrecy_rate
 
 from _oracles import an_covariances_elementwise, kappa_dense, secrecy_rate_dense
@@ -32,7 +35,7 @@ def link_cases(draw):
         n_k=draw(st.integers(1, 2)),
         n_b=draw(st.integers(1, 3)),
         n_e=draw(st.integers(1, 3)),
-        m_ary=draw(st.sampled_from((2, 4, 8))),
+        m_ary=draw(st.sampled_from((2, 4, 8, 16))),
         n_irs=draw(st.integers(1, 4)),
         beta=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))),
         p_total=db_to_linear(draw(st.floats(0.0, 30.0))),
@@ -69,13 +72,22 @@ def test_covariances_match_elementwise_oracle(case):
 def test_rate_matches_dense_oracle_and_kappa_bounds(case):
     cfg, ch, v, p = case
     wch = link_state(cfg, ch, v)[3]
-    cons = Constellation.psk(cfg.m_ary)
-    rep = approx_secrecy_rate(cfg, wch, v, p, cons)
-    hyps = enumerate_hypotheses(cfg, cons)
+    rep = approx_secrecy_rate(cfg, wch, v, p)
+    hyps = enumerate_hypotheses(cfg)
     k = cfg.n_hyp
     for got, w_eff in ((rep.kappa_b, wch.h + wch.g @ (v[:, None] * wch.f)),
                        (rep.kappa_e, wch.q + wch.m @ (v[:, None] * wch.f))):
         want = kappa_dense(w_eff, hyps, p, cfg.tau, cfg.n_rf, cfg.n_k)
         assert abs(got - want) <= 1e-9 * want
         assert k <= got <= k * k
-    assert abs(rep.r_approx - secrecy_rate_dense(cfg, wch, v, p, cons)) <= 1e-9
+    assert abs(rep.r_approx - secrecy_rate_dense(cfg, wch, v, p)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(link_cases())
+def test_rate_entry_points_return_the_same_float(case):
+    cfg, ch, v, p = case
+    wch = link_state(cfg, ch, v)[3]
+    rate = approx_secrecy_rate(cfg, wch, v, p).r_approx
+    assert build_quadratic_forms(cfg, wch, p).secrecy_rate(v) == rate
+    assert build_precoder_quadratics(cfg, wch, v).secrecy_rate(p) == rate

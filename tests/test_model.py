@@ -55,14 +55,14 @@ class TestConfig:
 class TestHypotheses:
     def test_counts_full_scale(self):
         cfg = desk_config(n_rf=8, n_k=4, m_ary=4)
-        hyps = enumerate_hypotheses(cfg, Constellation.psk(4))
+        hyps = enumerate_hypotheses(cfg)
         assert len(hyps) == 32
-        resp = hypothesis_matrix(hyps) @ draw_channels(cfg, 0).h.T
+        resp = hypothesis_matrix(cfg) @ draw_channels(cfg, 0).h.T
         assert pair_distances(resp).shape == (32, 32)  # 1024 ordered pairs
 
     def test_ordering_and_support(self):
         cfg = desk_config(n_rf=3, n_k=2, m_ary=4)
-        hyps = enumerate_hypotheses(cfg, Constellation.psk(4))
+        hyps = enumerate_hypotheses(cfg)
         keys = [(h.subarray, h.symbol_index) for h in hyps]
         assert keys == sorted(keys)
         for h in hyps:
@@ -70,24 +70,32 @@ class TestHypotheses:
             support = np.nonzero(h.x_vec)[0]
             assert support.tolist() == list(range(lo, lo + cfg.n_k))
             assert np.allclose(h.x_vec[support], h.symbol)
+        # the directly built stack is the labelled list, row for row and bit for bit
+        for m_ary in (2, 4, 16):
+            for n_k in (1, 4):
+                cfg = desk_config(n_rf=3, n_k=n_k, m_ary=m_ary)
+                want = np.array([h.x_vec for h in enumerate_hypotheses(cfg)])
+                got = hypothesis_matrix(cfg)
+                assert got.shape == want.shape == (cfg.n_hyp, cfg.n_tx)
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
 
     def test_bpsk_single_subarray(self):
         cfg = desk_config(n_rf=1, n_k=3, m_ary=2)
-        hyps = enumerate_hypotheses(cfg, Constellation.psk(2))
+        hyps = enumerate_hypotheses(cfg)
         assert np.allclose(hyps[0].x_vec, [1, 1, 1])
         assert np.allclose(hyps[1].x_vec, [-1, -1, -1])
 
     def test_self_difference_is_zero(self):
         cfg = desk_config(n_rf=2, n_k=2, m_ary=2)
-        hyps = enumerate_hypotheses(cfg, Constellation.psk(2))
         p = np.arange(1, cfg.n_tx + 1).astype(complex)
-        resp = hypothesis_matrix(hyps) * p[None, :]
+        resp = hypothesis_matrix(cfg) * p[None, :]
         assert np.all(np.diag(pair_distances(resp)) == 0.0)
 
     def test_same_subarray_difference_structure(self):
         cfg = desk_config(n_rf=2, n_k=2, m_ary=4)
         cons = Constellation.psk(4)
-        hyps = enumerate_hypotheses(cfg, cons)
+        hyps = enumerate_hypotheses(cfg)
         p = np.ones(cfg.n_tx, dtype=complex)
         expected = np.zeros(cfg.n_tx, dtype=complex)
         expected[:2] = cons.symbols[0] - cons.symbols[1]
@@ -96,13 +104,12 @@ class TestHypotheses:
 
     def test_sparse_apply_matches_dense_100_seeds(self):
         cfg = desk_config(n_rf=3, n_k=2, m_ary=2)
-        cons = Constellation.psk(2)
-        hyps = enumerate_hypotheses(cfg, cons)
+        hyps = enumerate_hypotheses(cfg)
         dense = [dense_selection_matrix(h, cfg.n_rf, cfg.n_k) for h in hyps]
         for seed in range(100):
             rng = np.random.default_rng(seed)
             p = rng.standard_normal(cfg.n_tx) + 1j * rng.standard_normal(cfg.n_tx)
-            resp = hypothesis_matrix(hyps) * p[None, :]
+            resp = hypothesis_matrix(cfg) * p[None, :]
             for h, xm in zip(hyps, dense):
                 assert np.linalg.norm(h.x_vec * p - xm @ p) < 1e-12
             dist = pair_distances(resp)
@@ -174,7 +181,7 @@ class TestCovariancesAndWhitening:
     def test_beta_one_gives_noise_only(self):
         inst = make_instance(0, beta=1.0)
         an = build_an_projection(inst.cfg, inst.ch, inst.v)
-        omega_b, omega_e = interference_covariances(inst.cfg, inst.ch, inst.v, an)
+        omega_b, omega_e = interference_covariances(inst.cfg, an)
         assert np.allclose(omega_b, inst.cfg.sigma_b2 * np.eye(inst.cfg.n_b))
         assert np.allclose(omega_e, inst.cfg.sigma_e2 * np.eye(inst.cfg.n_e))
 
@@ -190,7 +197,7 @@ class TestCovariancesAndWhitening:
             inst = make_instance(seed, n_rf=4, n_k=2, n_irs=5, m_ary=2)
             fa = default_analog_blocks(inst.cfg)
             an = build_an_projection(inst.cfg, inst.ch, inst.v)
-            got_b, got_e = interference_covariances(inst.cfg, inst.ch, inst.v, an)
+            got_b, got_e = interference_covariances(inst.cfg, an)
             want_b, want_e = an_covariances_elementwise(inst.cfg, inst.ch, inst.v, fa, an.t_an)
             scale_e = np.linalg.norm(want_e)
             assert np.linalg.norm(got_b - want_b) < 1e-10 * max(1.0, np.linalg.norm(want_b))
@@ -247,21 +254,21 @@ class TestCovariancesAndWhitening:
         )
         object.__setattr__(an, "effective_an_cov_b", -np.eye(inst.cfg.n_b))
         with pytest.raises(ValueError, match="smallest eigenvalue"):
-            interference_covariances(bad_cfg, inst.ch, inst.v, an)
+            whiten(inst.ch, *interference_covariances(bad_cfg, an))
 
 
 class TestMlDetection:
     def _signals(self, inst):
         eff_b, _ = effective_channels(inst.ch, inst.v)
-        xp = hypothesis_matrix(enumerate_hypotheses(inst.cfg, inst.cons)) * inst.p.p[None, :]
+        xp = hypothesis_matrix(inst.cfg) * inst.p.p[None, :]
         return np.sqrt(inst.cfg.beta * inst.cfg.p_total) * (xp @ eff_b.T)
 
     def test_noiseless_recovery(self):
         inst = make_instance(2, n_rf=2, n_k=2, m_ary=4)
-        hyps = enumerate_hypotheses(inst.cfg, inst.cons)
+        hyps = enumerate_hypotheses(inst.cfg)
         signals = self._signals(inst)
         for k, h in enumerate(hyps):
-            got = ml_detect(inst.cfg, inst.ch, inst.v, inst.p, inst.cons, signals[k])
+            got = ml_detect(inst.cfg, inst.ch, inst.v, inst.p, signals[k])
             assert got == (h.subarray, h.symbol_index)
 
     def test_tie_breaks_to_smallest(self):
@@ -278,12 +285,12 @@ class TestMlDetection:
             m=np.zeros((cfg.n_e, cfg.n_irs), dtype=complex),
         )
         got = ml_detect(cfg, ch, np.ones(4, dtype=complex), HybridPrecoder.default_init(cfg),
-                        Constellation.psk(4), np.zeros(cfg.n_b, dtype=complex))
+                        np.zeros(cfg.n_b, dtype=complex))
         assert got == (1, 1)
 
     def test_error_rate_below_one_percent_at_30db(self):
         inst = make_instance(2, n_rf=2, n_k=2, m_ary=4)
-        hyps = enumerate_hypotheses(inst.cfg, inst.cons)
+        hyps = enumerate_hypotheses(inst.cfg)
         signals = self._signals(inst)
         sigma_n2 = np.mean(np.sum(np.abs(signals) ** 2, axis=1)) / 1000.0  # 30 dB SNR
         rng = np.random.default_rng(99)
@@ -293,6 +300,6 @@ class TestMlDetection:
             w = np.sqrt(sigma_n2 / 2) * (
                 rng.standard_normal(inst.cfg.n_b) + 1j * rng.standard_normal(inst.cfg.n_b)
             )
-            got = ml_detect(inst.cfg, inst.ch, inst.v, inst.p, inst.cons, signals[k] + w)
+            got = ml_detect(inst.cfg, inst.ch, inst.v, inst.p, signals[k] + w)
             errors += got != (hyps[k].subarray, hyps[k].symbol_index)
         assert errors / 1000.0 < 0.01

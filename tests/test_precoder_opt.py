@@ -21,7 +21,7 @@ from conftest import make_instance
 
 def _quadratics(seed: int, power_dbm: float = 10.0, **kw):
     inst = make_instance(seed, n_rf=2, n_k=2, n_irs=6, m_ary=2, power_dbm=power_dbm, **kw)
-    return inst, build_precoder_quadratics(inst.cfg, inst.wch, inst.v, inst.cons)
+    return inst, build_precoder_quadratics(inst.cfg, inst.wch, inst.v)
 
 
 def _rate_batch(pq):
@@ -42,7 +42,7 @@ class TestPrecoderQuadratics:
 
     def test_dense_assembly_matches_factored(self):
         inst, pq = _quadratics(1)
-        hyps = enumerate_hypotheses(inst.cfg, inst.cons)
+        hyps = enumerate_hypotheses(inst.cfg)
         b_mats = dense_pair_matrices(pq.w_b, hyps, inst.cfg.n_rf, inst.cfg.n_k)
         e_mats = dense_pair_matrices(pq.w_e, hyps, inst.cfg.n_rf, inst.cfg.n_k)
         rng = np.random.default_rng(0)
@@ -56,7 +56,7 @@ class TestPrecoderQuadratics:
 
     def test_hermitian_psd(self):
         inst, pq = _quadratics(2)
-        hyps = enumerate_hypotheses(inst.cfg, inst.cons)
+        hyps = enumerate_hypotheses(inst.cfg)
         rng = np.random.default_rng(2)
         p = rng.standard_normal(inst.cfg.n_tx) + 1j * rng.standard_normal(inst.cfg.n_tx)
         for w_eff, q in zip((pq.w_b, pq.w_e), pq.pair_values(p)):
@@ -77,7 +77,7 @@ class TestPrecoderQuadratics:
             q=np.zeros_like(inst.wch.q),
             m=np.zeros_like(inst.wch.m),
         )
-        pq = build_precoder_quadratics(inst.cfg, wch, inst.v, inst.cons)
+        pq = build_precoder_quadratics(inst.cfg, wch, inst.v)
         rng = np.random.default_rng(1)
         for _ in range(3):
             p = rng.standard_normal(inst.cfg.n_tx) + 1j * rng.standard_normal(inst.cfg.n_tx)

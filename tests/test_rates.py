@@ -7,7 +7,6 @@ import pytest
 
 from irs_ssm.harness import desk_config, draw_channels, full_scale_config
 from irs_ssm.model import (
-    Constellation,
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
@@ -21,6 +20,7 @@ from irs_ssm.rates import (
     kappa,
     mc_mutual_information,
     pair_distances,
+    secrecy_rate,
 )
 
 from _oracles import kappa_dense
@@ -41,14 +41,10 @@ def _zero_wch(inst) -> WhitenedChannels:
     )
 
 
-def _x_mat(cfg, cons):
-    return hypothesis_matrix(enumerate_hypotheses(cfg, cons))
-
-
 class TestKappa:
     def test_zero_channel_hits_upper_bound(self):
         cfg = desk_config(n_rf=8, n_k=4, n_irs=4, m_ary=4)
-        x_mat = _x_mat(cfg, Constellation.psk(4))
+        x_mat = hypothesis_matrix(cfg)
         w_zero = np.zeros((cfg.n_b, cfg.n_tx), dtype=complex)
         p = HybridPrecoder.default_init(cfg)
         assert kappa(w_zero, x_mat, p, cfg.tau) == pytest.approx(1024.0)
@@ -56,20 +52,20 @@ class TestKappa:
     def test_huge_tau_hits_lower_bound(self):
         inst = make_instance(0, n_rf=8, n_k=4, n_irs=4, m_ary=4, sigma_dbm=-80.0)
         w_b, _ = effective_channels(inst.wch, inst.v)
-        assert kappa(w_b, _x_mat(inst.cfg, inst.cons), inst.p, 1e12) == pytest.approx(32.0)
+        assert kappa(w_b, hypothesis_matrix(inst.cfg), inst.p, 1e12) == pytest.approx(32.0)
 
     def test_matches_dense_oracle(self):
         for seed in range(5):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=5, m_ary=2, power_dbm=12.0)
-            hyps = enumerate_hypotheses(inst.cfg, inst.cons)
+            hyps = enumerate_hypotheses(inst.cfg)
             for w_eff in effective_channels(inst.wch, inst.v):
-                fast = kappa(w_eff, hypothesis_matrix(hyps), inst.p, inst.cfg.tau)
+                fast = kappa(w_eff, hypothesis_matrix(inst.cfg), inst.p, inst.cfg.tau)
                 slow = kappa_dense(w_eff, hyps, inst.p.p, inst.cfg.tau, inst.cfg.n_rf, inst.cfg.n_k)
                 assert abs(fast - slow) < 1e-10 * slow
 
     def test_monotone_in_tau(self):
         inst = make_instance(1, power_dbm=15.0)
-        x_mat = _x_mat(inst.cfg, inst.cons)
+        x_mat = hypothesis_matrix(inst.cfg)
         w_b, _ = effective_channels(inst.wch, inst.v)
         values = [kappa(w_b, x_mat, inst.p, t) for t in (0.0, 0.1, 1.0, 10.0, 1e3, 1e6)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -78,7 +74,7 @@ class TestKappa:
         for seed in range(10):
             inst = make_instance(seed, power_dbm=25.0)
             k_hyp = inst.cfg.n_hyp
-            x_mat = _x_mat(inst.cfg, inst.cons)
+            x_mat = hypothesis_matrix(inst.cfg)
             w_b, w_e = effective_channels(inst.wch, inst.v)
             for w in (w_b, w_e):
                 val = kappa(w, x_mat, inst.p, inst.cfg.tau)
@@ -89,8 +85,8 @@ class TestKappa:
         # the raw Gram distance G_mm + G_nn - 2 Re G_mn is rounding noise of
         # order 1e-4, negative for some draws; the kernel must clamp it
         cfg = SystemConfig(n_rf=1, n_k=2, n_b=2, n_e=2, n_irs=2, m_ary=2, p_total=1e6)
-        cons = Constellation(np.exp(1j * np.array([0.0, 1e-12])))
-        x_mat = _x_mat(cfg, cons)
+        # one subarray of two antennas, two symbols 1e-12 rad apart
+        x_mat = np.repeat(np.exp(1j * np.array([0.0, 1e-12]))[:, None], cfg.n_k, axis=1)
         p = HybridPrecoder.default_init(cfg)
         k_hyp = cfg.n_hyp
         negative = 0
@@ -105,17 +101,16 @@ class TestKappa:
                 f=np.zeros((cfg.n_irs, cfg.n_tx), dtype=complex),
             )
             v = np.ones(cfg.n_irs, dtype=complex)
-            _, w_e = effective_channels(wch, v)
+            w_b, w_e = effective_channels(wch, v)
             resp = (x_mat * p.p[None, :]) @ w_e.T
             gram = np.conj(resp) @ resp.T
             norms = gram.diagonal().real
             negative += (norms[0] + norms[1] - 2.0 * gram[0, 1].real) < 0.0
             terms = np.exp(-cfg.tau * pair_distances(resp))
             assert np.all((terms >= 0.0) & (terms <= 1.0))
-            rep = approx_secrecy_rate(cfg, wch, v, p, cons)
-            assert k_hyp <= rep.kappa_e <= k_hyp**2
-            assert k_hyp <= rep.kappa_b <= k_hyp**2
-            assert abs(rep.r_approx) <= np.log2(k_hyp)
+            for w_eff in (w_b, w_e):
+                assert k_hyp <= kappa(w_eff, x_mat, p, cfg.tau) <= k_hyp**2
+            assert abs(secrecy_rate(w_b, w_e, x_mat, p, cfg.tau)) <= np.log2(k_hyp)
         assert negative > 0  # the cancellation the clamp guards against did occur
 
 
@@ -123,7 +118,7 @@ class TestApproxSecrecyRate:
     def test_identical_links_give_zero(self):
         inst = make_instance(3, n_rf=2, n_k=2)
         sym = replace(inst.wch, q=inst.wch.h.copy(), m=inst.wch.g.copy())
-        rep = approx_secrecy_rate(inst.cfg, sym, inst.v, inst.p, inst.cons)
+        rep = approx_secrecy_rate(inst.cfg, sym, inst.v, inst.p)
         assert rep.r_approx == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_eve_channel_is_positive(self):
@@ -133,13 +128,13 @@ class TestApproxSecrecyRate:
             q=np.zeros_like(inst.wch.q),
             m=np.zeros_like(inst.wch.m),
         )
-        rep = approx_secrecy_rate(inst.cfg, blind, inst.v, inst.p, inst.cons)
+        rep = approx_secrecy_rate(inst.cfg, blind, inst.v, inst.p)
         assert rep.kappa_e == pytest.approx(inst.cfg.n_hyp**2)
         assert rep.r_approx > 0
 
     def test_report_identities(self):
         inst = make_instance(5, power_dbm=18.0)
-        rep = approx_secrecy_rate(inst.cfg, inst.wch, inst.v, inst.p, inst.cons)
+        rep = approx_secrecy_rate(inst.cfg, inst.wch, inst.v, inst.p)
         assert rep.r_approx == pytest.approx(rep.i0_bob - rep.i0_eve, abs=1e-12)
         log2k = np.log2(inst.cfg.n_hyp)
         assert -1e-9 <= rep.i0_bob <= log2k + 1e-9
@@ -157,7 +152,7 @@ class TestApproxSecrecyRate:
 
     def test_unitary_rotation_invariance(self):
         inst = make_instance(6, power_dbm=15.0)
-        rep = approx_secrecy_rate(inst.cfg, inst.wch, inst.v, inst.p, inst.cons)
+        rep = approx_secrecy_rate(inst.cfg, inst.wch, inst.v, inst.p)
         rng = np.random.default_rng(11)
 
         def haar(n):
@@ -173,7 +168,7 @@ class TestApproxSecrecyRate:
             q=ue @ inst.wch.q,
             m=ue @ inst.wch.m,
         )
-        rep_rot = approx_secrecy_rate(inst.cfg, rotated, inst.v, inst.p, inst.cons)
+        rep_rot = approx_secrecy_rate(inst.cfg, rotated, inst.v, inst.p)
         assert rep_rot.r_approx == pytest.approx(rep.r_approx, abs=1e-10)
 
 
@@ -186,7 +181,7 @@ class TestMcMutualInformation:
     def test_zero_channel_gives_zero(self):
         inst = make_instance(0)
         mib, mie, (seb, see) = mc_mutual_information(
-            inst.cfg, _zero_wch(inst), inst.v, inst.p, 500, seed=0, cons=inst.cons
+            inst.cfg, _zero_wch(inst), inst.v, inst.p, 500, seed=0
         )
         assert abs(mib) <= max(3 * seb, 1e-12)
         assert abs(mie) <= max(3 * see, 1e-12)
@@ -201,7 +196,7 @@ class TestMcMutualInformation:
             m=inst.wch.m * 1e4,
         )
         mib, mie, _ = mc_mutual_information(
-            inst.cfg, boosted, inst.v, inst.p, 500, seed=0, cons=inst.cons
+            inst.cfg, boosted, inst.v, inst.p, 500, seed=0
         )
         target = np.log2(inst.cfg.n_hyp)
         assert mib == pytest.approx(target, abs=0.05)
@@ -209,8 +204,8 @@ class TestMcMutualInformation:
 
     def test_deterministic_per_seed(self):
         inst = make_instance(2, power_dbm=12.0)
-        a = mc_mutual_information(inst.cfg, inst.wch, inst.v, inst.p, 300, seed=4, cons=inst.cons)
-        b = mc_mutual_information(inst.cfg, inst.wch, inst.v, inst.p, 300, seed=4, cons=inst.cons)
+        a = mc_mutual_information(inst.cfg, inst.wch, inst.v, inst.p, 300, seed=4)
+        b = mc_mutual_information(inst.cfg, inst.wch, inst.v, inst.p, 300, seed=4)
         assert a == b
 
     def test_cutoff_rate_lower_bounds_mi(self):
@@ -218,9 +213,9 @@ class TestMcMutualInformation:
         # moderate-SNR instances (its role is a tractable conservative proxy)
         for seed in range(20):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=6, m_ary=2, power_dbm=12.0)
-            rep = approx_secrecy_rate(inst.cfg, inst.wch, inst.v, inst.p, inst.cons)
+            rep = approx_secrecy_rate(inst.cfg, inst.wch, inst.v, inst.p)
             mib, mie, (seb, see) = mc_mutual_information(
-                inst.cfg, inst.wch, inst.v, inst.p, 1000, seed=seed, cons=inst.cons
+                inst.cfg, inst.wch, inst.v, inst.p, 1000, seed=seed
             )
             assert rep.i0_bob <= mib + 3 * seb
             assert rep.i0_eve <= mie + 3 * see
@@ -231,10 +226,10 @@ class TestMcMutualInformation:
         for seed in range(10):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=6, m_ary=2, power_dbm=12.0)
             _, _, (se1, _) = mc_mutual_information(
-                inst.cfg, inst.wch, inst.v, inst.p, 400, seed=seed, cons=inst.cons
+                inst.cfg, inst.wch, inst.v, inst.p, 400, seed=seed
             )
             _, _, (se2, _) = mc_mutual_information(
-                inst.cfg, inst.wch, inst.v, inst.p, 800, seed=seed + 100, cons=inst.cons
+                inst.cfg, inst.wch, inst.v, inst.p, 800, seed=seed + 100
             )
             ratios.append(se1**2 / se2**2)
         assert np.mean(ratios) == pytest.approx(2.0, rel=0.5)
