@@ -134,6 +134,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             worst = max(worst, abs(fd - pred) / max(abs(fd), 1e-12))
     ok &= _check("gradient vs finite differences", worst < 1e-4, f"rel err {worst:.2e}")
 
+    # memoized forward pass: a gradient read after rate evaluations at other
+    # points equals a fresh instance's, bit for bit
+    memo_ok = True
+    for seed in range(2):
+        cfg, ch, v, wch = _validation_instance(seed)
+        pq = build_precoder_quadratics(cfg, wch, v)
+        points = [HybridPrecoder.default_init(cfg).p * s for s in (0.5, 0.7, 0.9)]
+        for p in points:
+            for other in points:
+                pq.secrecy_rate(other)  # leaves the pass of the last point memoized
+            fresh = build_precoder_quadratics(cfg, wch, v).gradient(p)
+            memo_ok &= np.array_equal(pq.gradient(p), fresh)
+    ok &= _check("memoized gradient vs fresh quadratics", memo_ok, "bit-equal" if memo_ok else "")
+
     # SCA bounds: tight at the expansion point, valid nearby
     cfg, ch, v, wch = _validation_instance(1)
     pq = build_precoder_quadratics(cfg, wch, v)

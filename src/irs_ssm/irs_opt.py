@@ -36,7 +36,7 @@ from .model import (
     effective_channels,
     hypothesis_matrix,
 )
-from .rates import pair_laplacian, response_distances, secrecy_rate
+from .rates import pair_laplacian, pair_weights, secrecy_rate
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class QuadraticForms:
     def pair_quadratics(self, v: IrsPhaseVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact K x K pair exponents ||W (X_m - X_n) p||^2 for Bob and Eve at v."""
         w_b, w_e = effective_channels(self.wch, as_phase_array(v))
-        return response_distances(w_b, self.x_mat, self.p), response_distances(w_e, self.x_mat, self.p)
+        return tuple(pair_weights(w, self.x_mat, self.p, self.tau).dist for w in (w_b, w_e))
 
     def secrecy_rate(self, v: IrsPhaseVector | np.ndarray) -> float:
         """True approximate secrecy rate log2 kappa_E - log2 kappa_B at this p."""

@@ -6,6 +6,10 @@ secrecy objective is a difference of log-sum-exp terms over those quadratics.
 No B or E is built: values are the K x K Gram distances of the response stack
 R = (X p) W^T, and a weighted sum of pair gradients is
 sum_m conj(x_m) * W^H (L_w R)_m with the pair Laplacian L_w from ``rates``.
+Each point gets one forward pass per receiver, ``rates.pair_weights`` (R, the
+distances, the pair weights exp(-tau d) and their sum kappa), memoized on the
+quadratics: the rate, the gradient and the SCA expansion at that point all
+read the same pass, so an accepted ascent step costs no second evaluation.
 Two maximizers over ||p|| <= n_rf live here: a successive convex approximation
 that pairs a concave lower bound on the Eve rate with a convex upper bound on
 the Bob rate (both tight at the expansion point, so outer steps ascend), and
@@ -26,7 +30,8 @@ from .model import (
     effective_channels,
     hypothesis_matrix,
 )
-from .rates import kappa, pair_distances, pair_laplacian, response_distances, secrecy_rate
+from . import rates
+from .rates import pair_distances, pair_laplacian
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,9 @@ class PrecoderQuadratics:
 
     Held in factored form: the whitened effective channels and the
     hypothesis diagonals.  Values and gradients go through the (K, n_r)
-    response stacks and the K x K pair kernel.
+    response stacks and the K x K pair kernel, one memoized forward pass
+    per point (see ``forward``).  The channels must not change after
+    construction.
     """
 
     tau: float
@@ -43,25 +50,56 @@ class PrecoderQuadratics:
     w_b: np.ndarray  # whitened effective Bob channel (n_b, n_tx)
     w_e: np.ndarray  # whitened effective Eve channel (n_e, n_tx)
     x_mat: np.ndarray  # (K, n_tx) hypothesis diagonals
+    # p-independent conjugates of the pull-back: conj(X) and (conj(W_B), conj(W_E))
+    x_conj: np.ndarray = field(init=False, repr=False, compare=False)
+    w_conj: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    # [key, (Bob, Eve) forward pass] at the last point evaluated
+    _memo: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "x_conj", np.conj(self.x_mat))
+        object.__setattr__(self, "w_conj", (np.conj(self.w_b), np.conj(self.w_e)))
+        object.__setattr__(self, "_memo", [None, None])
+
+    def forward(self, p: HybridPrecoder | np.ndarray) -> tuple[rates.PairWeights, rates.PairWeights]:
+        """Bob's and Eve's ``rates.pair_weights`` at p, computed once per point.
+
+        The GA scores a point and then asks for its gradient there, and the
+        SCA expands at the point it just scored, so the last pass is kept.
+        The key is the complex128 bytes and shape of p, so a real-valued
+        copy, an in-place edit or a reshape never reads stale terms.  The
+        arrays are shared by every caller and therefore read-only.
+        """
+        pvec = np.asarray(p.p if isinstance(p, HybridPrecoder) else p, dtype=complex)
+        key = (pvec.shape, pvec.tobytes())
+        if key != self._memo[0]:
+            passes = tuple(rates.pair_weights(w, self.x_mat, pvec, self.tau) for w in (self.w_b, self.w_e))
+            for fw in passes:
+                for a in fw[:3]:
+                    a.flags.writeable = False
+            self._memo[:] = key, passes
+        return self._memo[1]
 
     def response(self, w_eff: np.ndarray, p: np.ndarray) -> np.ndarray:
         """(K, n_r) stack of per-hypothesis responses W X_m p."""
         return (self.x_mat * p[None, :]) @ w_eff.T
 
-    def pull_back(self, w_eff: np.ndarray, weights: np.ndarray, resp: np.ndarray) -> np.ndarray:
-        """sum_{m,n} w_mn (X_m - X_n)^H W^H (r_m - r_n) for the response stack r."""
-        return np.sum(np.conj(self.x_mat) * (pair_laplacian(weights, resp) @ np.conj(w_eff)), axis=0)
+    def pull_back(self, w_conj: np.ndarray, weights: np.ndarray, resp: np.ndarray) -> np.ndarray:
+        """sum_{m,n} w_mn (X_m - X_n)^H W^H (r_m - r_n) for the response stack r, given conj(W)."""
+        return np.sum(self.x_conj * (pair_laplacian(weights, resp) @ w_conj), axis=0)
 
     def pair_values(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs."""
-        return response_distances(self.w_b, self.x_mat, p), response_distances(self.w_e, self.x_mat, p)
+        bob, eve = self.forward(p)
+        return bob.dist, eve.dist
 
     def kappas(self, p: np.ndarray) -> tuple[float, float]:
-        return kappa(self.w_b, self.x_mat, p, self.tau), kappa(self.w_e, self.x_mat, p, self.tau)
+        bob, eve = self.forward(p)
+        return bob.kappa, eve.kappa
 
     def secrecy_rate(self, p: HybridPrecoder | np.ndarray) -> float:
-        """log2 kappa_E - log2 kappa_B at p, through ``rates.secrecy_rate``."""
-        return secrecy_rate(self.w_b, self.w_e, self.x_mat, p, self.tau)
+        """log2 kappa_E - log2 kappa_B at p, by ``rates.rate_from_kappas``."""
+        return rates.rate_from_kappas(*self.kappas(p))
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         """Gradient of the secrecy objective with respect to p.
@@ -71,11 +109,8 @@ class PrecoderQuadratics:
         a direction d is Re{g^H d}.  Exactly zero at p = 0.
         """
         g = np.zeros(len(p), dtype=complex)
-        for w_eff, sign in ((self.w_b, 1.0), (self.w_e, -1.0)):
-            resp = self.response(w_eff, p)
-            with np.errstate(under="ignore"):
-                chi = np.exp(-self.tau * pair_distances(resp))
-            g += (sign * 2.0 / np.sum(chi)) * self.pull_back(w_eff, chi, resp)
+        for fw, w_conj, sign in zip(self.forward(p), self.w_conj, (1.0, -1.0)):
+            g += (sign * 2.0 / fw.kappa) * self.pull_back(w_conj, fw.chi, fw.resp)
         return (self.tau / LN2) * g
 
 
@@ -124,13 +159,12 @@ class ScaSubproblem:
     def __init__(self, pq: PrecoderQuadratics, p0: np.ndarray):
         self.pq = pq
         self.tau = pq.tau
-        self.resp0_b = pq.response(pq.w_b, p0)  # Bob linearization point
-        self.qb0, self.qe0 = pq.pair_values(p0)
-        with np.errstate(under="ignore"):
-            self.c_eve = np.exp(-self.tau * self.qe0)  # per-pair weights, Eve expansion
+        bob, eve = pq.forward(p0)  # a memo hit when p0 was just scored
+        self.resp0_b = bob.resp  # Bob linearization point
+        self.c_eve = eve.chi  # per-pair weights exp(-tau q_E0), Eve expansion
         # p-independent parts of the two bounds
-        self._eve_base = 1.0 + self.tau * self.qe0
-        self._bob_base = self.tau * self.qb0
+        self._eve_base = 1.0 + self.tau * eve.dist
+        self._bob_base = self.tau * bob.dist
         self._resp0_b_conj = np.conj(self.resp0_b)
         # terms at the last evaluated point: the ascent asks for the value
         # and then the gradient at the same p
@@ -172,10 +206,10 @@ class ScaSubproblem:
     def gradient(self, p: np.ndarray) -> np.ndarray:
         pq = self.pq
         resp_e, s, h = self._at(p)
-        g_eve = (-2.0 * self.tau / (s * LN2)) * pq.pull_back(pq.w_e, self.c_eve, resp_e)
+        g_eve = (-2.0 * self.tau / (s * LN2)) * pq.pull_back(pq.w_conj[1], self.c_eve, resp_e)
         weights = np.exp(h - np.max(h))
         weights /= weights.sum()
-        g_bob_upper = (-2.0 * self.tau / LN2) * pq.pull_back(pq.w_b, weights, self.resp0_b)
+        g_bob_upper = (-2.0 * self.tau / LN2) * pq.pull_back(pq.w_conj[0], weights, self.resp0_b)
         return g_eve - g_bob_upper
 
 

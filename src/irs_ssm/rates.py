@@ -11,9 +11,13 @@ given by ``model.effective_channels`` on the whitened channels that
 is the null-space projector of Bob's effective channel when n_rf > n_b and
 the identity otherwise, since every unitary gives the same AN covariance.
 The approximate secrecy rate log2(kappa_E) - log2(kappa_B), the Bob/Eve
-cut-off rate difference, is computed one way, by ``secrecy_rate``; the rate
-report, the IRS and precoder layers, the joint loop and the harness all
-return its float.  The hypothesis stack X is ``model.hypothesis_matrix(cfg)``.
+cut-off rate difference, is computed one way: ``pair_weights`` is the one
+forward pass of a receiver at p (the response stack R, the K x K distances d,
+the pair weights exp(-tau d) and their sum kappa) and ``rate_from_kappas``
+the one log ratio.  ``secrecy_rate`` chains them; the precoder layer memoizes
+the two passes per point and applies the same ratio, and the rate report, the
+IRS layer, the joint loop and the harness return ``secrecy_rate``'s float.
+The hypothesis stack X is ``model.hypothesis_matrix(cfg)``.
 Every layer evaluates its pair sums with one kernel on a K-row stack R (here
 r_m = W X_m p): ``pair_distances`` gives the K x K distances from the Gram
 matrix conj(R) R^T, and ``pair_laplacian`` applies the pair Laplacian L_w, so
@@ -25,6 +29,7 @@ it because each estimate costs thousands of noise draws per channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -78,24 +83,36 @@ def pair_laplacian(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return degree[:, None] * stack - (w + w.T) @ stack
 
 
-def exponent_sum(dist: np.ndarray, tau: float) -> float:
-    """sum exp(-tau d) over pair distances; in [K, K^2] for a K x K kernel output.
+class PairWeights(NamedTuple):
+    """One receiver's forward pass at p: everything the rate and its gradient read."""
 
-    Individual exp underflows saturate to zero, which only sharpens the sum
-    toward its lower bound.
+    resp: np.ndarray  # (K, n_r) response stack r_m = W X_m p
+    dist: np.ndarray  # K x K pair distances ||r_m - r_n||^2
+    chi: np.ndarray  # K x K pair weights exp(-tau d)
+    kappa: float  # sum of chi, in [K, K^2]
+
+
+def pair_weights(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray, tau: float) -> PairWeights:
+    """Forward pass of the pair kernel on the response stack of one receiver.
+
+    Individual exp underflows saturate to zero, which only sharpens kappa
+    toward its lower bound K.
     """
+    resp = (x_mat * p[None, :]) @ w_eff.T
+    dist = pair_distances(resp)
     with np.errstate(under="ignore"):
-        return float(np.sum(np.exp(-tau * dist)))
-
-
-def response_distances(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """K x K pair exponents ||W (X_m - X_n) p||^2 of the response stack r_m = W X_m p."""
-    return pair_distances((x_mat * p[None, :]) @ w_eff.T)
+        chi = np.exp(-tau * dist)
+    return PairWeights(resp, dist, chi, float(np.sum(chi)))
 
 
 def kappa(w_eff: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float) -> float:
     """Pairwise exponent sum over all ordered pairs of the (K, n_tx) hypothesis stack."""
-    return exponent_sum(response_distances(w_eff, x_mat, _as_vector(p)), tau)
+    return pair_weights(w_eff, x_mat, _as_vector(p), tau).kappa
+
+
+def rate_from_kappas(kappa_b: float, kappa_e: float) -> float:
+    """log2 kappa_E - log2 kappa_B: the approximate secrecy rate from the two exponent sums."""
+    return float(np.log2(kappa_e) - np.log2(kappa_b))
 
 
 def secrecy_rate(
@@ -104,9 +121,10 @@ def secrecy_rate(
     """log2 kappa_E - log2 kappa_B on the whitened effective channels (W_B, W_E).
 
     The one evaluation of the approximate secrecy rate: the IRS forms, the
-    precoder quadratics, the joint loop and the harness all read it here.
+    precoder quadratics (through the same ``pair_weights`` and
+    ``rate_from_kappas``), the joint loop and the harness all read it here.
     """
-    return float(np.log2(kappa(w_e, x_mat, p, tau)) - np.log2(kappa(w_b, x_mat, p, tau)))
+    return rate_from_kappas(kappa(w_b, x_mat, p, tau), kappa(w_e, x_mat, p, tau))
 
 
 def approx_secrecy_rate(
@@ -128,7 +146,7 @@ def approx_secrecy_rate(
     return RateReport(
         i0_bob=float(2.0 * log2k - np.log2(kb)),
         i0_eve=float(2.0 * log2k - np.log2(ke)),
-        r_approx=float(np.log2(ke) - np.log2(kb)),
+        r_approx=rate_from_kappas(kb, ke),
         kappa_b=kb,
         kappa_e=ke,
     )

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irs_ssm.model import HybridPrecoder, enumerate_hypotheses
+from irs_ssm import joint, rates
+from irs_ssm.harness import desk_config, draw_channels
+from irs_ssm.model import HybridPrecoder, enumerate_hypotheses, link_state
 from irs_ssm.precoder_opt import (
     ScaSubproblem,
     asr_sca,
@@ -104,6 +106,111 @@ class TestPrecoderQuadratics:
         _, pq = _quadratics(3)
         g = pq.gradient(np.zeros(4, dtype=complex))
         assert np.all(g == 0)
+
+
+class _Uncached:
+    """Duck-typed quadratics without the memo: the rate straight from ``rates``
+    and each gradient from a new instance."""
+
+    def __init__(self, pq):
+        self.pq = pq
+        self.n_rf = pq.n_rf
+
+    def secrecy_rate(self, p):
+        return rates.secrecy_rate(self.pq.w_b, self.pq.w_e, self.pq.x_mat, p, self.pq.tau)
+
+    def gradient(self, p):
+        return replace(self.pq).gradient(p)
+
+
+def _desk_quadratics(seed: int):
+    cfg = desk_config()
+    ch = draw_channels(cfg, seed)
+    v = np.ones(cfg.n_irs, dtype=complex)
+    return cfg, ch, build_precoder_quadratics(cfg, link_state(cfg, ch, v)[3], v)
+
+
+class TestForwardMemo:
+    def test_shuffled_points_match_fresh_instances(self):
+        inst, pq = _quadratics(0)
+        rng = np.random.default_rng(3)
+        p1, p2 = (project_ball(rng.standard_normal(4) + 1j * rng.standard_normal(4), 2.0) for _ in range(2))
+
+        def fresh():
+            return build_precoder_quadratics(inst.cfg, inst.wch, inst.v)
+
+        def same(name, p):
+            got, want = getattr(pq, name)(p), getattr(fresh(), name)(p)
+            if name == "secrecy_rate":
+                assert float.hex(got) == float.hex(want)
+            elif name == "gradient":
+                assert np.array_equal(got, want)
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            return got
+
+        names = ("secrecy_rate", "gradient", "pair_values")
+        for p in (p1, p2, p1):
+            for i in rng.permutation(3):
+                same(names[i], p)
+        before = same("secrecy_rate", p1)
+        p1[0] += 0.25  # the array the memo was last keyed on, edited in place
+        for name in ("gradient", "pair_values", "secrecy_rate"):
+            same(name, p1)
+        assert pq.secrecy_rate(p1) != before
+        # a real-valued point reads the pass of its complex128 copy
+        same("secrecy_rate", p1.real.astype(complex))
+        same("gradient", p1.real.copy())
+
+        pq.gradient(p2)
+        direct = rates.secrecy_rate(pq.w_b, pq.w_e, pq.x_mat, p1, pq.tau)
+        assert float.hex(pq.secrecy_rate(p1)) == float.hex(direct)
+
+    def test_shared_arrays_are_read_only(self):
+        _, pq = _quadratics(1)
+        qb, _ = pq.pair_values(np.ones(4, dtype=complex))
+        with pytest.raises(ValueError):
+            qb[0, 1] = 0.0
+
+    def test_cor_ga_runs_one_forward_pass_per_scored_point(self, monkeypatch):
+        cfg, _, pq = _desk_quadratics(0)
+        calls = []
+        forward = rates.pair_weights
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(rates, "pair_weights", counted)
+        res = cor_ga(pq, HybridPrecoder.default_init(cfg))
+        accepted = len(res.trace) - 1
+        assert accepted > 0 and res.iterations > 0
+        # the start point and each candidate once per receiver; every gradient
+        # is read at a point just scored
+        assert len(calls) == 2 * (res.iterations + 1)
+
+    def test_cor_ga_matches_uncached_quadratics(self):
+        for seed in range(2):
+            cfg, _, pq = _desk_quadratics(seed)
+            p0 = HybridPrecoder.default_init(cfg)
+            cached, plain = cor_ga(pq, p0), cor_ga(_Uncached(replace(pq)), p0)
+            assert cached.p.p.tobytes() == plain.p.p.tobytes()
+            assert [float.hex(r) for r in cached.trace] == [float.hex(r) for r in plain.trace]
+            assert cached.iterations == plain.iterations
+
+    def test_joint_ii_matches_uncached_quadratics(self, monkeypatch):
+        cfg, ch, _ = _desk_quadratics(1)
+        cached = joint.joint_optimize(cfg, ch, "II", seed=1)
+        monkeypatch.setattr(
+            joint, "build_precoder_quadratics",
+            lambda *args: _Uncached(build_precoder_quadratics(*args)),
+        )
+        plain = joint.joint_optimize(cfg, ch, "II", seed=1)
+        assert cached.p_star.p.tobytes() == plain.p_star.p.tobytes()
+        assert [(t.objective.hex(), t.irs_iterations, t.precoder_iterations) for t in cached.trace] == [
+            (t.objective.hex(), t.irs_iterations, t.precoder_iterations) for t in plain.trace
+        ]
+        assert float.hex(cached.objective) == float.hex(plain.objective)
 
 
 class TestScaBounds:
