@@ -15,7 +15,7 @@ cfg = desk_config(p_total=db_to_linear(20.0))
 ch = draw_channels(cfg, seed=21)
 
 for combo in ("I", "II", "III"):
-    res = joint_optimize(cfg, ch, combo, epsilon=0.01, seed=0)
+    res = joint_optimize(cfg, ch, combo, seed=0)
     objs = [f"{t.objective:.4f}" for t in res.trace]
     accepted = sum(t.irs_accepted for t in res.trace)
     print(f"combination {combo:>3s} ({res.extras['irs_method']}+{res.extras['precoder_method']}): "

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .irs_opt import IrsPhaseVector, build_quadratic_forms, irs_admm, irs_bca, irs_sdr
+from .irs_opt import SDP_TOL, IrsPhaseVector, build_quadratic_forms, irs_admm, irs_bca, irs_sdr
 from .joint import NAMED_COMBINATIONS, joint_optimize
 from .model import (
     ChannelSet,
@@ -51,8 +51,6 @@ EXPERIMENT_KINDS = ("sr_vs_power", "cdf", "convergence", "sr_vs_elements", "posi
 IRS_ONLY_METHODS = ("random_phase", "irs_bca", "irs_admm", "irs_sdr")
 PRECODER_RUN_METHODS = ("asr_sca", "cor_ga")
 JOINT_METHODS = ("joint_I", "joint_II", "joint_III")
-# joint solver names -> the run_method names whose FLOP models they use
-SOLVER_METHODS = {"bca": "irs_bca", "admm": "irs_admm", "sdr": "irs_sdr", "sca": "asr_sca", "ga": "cor_ga"}
 ALL_METHODS = IRS_ONLY_METHODS + PRECODER_RUN_METHODS + JOINT_METHODS
 
 CSV_COLUMNS = ("trial", "power_dbm", "n_irs", "n_e", "irs_y", "method",
@@ -141,16 +139,12 @@ def _shared_pair_flops(cfg: SystemConfig) -> float:
     return k * c_a + k * k * c_b
 
 
-def flop_estimates(
-    cfg: SystemConfig,
-    method: str,
-    iterations: int = 1,
-    sdp_tol: float = 1e-6,
-) -> FlopEstimate:
+def flop_estimates(cfg: SystemConfig, method: str, iterations: int = 1) -> FlopEstimate:
     """Closed-form FLOP counts per optimizer, iteration counts supplied.
 
     IRS methods include the shared hypothesis/pair assembly terms; the SDP
-    core scales as N^4.5 log(1/tol).  Aggregates clamp at zero.
+    core scales as N^4.5 log(1/tol) at the SDP tolerance ``irs_opt.SDP_TOL``.
+    Aggregates clamp at zero.
     """
     n = cfg.n_irs
     nt = cfg.n_tx
@@ -162,7 +156,7 @@ def flop_estimates(
     if method == "irs_bca":
         return FlopEstimate(_shared_pair_flops(cfg) + d * n, "O(N^2)")
     if method == "irs_sdr":
-        core = n**4.5 * math.log(1.0 / sdp_tol)
+        core = n**4.5 * math.log(1.0 / SDP_TOL)
         return FlopEstimate(_shared_pair_flops(cfg) + d * core, "O(N^4.5)")
     if method == "asr_sca":
         core = 4 * k**2 * max(8 * nt**2 + 6 * nt - 2, 0) + nt**3
@@ -314,7 +308,7 @@ def run_method(method: str, cfg: SystemConfig, ch: ChannelSet, seed: int) -> Met
     elif method in JOINT_METHODS:
         combo = method.split("_", 1)[1]
         res = joint_optimize(cfg, ch, combo, seed=seed)
-        irs_name, pre_name = (SOLVER_METHODS[m] for m in NAMED_COMBINATIONS[combo])
+        irs_name, pre_name = NAMED_COMBINATIONS[combo]
         flops = sum(
             flop_estimates(cfg, irs_name, iterations=t.irs_iterations).count
             + flop_estimates(cfg, pre_name, iterations=t.precoder_iterations).count

@@ -12,12 +12,14 @@ so the Jensen-style surrogate of the secrecy objective collapses to
 with Phi_B, Phi_E positive semidefinite Gram aggregates.  The aggregates come
 from the K per-hypothesis stacks through the all-ones pair Laplacian,
 sum_{m,n} (x_m - x_n)^H (y_m - y_n) = 2K x^H y - 2 (1^T x)^H (1^T y).  The
-true objective at a candidate v is ``rates.secrecy_rate`` on the effective
-channels at v, the same evaluation every other layer uses.  Three maximizers of
-that surrogate over the unit-modulus constraint set live here: a DC-linearized
-ADMM, a cyclic per-element block coordinate ascent with a closed-form update,
-and a semidefinite relaxation with Gaussian randomization rounding backed by
-an in-house unit-diagonal SDP solver (low-rank factorized ascent).
+forms also evaluate the rate at a candidate v: ``rates.secrecy_rate`` on the
+effective channels at v, with the whitening held where the forms were built.
+Three maximizers of that surrogate over the unit-modulus constraint set live
+here: a DC-linearized ADMM, a cyclic per-element block coordinate ascent with
+a closed-form update, and a semidefinite relaxation with Gaussian
+randomization rounding backed by an in-house unit-diagonal SDP solver
+(low-rank factorized ascent).  Each returns v and its surrogate value; the
+callers score v with the whitening refreshed at v.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ from .model import (
     hypothesis_matrix,
 )
 from .rates import pair_laplacian, pair_weights, secrecy_rate
+
+# Solver settings no caller varies, read at call time.
+BCA_TOL = 1e-7  # stop once a sweep gains at most this, relative to max(1, |value|)
+BCA_MAX_SWEEPS = 100
+SDP_TOL = 1e-6  # stationarity tolerance of the SDP core, relative to max(1, ||psi||_F)
+SDP_RESTARTS = 5
+SDP_MAX_SWEEPS = 5000  # row-coordinate sweeps per restart
+SDP_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -66,39 +76,19 @@ def as_phase_array(v: IrsPhaseVector | np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SurrogateObjective:
-    """Quadratic surrogate v^H phi v + 2 Re{delta v} + constant."""
-
-    phi: np.ndarray  # Hermitian, Phi_B - Phi_E
-    delta: np.ndarray  # row vector D - D'
-    constant: float
-
-    def value(self, v: IrsPhaseVector | np.ndarray) -> float:
-        vv = as_phase_array(v)
-        quad = np.vdot(vv, self.phi @ vv).real
-        lin = 2.0 * np.real(np.dot(self.delta, vv))
-        return float(quad + lin + self.constant)
-
-    def values(self, v_batch: np.ndarray) -> np.ndarray:
-        quad = np.einsum("si,si->s", np.conj(v_batch) @ self.phi, v_batch).real
-        lin = 2.0 * np.real(v_batch @ self.delta)
-        return quad + lin + self.constant
-
-
-@dataclass(frozen=True)
 class QuadraticForms:
     """Quadratic-form reduction of the secrecy objective in v, for a fixed p.
 
-    Aggregates (phi_b, phi_e, d_row, d_prime_row, c_const) define the
-    surrogate.  The whitened channels, the hypothesis stack and p they were
-    built from keep the true objective evaluable from the same object,
-    through ``rates.secrecy_rate``.
+    The surrogate is v^H phi v + 2 Re{delta v} + c_const with
+    phi = phi_b - phi_e and delta = D - D'.  The whitened channels, the
+    hypothesis stack and p they were built from keep the rate evaluable from
+    the same object, through ``rates.secrecy_rate``.
     """
 
     phi_b: np.ndarray
     phi_e: np.ndarray
-    d_row: np.ndarray
-    d_prime_row: np.ndarray
+    phi: np.ndarray  # Hermitian, phi_b - phi_e
+    delta: np.ndarray  # row vector D - D'
     c_const: float
     tau: float
     wch: WhitenedChannels = field(repr=False)
@@ -109,15 +99,17 @@ class QuadraticForms:
     def n_irs(self) -> int:
         return self.wch.f.shape[0]
 
-    def surrogate(self) -> SurrogateObjective:
-        return SurrogateObjective(
-            phi=self.phi_b - self.phi_e,
-            delta=self.d_row - self.d_prime_row,
-            constant=self.c_const,
-        )
-
     def surrogate_value(self, v: IrsPhaseVector | np.ndarray) -> float:
-        return self.surrogate().value(v)
+        vv = as_phase_array(v)
+        quad = np.vdot(vv, self.phi @ vv).real
+        lin = 2.0 * np.real(np.dot(self.delta, vv))
+        return float(quad + lin + self.c_const)
+
+    def surrogate_values(self, v_batch: np.ndarray) -> np.ndarray:
+        """Surrogate at each row of an (S, N) batch."""
+        quad = np.einsum("si,si->s", np.conj(v_batch) @ self.phi, v_batch).real
+        lin = 2.0 * np.real(v_batch @ self.delta)
+        return quad + lin + self.c_const
 
     def pair_quadratics(self, v: IrsPhaseVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact K x K pair exponents ||W (X_m - X_n) p||^2 for Bob and Eve at v."""
@@ -125,7 +117,12 @@ class QuadraticForms:
         return tuple(pair_weights(w, self.x_mat, self.p, self.tau).dist for w in (w_b, w_e))
 
     def secrecy_rate(self, v: IrsPhaseVector | np.ndarray) -> float:
-        """True approximate secrecy rate log2 kappa_E - log2 kappa_B at this p."""
+        """Approximate secrecy rate log2 kappa_E - log2 kappa_B at v and this p.
+
+        Evaluated on the whitened channels the forms were built from: the
+        whitening stays fixed at the v it was computed for, so away from that
+        v this is not the rate of the link refreshed at v.
+        """
         return secrecy_rate(*effective_channels(self.wch, as_phase_array(v)), self.x_mat, self.p, self.tau)
 
 
@@ -168,8 +165,8 @@ def build_quadratic_forms(
     return QuadraticForms(
         phi_b=phi_b,
         phi_e=phi_e,
-        d_row=d_row,
-        d_prime_row=d_prime_row,
+        phi=phi_b - phi_e,
+        delta=d_row - d_prime_row,
         c_const=c_const,
         tau=cfg.tau,
         wch=wch,
@@ -186,7 +183,6 @@ class BeamformerResult:
     converged: bool
     iterations: int
     surrogate_value: float
-    secrecy_rate: float
     trace: list[float]
     extras: dict = field(default_factory=dict)
 
@@ -203,44 +199,42 @@ def project_unit_modulus(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def irs_bca(
     qf: QuadraticForms,
     v0: IrsPhaseVector | np.ndarray | None = None,
-    tol: float = 1e-7,
-    max_sweeps: int = 100,
     trace_elements: bool = False,
 ) -> BeamformerResult:
     """Cyclic block coordinate ascent with the closed-form per-element update.
 
     Element n maximizes its own term exactly, so the surrogate never decreases
     across updates.  A zero update numerator keeps the previous phase.  Stops
-    when a full sweep improves the surrogate by at most tol * max(1, |value|).
+    when a full sweep improves the surrogate by at most
+    BCA_TOL * max(1, |value|), or after BCA_MAX_SWEEPS sweeps.
     """
-    sur = qf.surrogate()
-    phi, delta = sur.phi, sur.delta
+    phi, delta = qf.phi, qf.delta
     n = qf.n_irs
     v = as_phase_array(v0).copy() if v0 is not None else np.ones(n, dtype=complex)
     w = phi @ v
-    value = sur.value(v)
+    value = qf.surrogate_value(v)
     trace = [value]
     converged = False
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, BCA_MAX_SWEEPS + 1):
         prev = value
         for idx in range(n):
             c = w[idx] - phi[idx, idx] * v[idx] + np.conj(delta[idx])
             mag = abs(c)
             if mag == 0.0:
                 if trace_elements:
-                    trace.append(sur.value(v))
+                    trace.append(qf.surrogate_value(v))
                 continue
             new = c / mag
             if new != v[idx]:
                 w += phi[:, idx] * (new - v[idx])
                 v[idx] = new
             if trace_elements:
-                trace.append(sur.value(v))
-        value = sur.value(v)
+                trace.append(qf.surrogate_value(v))
+        value = qf.surrogate_value(v)
         if not trace_elements:
             trace.append(value)
-        if value - prev <= tol * max(1.0, abs(value)):
+        if value - prev <= BCA_TOL * max(1.0, abs(value)):
             converged = True
             break
     return BeamformerResult(
@@ -248,20 +242,13 @@ def irs_bca(
         converged=converged,
         iterations=sweeps,
         surrogate_value=value,
-        secrecy_rate=qf.secrecy_rate(v),
         trace=trace,
     )
-
-
-def default_admm_rho(qf: QuadraticForms) -> float:
-    """Scale-aware penalty default, 2 tr(Phi_E)/N + 1."""
-    return 2.0 * float(np.trace(qf.phi_e).real) / qf.n_irs + 1.0
 
 
 def irs_admm(
     qf: QuadraticForms,
     v0: IrsPhaseVector | np.ndarray | None = None,
-    rho: float | None = None,
     tol: float = 0.01,
     max_iters: int = 50,
     inner_max: int = 100,
@@ -271,23 +258,22 @@ def irs_admm(
     The outer loop re-linearizes the convex Bob term at the current iterate;
     the inner ADMM alternates a linear solve for the slack u, the unit-modulus
     projection for v (keeping the previous phase at exact zeros), and the dual
-    update.  Inner stop: ||v_k - v_{k-1}|| <= tol.  Outer stop: the change of
-    the true secrecy-rate objective is <= tol.  Returns the best-surrogate
-    iterate seen, so the result never falls below the starting point.
+    update, with the scale-aware penalty rho = 2 tr(Phi_E)/N + 1.  Inner stop:
+    ||v_k - v_{k-1}|| <= tol.  Outer stop: the change of ``qf.secrecy_rate``,
+    the rate at the forms' fixed whitening, is <= tol.  Returns the
+    best-surrogate iterate seen, so the result never falls below the
+    starting point.
     """
-    sur = qf.surrogate()
     n = qf.n_irs
     v = as_phase_array(v0).copy() if v0 is not None else np.ones(n, dtype=complex)
-    rho = rho if rho is not None else default_admm_rho(qf)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    lin = 2.0 * (np.conj(qf.d_row) - np.conj(qf.d_prime_row))  # 2 D^H - 2 D'^H
+    rho = 2.0 * float(np.trace(qf.phi_e).real) / n + 1.0
+    lin = 2.0 * np.conj(qf.delta)  # 2 D^H - 2 D'^H
     system = cho_factor(2.0 * qf.phi_e + rho * np.eye(n))
     u = v.copy()
     lam = np.zeros(n, dtype=complex)
 
     best_v = v.copy()
-    best_s = sur.value(v)
+    best_s = qf.surrogate_value(v)
     trace = [best_s]
     rate_prev = qf.secrecy_rate(v)
     converged = False
@@ -303,7 +289,7 @@ def irs_admm(
             v = v_new
             if dv <= tol:
                 break
-        s = sur.value(v)
+        s = qf.surrogate_value(v)
         trace.append(s)
         if s > best_s:
             best_s, best_v = s, v.copy()
@@ -320,7 +306,6 @@ def irs_admm(
         converged=converged,
         iterations=outer,
         surrogate_value=best_s,
-        secrecy_rate=qf.secrecy_rate(best_v),
         trace=trace,
         extras={"primal_residual": primal, "rho": rho},
     )
@@ -383,21 +368,17 @@ def _bm_ascent(
     return y, f, rnorm
 
 
-def sdp_unit_diag(
-    psi: np.ndarray,
-    tol: float = 1e-6,
-    n_restarts: int = 5,
-    max_iters: int = 5000,
-    seed: int = 0,
-) -> SdpSolution:
+def sdp_unit_diag(psi: np.ndarray) -> SdpSolution:
     """Maximize tr(psi Q) over Hermitian Q >= 0 with unit diagonal.
 
     Solved through the low-rank factorization Q = Y Y^H with rank
     ceil(sqrt(2K)) and unit-norm rows, driven to a stationary point by
-    monotone row-coordinate sweeps; random restarts guard against spurious
-    stationary points and a dual certificate (Diag(mu) - psi >= 0 at
-    mu = Re diag(psi Q)) ends the restart loop early when global optimality
-    is confirmed.
+    monotone row-coordinate sweeps (at most SDP_MAX_SWEEPS per restart);
+    up to SDP_RESTARTS random restarts, seeded from SDP_SEED, guard against
+    spurious stationary points and a dual certificate (Diag(mu) - psi >= 0
+    at mu = Re diag(psi Q)) ends the restart loop early when global
+    optimality is confirmed.  Raises ``SdpNonConvergence`` when no restart
+    reaches the stationarity tolerance SDP_TOL * max(1, ||psi||_F).
     """
     psi = np.asarray(psi)
     if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
@@ -411,15 +392,15 @@ def sdp_unit_diag(
         return SdpSolution(q=eye, value=0.0, factor=eye, residual=0.0, certified=True, restarts_used=0)
 
     rank = math.ceil(math.sqrt(2 * k))
-    tol_abs = tol * max(1.0, scale)
+    tol_abs = SDP_TOL * max(1.0, scale)
     best: tuple[float, np.ndarray, float] | None = None  # (value, Y, residual)
     certified = False
     restarts = 0
-    for restart in range(n_restarts):
+    for restart in range(SDP_RESTARTS):
         restarts = restart + 1
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, restart))))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((SDP_SEED, restart))))
         y0 = _row_normalize(rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank)))
-        y, value, residual = _bm_ascent(psi, y0, tol_abs, max_iters)
+        y, value, residual = _bm_ascent(psi, y0, tol_abs, SDP_MAX_SWEEPS)
         if best is None or value > best[0]:
             best = (value, y, residual)
         if residual <= tol_abs:
@@ -449,12 +430,7 @@ def sdp_unit_diag(
     )
 
 
-def irs_sdr(
-    qf: QuadraticForms,
-    n_randomizations: int = 200,
-    seed: int = 0,
-    sdp_tol: float = 1e-6,
-) -> BeamformerResult:
+def irs_sdr(qf: QuadraticForms, n_randomizations: int = 200, seed: int = 0) -> BeamformerResult:
     """Semidefinite relaxation with Gaussian randomization rounding.
 
     Lifts the surrogate to a homogeneous quadratic in (v, t), solves the
@@ -464,15 +440,14 @@ def irs_sdr(
     """
     if n_randomizations < 1:
         raise ValueError("n_randomizations must be >= 1")
-    sur = qf.surrogate()
     n = qf.n_irs
     psi = np.zeros((n + 1, n + 1), dtype=complex)
-    psi[:n, :n] = sur.phi
-    psi[:n, n] = np.conj(sur.delta)
-    psi[n, :n] = sur.delta
+    psi[:n, :n] = qf.phi
+    psi[:n, n] = np.conj(qf.delta)
+    psi[n, :n] = qf.delta
     psi = 0.5 * (psi + psi.conj().T)
 
-    sol = sdp_unit_diag(psi, tol=sdp_tol)
+    sol = sdp_unit_diag(psi)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xC0FFEE))))
     rank = sol.factor.shape[1]
     w = (rng.standard_normal((n_randomizations, rank)) + 1j * rng.standard_normal((n_randomizations, rank))) / np.sqrt(2.0)
@@ -480,15 +455,13 @@ def irs_sdr(
     mag = np.abs(xi)
     unit = np.where(mag > 0.0, xi / np.where(mag > 0.0, mag, 1.0), 1.0)
     v_cands = unit[:, :n] * np.conj(unit[:, n])[:, None]
-    values = sur.values(v_cands)
+    values = qf.surrogate_values(v_cands)
     best = int(np.argmax(values))
-    v_best = v_cands[best]
     return BeamformerResult(
-        v=IrsPhaseVector(v_best),
+        v=IrsPhaseVector(v_cands[best]),
         converged=True,
         iterations=1,
         surrogate_value=float(values[best]),
-        secrecy_rate=qf.secrecy_rate(v_best),
         trace=[float(values[best])],
         extras={
             "sdp_value": sol.value,

@@ -7,12 +7,13 @@ true-objective loss), then runs the chosen precoder optimizer at the accepted
 reflection state.  The whitened link is refreshed through ``model.link_state``
 whenever v changes, and every objective value the loop compares is
 ``rates.secrecy_rate`` on the hypothesis stack of the config; the IRS forms
-are built once per outer iteration, for the solver alone.  That map is a pure function of v: AN rides on the
-zero-phase analog subarrays, and its shaping matrix is the null-space
-projector of the effective Bob channel (n_rf > n_b) or the identity, the
-only choice needed since every unitary gives the same covariances.  So the
-precoder steps are genuine ascent of the recorded objective, and restarting
-from a returned fixed point reproduces the same landscape.
+are built once per outer iteration, for the solver alone.  ``link_state`` is
+a pure function of v: AN rides on the zero-phase analog subarrays, and its
+shaping matrix is the null-space projector of the effective Bob channel
+(n_rf > n_b) or the identity, the only choice needed since every unitary
+gives the same covariances.  So the precoder steps are genuine ascent of the
+recorded objective, and restarting from a returned fixed point reproduces
+the same landscape.
 """
 
 from __future__ import annotations
@@ -41,31 +42,21 @@ from .model import (
 from .precoder_opt import PrecoderResult, asr_sca, build_precoder_quadratics, cor_ga
 from .rates import secrecy_rate
 
-IRS_METHODS = ("bca", "admm", "sdr")
-PRECODER_METHODS = ("sca", "ga")
-
-# Combination naming: I = BCA+SCA, II = SDR+GA, III = ADMM+GA.
+# The paper's three combinations, by the harness method names of their solvers.
 NAMED_COMBINATIONS: dict[str, tuple[str, str]] = {
-    "I": ("bca", "sca"),
-    "II": ("sdr", "ga"),
-    "III": ("admm", "ga"),
+    "I": ("irs_bca", "asr_sca"),
+    "II": ("irs_sdr", "cor_ga"),
+    "III": ("irs_admm", "cor_ga"),
 }
+EPSILON = 0.01  # stop once an outer iteration changes the objective by at most this
+MAX_OUTER = 30
 
 
-def resolve_combination(combination: str | tuple[str, str]) -> tuple[str, str, str]:
-    """Normalize a combination spec to (irs_method, precoder_method, id)."""
-    if isinstance(combination, str):
-        if combination not in NAMED_COMBINATIONS:
-            raise ValueError(f"unknown combination {combination!r}")
-        irs_m, pre_m = NAMED_COMBINATIONS[combination]
-        return irs_m, pre_m, combination
-    irs_m, pre_m = combination
-    if irs_m not in IRS_METHODS or pre_m not in PRECODER_METHODS:
-        raise ValueError(f"combination {combination!r} not in {IRS_METHODS} x {PRECODER_METHODS}")
-    for name, pair in NAMED_COMBINATIONS.items():
-        if pair == (irs_m, pre_m):
-            return irs_m, pre_m, name
-    return irs_m, pre_m, f"{irs_m}+{pre_m}"
+def resolve_combination(combination: str) -> tuple[str, str]:
+    """(IRS solver, precoder solver) of a named combination."""
+    if combination not in NAMED_COMBINATIONS:
+        raise ValueError(f"unknown combination {combination!r}; choose from {tuple(NAMED_COMBINATIONS)}")
+    return NAMED_COMBINATIONS[combination]
 
 
 @dataclass(frozen=True)
@@ -99,48 +90,40 @@ class JointResult:
         return tuple(entry.signature() for entry in self.trace)
 
 
-def _run_irs(method: str, qf, v: np.ndarray, seed: int, kwargs: dict) -> BeamformerResult:
-    if method == "bca":
-        return irs_bca(qf, v0=v, **kwargs)
-    if method == "admm":
-        return irs_admm(qf, v0=v, **kwargs)
-    return irs_sdr(qf, seed=seed, **kwargs)
+def _run_irs(method: str, qf, v: np.ndarray, seed: int) -> BeamformerResult:
+    if method == "irs_bca":
+        return irs_bca(qf, v0=v)
+    if method == "irs_admm":
+        return irs_admm(qf, v0=v)
+    return irs_sdr(qf, seed=seed)
 
 
-def _run_precoder(method: str, pq, p: HybridPrecoder, kwargs: dict) -> PrecoderResult:
-    if method == "sca":
-        return asr_sca(pq, p, **kwargs)
-    return cor_ga(pq, p, **kwargs)
+def _run_precoder(method: str, pq, p: HybridPrecoder) -> PrecoderResult:
+    if method == "asr_sca":
+        return asr_sca(pq, p)
+    return cor_ga(pq, p)
 
 
 def joint_optimize(
     cfg: SystemConfig,
     ch: ChannelSet,
-    combination: str | tuple[str, str],
+    combination: str,
     v0: IrsPhaseVector | np.ndarray | None = None,
     p0: HybridPrecoder | None = None,
-    epsilon: float = 0.01,
-    max_outer: int = 30,
     seed: int = 0,
-    irs_kwargs: dict | None = None,
-    precoder_kwargs: dict | None = None,
 ) -> JointResult:
-    """Alternate the chosen IRS beamformer and precoder optimizer.
+    """Alternate the IRS beamformer and precoder optimizer of a named combination.
 
-    Stops when the end-of-iteration objective changes by at most epsilon, or
-    after max_outer iterations (converged flag cleared).  The recorded
+    Stops when the end-of-iteration objective changes by at most EPSILON, or
+    after MAX_OUTER iterations (converged flag cleared).  The recorded
     objective after each outer iteration never decreases: a v-step that
     lowers the true objective is reverted, and so is a precoder step that
     lowers it by more than 1e-9 (counted in ``extras["precoder_rejected"]``).
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    irs_method, pre_method, combo_id = resolve_combination(combination)
+    irs_method, pre_method = resolve_combination(combination)
     x_mat = hypothesis_matrix(cfg)
     p = p0 if p0 is not None else HybridPrecoder.default_init(cfg)
     v = (v0.v if isinstance(v0, IrsPhaseVector) else np.asarray(v0)).copy() if v0 is not None else np.ones(cfg.n_irs, dtype=complex)
-    irs_kwargs = dict(irs_kwargs or {})
-    precoder_kwargs = dict(precoder_kwargs or {})
 
     def refresh(v_now: np.ndarray):
         return link_state(cfg, ch, v_now)[3]
@@ -154,12 +137,12 @@ def joint_optimize(
     trace: list[TraceEntry] = []
     converged = False
     precoder_rejected = 0
-    for k in range(1, max_outer + 1):
+    for k in range(1, MAX_OUTER + 1):
         tic = time.perf_counter()
         prev_objective = objective
 
         qf = build_quadratic_forms(cfg, wch, p)
-        res_v = _run_irs(irs_method, qf, v, seed=seed + k, kwargs=irs_kwargs)
+        res_v = _run_irs(irs_method, qf, v, seed=seed + k)
         v_cand = res_v.v.v
         wch_cand = refresh(v_cand)
         obj_cand = rate(wch_cand, v_cand, p)
@@ -170,7 +153,7 @@ def joint_optimize(
             v, wch, objective = v_cand, wch_cand, obj_cand
 
         pq = build_precoder_quadratics(cfg, wch, v)
-        res_p = _run_precoder(pre_method, pq, p, precoder_kwargs)
+        res_p = _run_precoder(pre_method, pq, p)
         obj_after = pq.secrecy_rate(res_p.p.p)
         if obj_after < objective - 1e-9:
             precoder_rejected += 1  # revert: keep p and the objective
@@ -185,7 +168,7 @@ def joint_optimize(
             precoder_iterations=res_p.iterations,
             wall_s=time.perf_counter() - tic,
         ))
-        if abs(objective - prev_objective) <= epsilon:
+        if abs(objective - prev_objective) <= EPSILON:
             converged = True
             break
 
@@ -194,7 +177,7 @@ def joint_optimize(
         p_star=p,
         trace=trace,
         converged=converged,
-        combination_id=combo_id,
+        combination_id=combination,
         objective=float(objective),
         extras={"irs_method": irs_method, "precoder_method": pre_method,
                 "precoder_rejected": precoder_rejected},

@@ -33,6 +33,14 @@ from .model import (
 from . import rates
 from .rates import pair_distances, pair_laplacian
 
+# Solver settings no caller varies, read at call time.
+SCA_TOL = 0.01  # outer stop on ||p_k - p_{k-1}||
+SCA_MAX_ITERS = 50
+SCA_INNER_GRAD_TOL = 1e-8  # inner stop on the gradient-map norm
+SCA_INNER_MAX_ITERS = 300
+GA_TOL = 1e-6  # stop once an accepted step gains at most this
+GA_MAX_ITERS = 500
+
 
 @dataclass(frozen=True)
 class PrecoderQuadratics:
@@ -213,20 +221,17 @@ class ScaSubproblem:
         return g_eve - g_bob_upper
 
 
-def _projected_gradient_max(
-    value_fn,
-    grad_fn,
-    p0: np.ndarray,
-    radius: float,
-    grad_tol: float = 1e-8,
-    max_iters: int = 300,
-) -> tuple[np.ndarray, float, int]:
-    """Projected gradient ascent with Armijo backtracking on the norm ball."""
+def _projected_gradient_max(value_fn, grad_fn, p0: np.ndarray, radius: float) -> tuple[np.ndarray, float, int]:
+    """Projected gradient ascent with Armijo backtracking on the norm ball.
+
+    Stops when the gradient-map norm is at most SCA_INNER_GRAD_TOL, or after
+    SCA_INNER_MAX_ITERS steps.
+    """
     p = project_ball(p0.copy(), radius)
     f = value_fn(p)
     t = 1.0
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, SCA_INNER_MAX_ITERS + 1):
         g = grad_fn(p)
         accepted = False
         while t >= 1e-18:
@@ -242,26 +247,19 @@ def _projected_gradient_max(
         gmap = float(np.linalg.norm(p_new - p) / t)
         p, f = p_new, f_new
         t = min(t * 2.0, 1e6)
-        if gmap <= grad_tol:
+        if gmap <= SCA_INNER_GRAD_TOL:
             break
     return p, f, it
 
 
-def asr_sca(
-    pq: PrecoderQuadratics,
-    p0: HybridPrecoder | np.ndarray,
-    tol: float = 0.01,
-    max_iters: int = 50,
-    inner_grad_tol: float = 1e-8,
-    inner_max_iters: int = 300,
-) -> PrecoderResult:
+def asr_sca(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> PrecoderResult:
     """Successive convex approximation of the secrecy objective.
 
     Each outer step expands the bounds at the current iterate and maximizes
     the concave surrogate over the power ball with an inner projected-gradient
     solver.  Because the surrogate is a tight global lower bound, the true
     objective is non-decreasing across outer steps.  Stops when
-    ||p_k - p_{k-1}|| <= tol.
+    ||p_k - p_{k-1}|| <= SCA_TOL, or after SCA_MAX_ITERS outer steps.
     """
     pvec = (p0.p if isinstance(p0, HybridPrecoder) else np.asarray(p0)).astype(complex)
     radius = float(pq.n_rf)
@@ -272,12 +270,10 @@ def asr_sca(
     converged = False
     outer = 0
     inner_total = 0
-    for outer in range(1, max_iters + 1):
+    for outer in range(1, SCA_MAX_ITERS + 1):
         sub = ScaSubproblem(pq, pvec)
         start_val = sub.value(pvec)
-        p_new, end_val, inner_iters = _projected_gradient_max(
-            sub.value, sub.gradient, pvec, radius, grad_tol=inner_grad_tol, max_iters=inner_max_iters
-        )
+        p_new, end_val, inner_iters = _projected_gradient_max(sub.value, sub.gradient, pvec, radius)
         inner_total += inner_iters
         if end_val < start_val - 1e-9 * max(1.0, abs(start_val)):
             raise RuntimeError(
@@ -288,7 +284,7 @@ def asr_sca(
         pvec = p_new
         rate = pq.secrecy_rate(pvec)
         trace.append(rate)
-        if step <= tol:
+        if step <= SCA_TOL:
             converged = True
             break
     best = HybridPrecoder(p=pvec, n_rf=pq.n_rf)
@@ -302,21 +298,16 @@ def asr_sca(
     )
 
 
-def cor_ga(
-    pq: PrecoderQuadratics,
-    p0: HybridPrecoder | np.ndarray,
-    mu0: float | None = None,
-    tol: float = 1e-6,
-    max_iters: int = 500,
-) -> PrecoderResult:
+def cor_ga(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> PrecoderResult:
     """Gradient ascent on the cut-off-rate objective with step backtracking.
 
     Steps p + mu * grad are radially projected onto the power ball; a step
     that lowers the objective is rejected and mu halves, five consecutive
-    acceptances double mu back up to its initial value.  Stops when an
-    accepted step improves the objective by at most tol (converged), or when
-    mu falls below 1e-14 mu0 without an accepted step (``extras["stalled"]``,
-    not converged).
+    acceptances double mu back up to its initial value
+    mu0 = 0.1 n_rf / ||grad(p0)||.  Stops when an accepted step improves the
+    objective by at most GA_TOL (converged), when mu falls below 1e-14 mu0
+    without an accepted step (``extras["stalled"]``, not converged), or
+    after GA_MAX_ITERS steps.
     """
     pvec = (p0.p if isinstance(p0, HybridPrecoder) else np.asarray(p0)).astype(complex)
     radius = float(pq.n_rf)
@@ -337,14 +328,12 @@ def cor_ga(
             trace=trace,
             extras={"stationary": True},
         )
-    mu0 = mu0 if mu0 is not None else 0.1 * pq.n_rf / gnorm
-    if mu0 <= 0.0:
-        raise ValueError("mu0 must be positive")
+    mu0 = 0.1 * pq.n_rf / gnorm
     mu = mu0
     streak = 0
     converged = stalled = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, GA_MAX_ITERS + 1):
         p_cand = project_ball(pvec + mu * g, radius)
         r_cand = pq.secrecy_rate(p_cand)
         if r_cand >= rate:
@@ -355,7 +344,7 @@ def cor_ga(
             if streak >= 5:
                 mu = min(2.0 * mu, mu0)
                 streak = 0
-            if gain <= tol:
+            if gain <= GA_TOL:
                 converged = True
                 break
             g = pq.gradient(pvec)

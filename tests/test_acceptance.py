@@ -99,7 +99,7 @@ def grid_instances():
     for seed in range(10):
         inst = make_instance(seed, n_rf=2, n_k=2, n_irs=3, m_ary=2, power_dbm=15.0)
         qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
-        opt, _ = grid_search_phases(qf.surrogate().values, 3, n_points=360)
+        opt, _ = grid_search_phases(qf.surrogate_values, 3, n_points=360)
         out.append((inst, qf, opt))
     return out
 
@@ -144,17 +144,16 @@ def test_criterion_4_sdp_validity(grid_instances):
         from irs_ssm.irs_opt import sdp_unit_diag
 
         n = qf.n_irs
-        sur = qf.surrogate()
         psi = np.zeros((n + 1, n + 1), dtype=complex)
-        psi[:n, :n] = sur.phi
-        psi[:n, n] = np.conj(sur.delta)
-        psi[n, :n] = sur.delta
+        psi[:n, :n] = qf.phi
+        psi[:n, n] = np.conj(qf.delta)
+        psi[n, :n] = qf.delta
         sol = sdp_unit_diag(0.5 * (psi + psi.conj().T))
         worst_diag = max(worst_diag, float(np.max(np.abs(np.diag(sol.q).real - 1.0))))
         worst_eig = max(worst_eig, -float(np.linalg.eigvalsh(sol.q)[0]))
         rng = np.random.default_rng(k)
         vs = np.exp(1j * rng.uniform(0, 2 * np.pi, (1000, n)))
-        gap = res.extras["sdp_bound"] - float(np.max(sur.values(vs)))
+        gap = res.extras["sdp_bound"] - float(np.max(qf.surrogate_values(vs)))
         worst_gap = min(worst_gap, gap + 1e-9 * max(1.0, abs(res.extras["sdp_bound"])))
     ok = worst_diag < 1e-6 and worst_eig < 1e-6 and worst_gap >= 0.0
     report(

@@ -1,7 +1,11 @@
 """Path loss, channel drawing, FLOP models, and the campaign runner."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,3 +330,37 @@ class TestMethodRunners:
         cfg = desk_config(n_irs=4)
         with pytest.raises(ValueError):
             run_method("nope", cfg, draw_channels(cfg, 0), 0)
+
+
+# Prints one "scale power seed method sr_bits iterations" line per run, with
+# sr_bits as float.hex, so that two runs compare bit for bit.
+_THREAD_RUNS = """
+from irs_ssm import harness
+from irs_ssm.model import db_to_linear
+draws = [("desk", power, seed) for power in (10.0, 30.0) for seed in (0, 1)] + [("full", 0.0, 0)]
+for scale, power, seed in draws:
+    make = harness.desk_config if scale == "desk" else harness.full_scale_config
+    cfg = make(p_total=db_to_linear(power))
+    ch = harness.draw_channels(cfg, seed)
+    for method in ("irs_sdr", "irs_admm", "joint_II"):
+        out = harness.run_method(method, cfg, ch, seed)
+        print(scale, power, seed, method, float.hex(out.sr_bits), out.iterations)
+"""
+
+
+def _run_with_blas_threads(n: int) -> list[str]:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _THREAD_RUNS], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.splitlines()
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    # irs_sdr picks its argmax among near-equal randomization candidates, so
+    # rounding noise from a different BLAS blocking could move its output
+    one, two = _run_with_blas_threads(1), _run_with_blas_threads(2)
+    assert len(one) == 15
+    assert one == two

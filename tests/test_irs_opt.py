@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from irs_ssm import irs_opt
+from irs_ssm.harness import ExperimentSpec, desk_config, run_experiment
 from irs_ssm.irs_opt import (
     IrsPhaseVector,
     SdpNonConvergence,
@@ -58,7 +60,7 @@ class TestQuadraticForms:
         wch = dataclasses.replace(inst.wch, f=np.zeros_like(inst.wch.f))
         qf = build_quadratic_forms(inst.cfg, wch, inst.p)
         assert np.allclose(qf.phi_b, 0) and np.allclose(qf.phi_e, 0)
-        assert np.allclose(qf.d_row, 0) and np.allclose(qf.d_prime_row, 0)
+        assert np.allclose(qf.delta, 0)
         rng = np.random.default_rng(0)
         vals = [
             qf.surrogate_value(np.exp(1j * rng.uniform(0, 2 * np.pi, 5))) for _ in range(5)
@@ -106,7 +108,7 @@ class TestBca:
     def test_single_element_closed_form(self):
         inst = make_instance(3, n_rf=2, n_k=2, n_irs=1, m_ary=2, power_dbm=15.0)
         qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
-        delta = (qf.d_row - qf.d_prime_row)[0]
+        delta = qf.delta[0]
         assert abs(delta) > 0
         res = irs_bca(qf, v0=np.ones(1, dtype=complex))
         assert res.v.v[0] == pytest.approx(np.conj(delta) / abs(delta), abs=1e-12)
@@ -129,7 +131,7 @@ class TestBca:
         for seed in range(3):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=3, m_ary=2, power_dbm=15.0)
             qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
-            opt, _ = grid_search_phases(qf.surrogate().values, 3, n_points=180)
+            opt, _ = grid_search_phases(qf.surrogate_values, 3, n_points=180)
             res = irs_bca(qf)
             assert res.surrogate_value >= opt - 0.05 * abs(opt)
 
@@ -151,11 +153,6 @@ class TestAdmm:
             assert res.surrogate_value >= qf.surrogate_value(v0) - 1e-8
             assert np.max(np.abs(np.abs(res.v.v) - 1)) < 1e-9
 
-    def test_rejects_bad_rho(self):
-        qf = _zero_forms(3)
-        with pytest.raises(ValueError):
-            irs_admm(qf, rho=-1.0)
-
     def test_primal_residual_small_when_converged(self):
         inst = make_instance(2, n_irs=6, power_dbm=20.0)
         qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
@@ -167,7 +164,7 @@ class TestAdmm:
         for seed in range(3):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=3, m_ary=2, power_dbm=15.0)
             qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
-            opt, _ = grid_search_phases(qf.surrogate().values, 3, n_points=180)
+            opt, _ = grid_search_phases(qf.surrogate_values, 3, n_points=180)
             res = irs_admm(qf, tol=1e-6, max_iters=200, inner_max=300)
             assert res.surrogate_value >= opt - 0.02 * abs(opt)
 
@@ -210,6 +207,29 @@ class TestSdpUnitDiag:
         assert sol.value == 0.0
         assert np.allclose(np.diag(sol.q).real, 1.0)
 
+    def test_sweep_cap_raises_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(irs_opt, "SDP_MAX_SWEEPS", 1)
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        psi = 0.5 * (a + a.conj().T)
+        with pytest.raises(SdpNonConvergence) as info:
+            sdp_unit_diag(psi)
+        err = info.value
+        assert err.residual > irs_opt.SDP_TOL * max(1.0, float(np.linalg.norm(psi, "fro")))
+        assert err.q.shape == (8, 8)
+        assert np.allclose(np.diag(err.q).real, 1.0)
+        assert err.value == pytest.approx(float(np.trace(psi @ err.q).real))
+
+    def test_non_convergence_is_a_recorded_campaign_failure(self, monkeypatch):
+        monkeypatch.setattr(irs_opt, "SDP_MAX_SWEEPS", 1)
+        spec = ExperimentSpec(kind="sr_vs_power", system=desk_config(), n_channel_trials=1,
+                              combinations=("irs_bca", "irs_sdr"), threads=1)
+        records, summary = run_experiment(spec)
+        assert set(records[0].outputs) == {"irs_bca"}
+        assert [f["method"] for f in summary["failures"]] == ["irs_sdr"]
+        assert summary["failures"][0]["error"].startswith("SdpNonConvergence: stationarity residual ")
+        assert summary["failure_fraction"] == 0.5
+
 
 class TestSdr:
     def test_flat_objective_returns_constant_surrogate(self):
@@ -230,14 +250,14 @@ class TestSdr:
         bound = res.extras["sdp_bound"]
         rng = np.random.default_rng(8)
         vs = np.exp(1j * rng.uniform(0, 2 * np.pi, (1000, 6)))
-        values = qf.surrogate().values(vs)
+        values = qf.surrogate_values(vs)
         assert bound >= np.max(values) - 1e-6 * max(1.0, abs(bound))
 
     def test_grid_optimality_and_bound_n3(self):
         for seed in range(3):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=3, m_ary=2, power_dbm=15.0)
             qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
-            opt, _ = grid_search_phases(qf.surrogate().values, 3, n_points=180)
+            opt, _ = grid_search_phases(qf.surrogate_values, 3, n_points=180)
             res = irs_sdr(qf, seed=seed)
             assert res.surrogate_value >= opt - 0.02 * abs(opt)
             assert res.extras["sdp_bound"] >= opt - 1e-6 * max(1.0, abs(opt))
@@ -258,7 +278,7 @@ class TestSurrogateAgainstTruth:
             qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
             rng = np.random.default_rng(seed)
             vs = np.exp(1j * rng.uniform(0, 2 * np.pi, (200, 8)))
-            sur = qf.surrogate().values(vs)
+            sur = qf.surrogate_values(vs)
             true = np.array([qf.secrecy_rate(v) for v in vs])
             rho = spearmanr(sur, true).statistic
             assert rho >= 0.8
