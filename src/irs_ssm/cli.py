@@ -10,6 +10,7 @@ import numpy as np
 
 from . import harness
 from .irs_opt import IrsPhaseVector, build_quadratic_forms, sdp_unit_diag
+from .joint import IRS_SOLVERS, PRECODER_SOLVERS
 from .model import (
     HybridPrecoder,
     SystemConfig,
@@ -60,10 +61,9 @@ def _cmd_flops(args: argparse.Namespace) -> int:
     cfg = harness.full_scale_config() if args.full_scale else harness.desk_config()
     if args.n_irs:
         cfg = replace(cfg, n_irs=args.n_irs)
-    methods = ("irs_bca", "irs_admm", "irs_sdr", "asr_sca", "cor_ga")
     print(f"N={cfg.n_irs}, N_RF={cfg.n_rf}, N_k={cfg.n_k}, M={cfg.m_ary}, "
           f"iterations D={args.iterations}")
-    for m in methods:
+    for m in IRS_SOLVERS + PRECODER_SOLVERS:
         est = harness.flop_estimates(cfg, m, iterations=args.iterations)
         print(f"  {m:>8s}: {est.count:>18,.0f} FLOPs   {est.big_o}")
     return 0

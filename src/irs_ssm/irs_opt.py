@@ -62,6 +62,10 @@ class IrsPhaseVector:
     def __len__(self) -> int:
         return len(self.v)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The coefficient vector v, so ``np.asarray`` reads a phase vector as its array (NumPy 1 or 2)."""
+        return np.array(self.v, dtype=dtype) if copy else np.asarray(self.v, dtype=dtype)
+
     @classmethod
     def from_phases(cls, theta: np.ndarray) -> "IrsPhaseVector":
         return cls(np.exp(1j * np.asarray(theta, dtype=float)))
@@ -69,10 +73,6 @@ class IrsPhaseVector:
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "IrsPhaseVector":
         return cls.from_phases(rng.uniform(0.0, 2.0 * np.pi, size=n))
-
-
-def as_phase_array(v: IrsPhaseVector | np.ndarray) -> np.ndarray:
-    return v.v if isinstance(v, IrsPhaseVector) else np.asarray(v)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class QuadraticForms:
         return self.wch.f.shape[0]
 
     def surrogate_value(self, v: IrsPhaseVector | np.ndarray) -> float:
-        vv = as_phase_array(v)
+        vv = np.asarray(v)
         quad = np.vdot(vv, self.phi @ vv).real
         lin = 2.0 * np.real(np.dot(self.delta, vv))
         return float(quad + lin + self.c_const)
@@ -113,7 +113,7 @@ class QuadraticForms:
 
     def pair_quadratics(self, v: IrsPhaseVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact K x K pair exponents ||W (X_m - X_n) p||^2 for Bob and Eve at v."""
-        w_b, w_e = effective_channels(self.wch, as_phase_array(v))
+        w_b, w_e = effective_channels(self.wch, np.asarray(v))
         return tuple(pair_weights(w, self.x_mat, self.p, self.tau).dist for w in (w_b, w_e))
 
     def secrecy_rate(self, v: IrsPhaseVector | np.ndarray) -> float:
@@ -123,7 +123,7 @@ class QuadraticForms:
         whitening stays fixed at the v it was computed for, so away from that
         v this is not the rate of the link refreshed at v.
         """
-        return secrecy_rate(*effective_channels(self.wch, as_phase_array(v)), self.x_mat, self.p, self.tau)
+        return secrecy_rate(*effective_channels(self.wch, np.asarray(v)), self.x_mat, self.p, self.tau)
 
 
 def build_quadratic_forms(
@@ -139,7 +139,7 @@ def build_quadratic_forms(
     contribute nothing.
     """
     x_mat = hypothesis_matrix(cfg)
-    pvec = p.p if isinstance(p, HybridPrecoder) else np.asarray(p)
+    pvec = np.asarray(p)
     xp = x_mat * pvec[None, :]  # (K, n_tx)
 
     s_hyp = xp @ wch.f.T  # (K, N)
@@ -210,7 +210,7 @@ def irs_bca(
     """
     phi, delta = qf.phi, qf.delta
     n = qf.n_irs
-    v = as_phase_array(v0).copy() if v0 is not None else np.ones(n, dtype=complex)
+    v = np.array(v0) if v0 is not None else np.ones(n, dtype=complex)
     w = phi @ v
     value = qf.surrogate_value(v)
     trace = [value]
@@ -265,7 +265,7 @@ def irs_admm(
     starting point.
     """
     n = qf.n_irs
-    v = as_phase_array(v0).copy() if v0 is not None else np.ones(n, dtype=complex)
+    v = np.array(v0) if v0 is not None else np.ones(n, dtype=complex)
     rho = 2.0 * float(np.trace(qf.phi_e).real) / n + 1.0
     lin = 2.0 * np.conj(qf.delta)  # 2 D^H - 2 D'^H
     system = cho_factor(2.0 * qf.phi_e + rho * np.eye(n))

@@ -1,14 +1,16 @@
-"""Alternating joint optimization of the reflection vector and the precoder.
+"""The two optimizer steps every method run is built from, and their alternation.
 
-Each outer iteration runs the chosen IRS beamformer at the current precoder,
-keeps the new reflection vector only if the true secrecy objective did not
-drop (the whitening covariances move with v, so a surrogate gain can be a
-true-objective loss), then runs the chosen precoder optimizer at the accepted
-reflection state.  The whitened link is refreshed through ``model.link_state``
-whenever v changes, and every objective value the loop compares is
-``rates.secrecy_rate`` on the hypothesis stack of the config; the IRS forms
-are built once per outer iteration, for the solver alone.  ``link_state`` is
-a pure function of v: AN rides on the zero-phase analog subarrays, and its
+``irs_step`` runs the named IRS beamformer on the forms built at the current
+whitened link and precoder, then refreshes the link through
+``model.link_state`` at the new v; ``precoder_step`` runs the named precoder
+optimizer on the quadratics built at the link and v, and re-scores its p.
+Which solver a method name runs is decided here alone: ``harness.run_method``
+composes the two steps, and ``joint_optimize`` alternates them, keeping a new
+reflection vector only if the true secrecy objective did not drop (the
+whitening covariances move with v, so a surrogate gain can be a
+true-objective loss).  Every objective the loop compares is
+``rates.approx_secrecy_rate`` on the refreshed link.  ``link_state`` is a
+pure function of v: AN rides on the zero-phase analog subarrays, and its
 shaping matrix is the null-space projector of the effective Bob channel
 (n_rf > n_b) or the identity, the only choice needed since every unitary
 gives the same covariances.  So the precoder steps are genuine ascent of the
@@ -31,17 +33,13 @@ from .irs_opt import (
     irs_bca,
     irs_sdr,
 )
-from .model import (
-    ChannelSet,
-    HybridPrecoder,
-    SystemConfig,
-    effective_channels,
-    hypothesis_matrix,
-    link_state,
-)
+from .model import ChannelSet, HybridPrecoder, SystemConfig, WhitenedChannels, link_state
 from .precoder_opt import PrecoderResult, asr_sca, build_precoder_quadratics, cor_ga
-from .rates import secrecy_rate
+from .rates import approx_secrecy_rate
 
+# The single solvers by their harness method names.
+IRS_SOLVERS = ("irs_bca", "irs_admm", "irs_sdr")
+PRECODER_SOLVERS = ("asr_sca", "cor_ga")
 # The paper's three combinations, by the harness method names of their solvers.
 NAMED_COMBINATIONS: dict[str, tuple[str, str]] = {
     "I": ("irs_bca", "asr_sca"),
@@ -90,11 +88,11 @@ class JointResult:
         return tuple(entry.signature() for entry in self.trace)
 
 
-def _run_irs(method: str, qf, v: np.ndarray, seed: int) -> BeamformerResult:
+def _run_irs(method: str, qf, v: np.ndarray, seed: int, admm_settings: dict | None) -> BeamformerResult:
     if method == "irs_bca":
         return irs_bca(qf, v0=v)
     if method == "irs_admm":
-        return irs_admm(qf, v0=v)
+        return irs_admm(qf, v0=v, **(admm_settings or {}))
     return irs_sdr(qf, seed=seed)
 
 
@@ -102,6 +100,40 @@ def _run_precoder(method: str, pq, p: HybridPrecoder) -> PrecoderResult:
     if method == "asr_sca":
         return asr_sca(pq, p)
     return cor_ga(pq, p)
+
+
+def irs_step(
+    cfg: SystemConfig,
+    method: str,
+    wch: WhitenedChannels,
+    v: np.ndarray,
+    p: HybridPrecoder,
+    ch: ChannelSet,
+    seed: int,
+    admm_settings: dict | None = None,
+) -> tuple[BeamformerResult, WhitenedChannels]:
+    """Run the named IRS solver from v on the forms built at (wch, p).
+
+    Returns the solver's result and the whitened link of ``ch`` refreshed at
+    its v.  SDR ignores v and draws its randomizations from ``seed``;
+    ``admm_settings`` (keyword arguments of ``irs_admm``: tol, max_iters,
+    inner_max) reach ``irs_admm`` alone.
+    """
+    res = _run_irs(method, build_quadratic_forms(cfg, wch, p), v, seed, admm_settings)
+    return res, link_state(cfg, ch, res.v.v)[3]
+
+
+def precoder_step(
+    cfg: SystemConfig, method: str, wch: WhitenedChannels, v: np.ndarray, p: HybridPrecoder
+) -> tuple[PrecoderResult, float]:
+    """Run the named precoder optimizer from p on the quadratics built at (wch, v).
+
+    Returns the result and the secrecy rate of its p on those quadratics,
+    scored independently of what the optimizer reports.
+    """
+    pq = build_precoder_quadratics(cfg, wch, v)
+    res = _run_precoder(method, pq, p)
+    return res, pq.secrecy_rate(res.p.p)
 
 
 def joint_optimize(
@@ -112,7 +144,7 @@ def joint_optimize(
     p0: HybridPrecoder | None = None,
     seed: int = 0,
 ) -> JointResult:
-    """Alternate the IRS beamformer and precoder optimizer of a named combination.
+    """Alternate the IRS step and the precoder step of a named combination.
 
     Stops when the end-of-iteration objective changes by at most EPSILON, or
     after MAX_OUTER iterations (converged flag cleared).  The recorded
@@ -121,18 +153,10 @@ def joint_optimize(
     lowers it by more than 1e-9 (counted in ``extras["precoder_rejected"]``).
     """
     irs_method, pre_method = resolve_combination(combination)
-    x_mat = hypothesis_matrix(cfg)
     p = p0 if p0 is not None else HybridPrecoder.default_init(cfg)
-    v = (v0.v if isinstance(v0, IrsPhaseVector) else np.asarray(v0)).copy() if v0 is not None else np.ones(cfg.n_irs, dtype=complex)
-
-    def refresh(v_now: np.ndarray):
-        return link_state(cfg, ch, v_now)[3]
-
-    def rate(wch_now, v_now: np.ndarray, p_now: HybridPrecoder) -> float:
-        return secrecy_rate(*effective_channels(wch_now, v_now), x_mat, p_now, cfg.tau)
-
-    wch = refresh(v)
-    objective = rate(wch, v, p)
+    v = np.array(v0) if v0 is not None else np.ones(cfg.n_irs, dtype=complex)
+    wch = link_state(cfg, ch, v)[3]
+    objective = approx_secrecy_rate(cfg, wch, v, p).r_approx
 
     trace: list[TraceEntry] = []
     converged = False
@@ -141,20 +165,16 @@ def joint_optimize(
         tic = time.perf_counter()
         prev_objective = objective
 
-        qf = build_quadratic_forms(cfg, wch, p)
-        res_v = _run_irs(irs_method, qf, v, seed=seed + k)
+        res_v, wch_cand = irs_step(cfg, irs_method, wch, v, p, ch, seed + k)
         v_cand = res_v.v.v
-        wch_cand = refresh(v_cand)
-        obj_cand = rate(wch_cand, v_cand, p)
+        obj_cand = approx_secrecy_rate(cfg, wch_cand, v_cand, p).r_approx
         if obj_cand < objective:
             accepted = False  # revert: keep v and wch
         else:
             accepted = True
             v, wch, objective = v_cand, wch_cand, obj_cand
 
-        pq = build_precoder_quadratics(cfg, wch, v)
-        res_p = _run_precoder(pre_method, pq, p)
-        obj_after = pq.secrecy_rate(res_p.p.p)
+        res_p, obj_after = precoder_step(cfg, pre_method, wch, v, p)
         if obj_after < objective - 1e-9:
             precoder_rejected += 1  # revert: keep p and the objective
         else:

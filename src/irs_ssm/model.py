@@ -234,6 +234,10 @@ class HybridPrecoder:
                 if i not in self.infeasible_blocks and err > 1e-9 * max(1.0, np.linalg.norm(block)):
                     raise ValueError(f"block {i} factorization does not reconstruct p")
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The stacked vector p, so ``np.asarray`` reads a precoder as its vector (NumPy 1 or 2)."""
+        return np.array(self.p, dtype=dtype) if copy else np.asarray(self.p, dtype=dtype)
+
     @property
     def n_k(self) -> int:
         return len(self.p) // self.n_rf
@@ -399,7 +403,7 @@ def ml_detect(
     Both labels are 1-based.  Ties resolve to the smallest (i, j) in
     lexicographic order.
     """
-    pvec = p.p if isinstance(p, HybridPrecoder) else np.asarray(p)
+    pvec = np.asarray(p)
     eff_b, _ = effective_channels(ch, v)
     xp = hypothesis_matrix(cfg) * pvec[None, :]
     signals = np.sqrt(cfg.beta * cfg.p_total) * (xp @ eff_b.T)  # (n_hyp, n_b)

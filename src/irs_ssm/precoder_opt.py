@@ -78,7 +78,7 @@ class PrecoderQuadratics:
         copy, an in-place edit or a reshape never reads stale terms.  The
         arrays are shared by every caller and therefore read-only.
         """
-        pvec = np.asarray(p.p if isinstance(p, HybridPrecoder) else p, dtype=complex)
+        pvec = np.asarray(p, dtype=complex)
         key = (pvec.shape, pvec.tobytes())
         if key != self._memo[0]:
             passes = tuple(rates.pair_weights(w, self.x_mat, pvec, self.tau) for w in (self.w_b, self.w_e))
@@ -261,7 +261,7 @@ def asr_sca(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> Precoder
     objective is non-decreasing across outer steps.  Stops when
     ||p_k - p_{k-1}|| <= SCA_TOL, or after SCA_MAX_ITERS outer steps.
     """
-    pvec = (p0.p if isinstance(p0, HybridPrecoder) else np.asarray(p0)).astype(complex)
+    pvec = np.array(p0, dtype=complex)
     radius = float(pq.n_rf)
     if np.linalg.norm(pvec) > radius + 1e-9:
         raise ValueError("p0 violates the power constraint")
@@ -309,7 +309,7 @@ def cor_ga(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> PrecoderR
     without an accepted step (``extras["stalled"]``, not converged), or
     after GA_MAX_ITERS steps.
     """
-    pvec = (p0.p if isinstance(p0, HybridPrecoder) else np.asarray(p0)).astype(complex)
+    pvec = np.array(p0, dtype=complex)
     radius = float(pq.n_rf)
     if np.linalg.norm(pvec) > radius + 1e-9:
         raise ValueError("p0 violates the power constraint")
@@ -374,7 +374,7 @@ def factorize_hybrid(p: HybridPrecoder | np.ndarray, cfg: SystemConfig) -> Hybri
     whose relative residual exceeds 1e-6 are flagged infeasible (the block is
     not constant-modulus); zero blocks are skipped.
     """
-    pvec = (p.p if isinstance(p, HybridPrecoder) else np.asarray(p)).astype(complex)
+    pvec = np.array(p, dtype=complex)
     blocks = pvec.reshape(cfg.n_rf, cfg.n_k)
     f_blocks = np.full((cfg.n_rf, cfg.n_k), 1.0 / np.sqrt(cfg.n_k), dtype=complex)
     d_gains = np.zeros(cfg.n_rf, dtype=complex)

@@ -15,8 +15,9 @@ cut-off rate difference, is computed one way: ``pair_weights`` is the one
 forward pass of a receiver at p (the response stack R, the K x K distances d,
 the pair weights exp(-tau d) and their sum kappa) and ``rate_from_kappas``
 the one log ratio.  ``secrecy_rate`` chains them; the precoder layer memoizes
-the two passes per point and applies the same ratio, and the rate report, the
-IRS layer, the joint loop and the harness return ``secrecy_rate``'s float.
+the two passes per point and applies the same ratio, the IRS layer returns
+``secrecy_rate``'s float, and ``approx_secrecy_rate``, the rate the joint
+steps and the harness report on the refreshed link, returns the same float.
 The hypothesis stack X is ``model.hypothesis_matrix(cfg)``.
 Every layer evaluates its pair sums with one kernel on a K-row stack R (here
 r_m = W X_m p): ``pair_distances`` gives the K x K distances from the Gram
@@ -53,10 +54,6 @@ class RateReport:
     r_approx: float
     kappa_b: float
     kappa_e: float
-
-
-def _as_vector(p: HybridPrecoder | np.ndarray) -> np.ndarray:
-    return p.p if isinstance(p, HybridPrecoder) else np.asarray(p)
 
 
 def pair_distances(stack: np.ndarray) -> np.ndarray:
@@ -107,7 +104,7 @@ def pair_weights(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray, tau: float
 
 def kappa(w_eff: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float) -> float:
     """Pairwise exponent sum over all ordered pairs of the (K, n_tx) hypothesis stack."""
-    return pair_weights(w_eff, x_mat, _as_vector(p), tau).kappa
+    return pair_weights(w_eff, x_mat, np.asarray(p), tau).kappa
 
 
 def rate_from_kappas(kappa_b: float, kappa_e: float) -> float:
@@ -120,9 +117,10 @@ def secrecy_rate(
 ) -> float:
     """log2 kappa_E - log2 kappa_B on the whitened effective channels (W_B, W_E).
 
-    The one evaluation of the approximate secrecy rate: the IRS forms, the
-    precoder quadratics (through the same ``pair_weights`` and
-    ``rate_from_kappas``), the joint loop and the harness all read it here.
+    The one evaluation of the approximate secrecy rate: the IRS forms read it
+    here, and the precoder quadratics and ``approx_secrecy_rate`` (the rate
+    the joint loop and the harness report) chain the same ``pair_weights``
+    and ``rate_from_kappas``.
     """
     return rate_from_kappas(kappa(w_b, x_mat, p, tau), kappa(w_e, x_mat, p, tau))
 
@@ -199,7 +197,7 @@ def mc_mutual_information(
     if n_noise_samples < 100:
         raise ValueError("n_noise_samples must be >= 100")
     x_mat = hypothesis_matrix(cfg)
-    pvec = _as_vector(p)
+    pvec = np.asarray(p)
     scale = np.sqrt(cfg.beta * cfg.p_total)
     ss = np.random.SeedSequence(entropy=seed)
     stream_b, stream_e = ss.spawn(2)

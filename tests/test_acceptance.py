@@ -34,7 +34,7 @@ from irs_ssm.precoder_opt import (
 from irs_ssm.rates import approx_secrecy_rate
 
 from _oracles import grid_search_phases, kappa_dense, surrogate_direct
-from conftest import make_instance
+from _instances import make_instance
 
 DESK = dict(n_rf=4, n_k=2, n_irs=16, m_ary=4)
 THREADS = 2

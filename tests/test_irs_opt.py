@@ -19,7 +19,7 @@ from irs_ssm.irs_opt import (
 from irs_ssm.model import LOG2E, HybridPrecoder
 
 from _oracles import grid_search_phases, sdp_unit_diag_admm, surrogate_direct
-from conftest import make_instance
+from _instances import make_instance
 
 
 def _zero_forms(n_irs: int = 4):
@@ -42,6 +42,17 @@ class TestIrsPhaseVector:
             IrsPhaseVector(np.array([1.0 + 0j, 0.5 + 0j]))
         v = IrsPhaseVector.from_phases(np.array([0.0, np.pi / 3]))
         assert np.allclose(np.abs(v.v), 1.0)
+
+    def test_reads_as_its_array(self):
+        inst = make_instance(0, n_irs=6)
+        pv = IrsPhaseVector(inst.v.copy())
+        assert np.asarray(pv) is pv.v
+        copied = np.array(pv)
+        assert np.array_equal(copied, pv.v) and not np.shares_memory(copied, pv.v)
+        qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
+        assert qf.secrecy_rate(pv) == qf.secrecy_rate(pv.v)
+        assert np.array_equal(irs_bca(qf, v0=pv).v.v, irs_bca(qf, v0=pv.v).v.v)
+        assert np.array_equal(pv.v, inst.v)  # the solvers copied their start
 
     def test_projection_keeps_previous_phase_at_zero(self):
         keep = np.exp(1j * np.array([0.3, 1.2, 2.5]))

@@ -25,7 +25,7 @@ from irs_ssm.model import (
 from irs_ssm.rates import pair_distances
 
 from _oracles import an_covariances_elementwise, dense_selection_matrix
-from conftest import make_instance
+from _instances import make_instance
 
 
 class TestConfig:

@@ -18,7 +18,7 @@ from irs_ssm.precoder_opt import (
 )
 
 from _oracles import dense_pair_matrices, random_search_ball
-from conftest import make_instance
+from _instances import make_instance
 
 
 def _quadratics(seed: int, power_dbm: float = 10.0, **kw):
@@ -349,6 +349,13 @@ class TestFactorizeHybrid:
         assert fac.recon_errors[0] == pytest.approx(expected, rel=1e-12)
         assert fac.infeasible_blocks == (0,)
         assert fac.recon_errors[1] < 1e-12
+
+    def test_reads_a_precoder_as_a_copy_of_its_vector(self):
+        inst = make_instance(0, n_rf=2, n_k=2)
+        p = HybridPrecoder.default_init(inst.cfg)
+        fac = factorize_hybrid(p, inst.cfg)
+        assert np.array_equal(fac.p, p.p) and not np.shares_memory(fac.p, p.p)
+        assert np.array_equal(fac.f_blocks, factorize_hybrid(p.p, inst.cfg).f_blocks)
 
     def test_zero_block_skipped(self):
         inst = make_instance(0, n_rf=2, n_k=2)

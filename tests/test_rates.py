@@ -24,7 +24,7 @@ from irs_ssm.rates import (
 )
 
 from _oracles import kappa_dense
-from conftest import make_instance
+from _instances import make_instance
 
 # frozen full-scale regression anchor: seed-7 channels, seed-7 random phases,
 # default precoder; the value was computed once with the dense per-pair oracle
@@ -131,6 +131,13 @@ class TestApproxSecrecyRate:
         rep = approx_secrecy_rate(inst.cfg, blind, inst.v, inst.p)
         assert rep.kappa_e == pytest.approx(inst.cfg.n_hyp**2)
         assert rep.r_approx > 0
+
+    def test_accepts_a_precoder_or_its_vector(self):
+        inst = make_instance(5, power_dbm=18.0)
+        assert np.asarray(inst.p) is inst.p.p
+        assert approx_secrecy_rate(inst.cfg, inst.wch, inst.v, inst.p) == approx_secrecy_rate(
+            inst.cfg, inst.wch, inst.v, inst.p.p
+        )
 
     def test_report_identities(self):
         inst = make_instance(5, power_dbm=18.0)
