@@ -12,8 +12,8 @@ from . import harness
 from .irs_opt import IrsPhaseVector, build_quadratic_forms, sdp_unit_diag
 from .joint import IRS_SOLVERS, PRECODER_SOLVERS
 from .model import (
+    LN2,
     HybridPrecoder,
-    SystemConfig,
     assemble_analog_matrix,
     default_analog_blocks,
     effective_channels,
@@ -23,7 +23,7 @@ from .model import (
     link_state,
 )
 from .precoder_opt import ScaSubproblem, build_precoder_quadratics
-from .rates import kappa
+from .rates import kappas
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -76,33 +76,38 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _validation_instance(seed: int, cfg: SystemConfig | None = None):
-    cfg = cfg or harness.desk_config(n_rf=2, n_k=2, n_irs=6, m_ary=2,
-                                     p_total=harness.db_to_linear(10.0))
+def _validation_instance(seed: int, **overrides):
+    cfg = harness.desk_config(**{"n_rf": 2, "n_k": 2, "n_irs": 6, "m_ary": 2,
+                                 "p_total": harness.db_to_linear(10.0), **overrides})
     ch = harness.draw_channels(cfg, seed)
     v = IrsPhaseVector.random(cfg.n_irs, np.random.default_rng(seed)).v
     wch = link_state(cfg, ch, v)[3]
     return cfg, ch, v, wch
 
 
+# an n_b != n_e instance, so that the zero-padded receiver stack is checked too
+_PADDED = {"n_b": 1, "n_e": 3}
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     ok = True
     rng = np.random.default_rng(0)
 
-    # cut-off-rate sum: K x K Gram kernel vs dense per-pair products
+    # cut-off-rate sums of both receivers: one stacked Gram-kernel pass vs
+    # dense per-pair products
     worst = 0.0
-    for seed in range(3):
-        cfg, ch, v, wch = _validation_instance(seed)
+    for seed, overrides in ((0, {}), (1, {}), (2, {}), (0, _PADDED)):
+        cfg, ch, v, wch = _validation_instance(seed, **overrides)
         p = HybridPrecoder.default_init(cfg)
         hyps = enumerate_hypotheses(cfg)
-        w_b, _ = effective_channels(wch, v)
-        fast = kappa(w_b, hypothesis_matrix(cfg), p, cfg.tau)
-        naive = 0.0
-        for hm in hyps:
-            for hn in hyps:
-                dm = np.diag(hm.x_vec) - np.diag(hn.x_vec)
-                naive += np.exp(-cfg.tau * np.linalg.norm(w_b @ dm @ p.p) ** 2)
-        worst = max(worst, abs(fast - naive) / naive)
+        w_b, w_e = effective_channels(wch, v)
+        for w_eff, fast in zip((w_b, w_e), kappas(w_b, w_e, hypothesis_matrix(cfg), p, cfg.tau)):
+            naive = 0.0
+            for hm in hyps:
+                for hn in hyps:
+                    dm = np.diag(hm.x_vec) - np.diag(hn.x_vec)
+                    naive += np.exp(-cfg.tau * np.linalg.norm(w_eff @ dm @ p.p) ** 2)
+            worst = max(worst, abs(fast - naive) / naive)
     ok &= _check("pairwise exponent sum vs dense recomputation", worst < 1e-10, f"rel err {worst:.2e}")
 
     # quadratic-form surrogate vs direct pairwise norms
@@ -118,21 +123,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             worst = max(worst, abs(qf.surrogate_value(vv) - direct) / max(1.0, abs(direct)))
     ok &= _check("surrogate vs direct exponent norms", worst < 1e-8, f"rel err {worst:.2e}")
 
-    # cut-off-rate gradient vs central finite differences
+    # cut-off-rate gradient vs central finite differences: the secrecy-rate
+    # gradient and each receiver's d log2 kappa = -2 tau / (ln2 kappa) * pull-back
     worst = 0.0
-    for seed in range(2):
-        cfg, ch, v, wch = _validation_instance(seed)
+    for seed, overrides in ((0, {}), (1, {}), (0, _PADDED)):
+        cfg, ch, v, wch = _validation_instance(seed, **overrides)
         pq = build_precoder_quadratics(cfg, wch, v)
         p = HybridPrecoder.default_init(cfg).p * 0.5
         g = pq.gradient(p)
+        fw = pq.forward(p)
+        g_rx = (-2.0 * cfg.tau / LN2) * pq.pull_back(fw.chi, fw.resp) / fw.kappa[:, None]
         for _ in range(2):
             d = rng.standard_normal(len(p)) + 1j * rng.standard_normal(len(p))
             d /= np.linalg.norm(d)
             h = 1e-5
             fd = (pq.secrecy_rate(p + h * d) - pq.secrecy_rate(p - h * d)) / (2 * h)
-            pred = np.real(np.vdot(g, d))
-            worst = max(worst, abs(fd - pred) / max(abs(fd), 1e-12))
-    ok &= _check("gradient vs finite differences", worst < 1e-4, f"rel err {worst:.2e}")
+            fd_rx = (np.log2(pq.kappas(p + h * d)) - np.log2(pq.kappas(p - h * d))) / (2 * h)
+            for pred, want in zip((g, *g_rx), (fd, *fd_rx)):
+                worst = max(worst, abs(want - np.real(np.vdot(pred, d))) / max(abs(want), 1e-12))
+    ok &= _check("gradient vs finite differences (rate, Bob, Eve)", worst < 1e-4, f"rel err {worst:.2e}")
 
     # memoized forward pass: a gradient read after rate evaluations at other
     # points equals a fresh instance's, bit for bit

@@ -6,10 +6,13 @@ secrecy objective is a difference of log-sum-exp terms over those quadratics.
 No B or E is built: values are the K x K Gram distances of the response stack
 R = (X p) W^T, and a weighted sum of pair gradients is
 sum_m conj(x_m) * W^H (L_w R)_m with the pair Laplacian L_w from ``rates``.
-Each point gets one forward pass per receiver, ``rates.pair_weights`` (R, the
-distances, the pair weights exp(-tau d) and their sum kappa), memoized on the
-quadratics: the rate, the gradient and the SCA expansion at that point all
-read the same pass, so an accepted ascent step costs no second evaluation.
+Both receivers share one stacked forward pass per point: W_B and W_E sit on
+the leading axis of ``rates.receiver_stack`` (the smaller receiver
+zero-padded to max(n_b, n_e) rows), and ``rates.pair_weights`` gives both
+response stacks, distances, pair weights exp(-tau d) and kappas in one call.
+The pass is memoized on the quadratics: the rate, the gradient (one batched
+pull-back over the receiver axis) and the SCA expansion at that point all
+read it, so an accepted ascent step costs no second evaluation.
 Two maximizers over ||p|| <= n_rf live here: a successive convex approximation
 that pairs a concave lower bound on the Eve rate with a convex upper bound on
 the Bob rate (both tight at the expansion point, so outer steps ascend), and
@@ -31,7 +34,7 @@ from .model import (
     hypothesis_matrix,
 )
 from . import rates
-from .rates import pair_distances, pair_laplacian
+from .rates import pair_distances, pair_laplacian, receiver_stack, response_stack
 
 # Solver settings no caller varies, read at call time.
 SCA_TOL = 0.01  # outer stop on ||p_k - p_{k-1}||
@@ -41,16 +44,20 @@ SCA_INNER_MAX_ITERS = 300
 GA_TOL = 1e-6  # stop once an accepted step gains at most this
 GA_MAX_ITERS = 500
 
+# the gradient of log2 kappa_E - log2 kappa_B is tau/ln2 times these over
+# kappa, times each receiver's pull-back: Bob first, as in the receiver stack
+_RECEIVER_SIGNS = np.array([2.0, -2.0])
+
 
 @dataclass(frozen=True)
 class PrecoderQuadratics:
     """Pairwise quadratic forms in the stacked precoder for both receivers.
 
     Held in factored form: the whitened effective channels and the
-    hypothesis diagonals.  Values and gradients go through the (K, n_r)
-    response stacks and the K x K pair kernel, one memoized forward pass
-    per point (see ``forward``).  The channels must not change after
-    construction.
+    hypothesis diagonals.  Values and gradients go through the response
+    stacks and the K x K pair kernel, one memoized forward pass for both
+    receivers per point (see ``forward``).  The channels must not change
+    after construction.
     """
 
     tau: float
@@ -58,52 +65,56 @@ class PrecoderQuadratics:
     w_b: np.ndarray  # whitened effective Bob channel (n_b, n_tx)
     w_e: np.ndarray  # whitened effective Eve channel (n_e, n_tx)
     x_mat: np.ndarray  # (K, n_tx) hypothesis diagonals
-    # p-independent conjugates of the pull-back: conj(X) and (conj(W_B), conj(W_E))
+    # (2, n_r, n_tx) ``rates.receiver_stack`` of (W_B, W_E), and the
+    # p-independent conjugates of the pull-back: conj(X) and conj of the stack
+    w_stack: np.ndarray = field(init=False, repr=False, compare=False)
     x_conj: np.ndarray = field(init=False, repr=False, compare=False)
-    w_conj: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    # [key, (Bob, Eve) forward pass] at the last point evaluated
+    w_conj: np.ndarray = field(init=False, repr=False, compare=False)
+    # [key, stacked forward pass] at the last point evaluated
     _memo: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        w_stack = receiver_stack(self.w_b, self.w_e)
+        object.__setattr__(self, "w_stack", w_stack)
         object.__setattr__(self, "x_conj", np.conj(self.x_mat))
-        object.__setattr__(self, "w_conj", (np.conj(self.w_b), np.conj(self.w_e)))
+        object.__setattr__(self, "w_conj", np.conj(w_stack))
         object.__setattr__(self, "_memo", [None, None])
 
-    def forward(self, p: HybridPrecoder | np.ndarray) -> tuple[rates.PairWeights, rates.PairWeights]:
-        """Bob's and Eve's ``rates.pair_weights`` at p, computed once per point.
+    def forward(self, p: HybridPrecoder | np.ndarray) -> rates.PairWeights:
+        """``rates.pair_weights`` of both receivers at p, computed once per point.
 
-        The GA scores a point and then asks for its gradient there, and the
-        SCA expands at the point it just scored, so the last pass is kept.
-        The key is the complex128 bytes and shape of p, so a real-valued
-        copy, an in-place edit or a reshape never reads stale terms.  The
-        arrays are shared by every caller and therefore read-only.
+        Every field carries the receiver axis, Bob first.  The GA scores a
+        point and then asks for its gradient there, and the SCA expands at
+        the point it just scored, so the last pass is kept.  The key is the
+        complex128 bytes and shape of p, so a real-valued copy, an in-place
+        edit or a reshape never reads stale terms.  The arrays are shared by
+        every caller and therefore read-only.
         """
         pvec = np.asarray(p, dtype=complex)
         key = (pvec.shape, pvec.tobytes())
         if key != self._memo[0]:
-            passes = tuple(rates.pair_weights(w, self.x_mat, pvec, self.tau) for w in (self.w_b, self.w_e))
-            for fw in passes:
-                for a in fw[:3]:
-                    a.flags.writeable = False
-            self._memo[:] = key, passes
+            fw = rates.pair_weights(self.w_stack, self.x_mat, pvec, self.tau)
+            for a in fw:
+                a.flags.writeable = False
+            self._memo[:] = key, fw
         return self._memo[1]
 
-    def response(self, w_eff: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """(K, n_r) stack of per-hypothesis responses W X_m p."""
-        return (self.x_mat * p[None, :]) @ w_eff.T
+    def pull_back(self, weights: np.ndarray, resp: np.ndarray) -> np.ndarray:
+        """(2, n_tx) sums sum_{m,n} w_mn (X_m - X_n)^H W^H (r_m - r_n), one per receiver.
 
-    def pull_back(self, w_conj: np.ndarray, weights: np.ndarray, resp: np.ndarray) -> np.ndarray:
-        """sum_{m,n} w_mn (X_m - X_n)^H W^H (r_m - r_n) for the response stack r, given conj(W)."""
-        return np.sum(self.x_conj * (pair_laplacian(weights, resp) @ w_conj), axis=0)
+        ``weights`` (2, K, K) and ``resp`` (2, K, n_r) are stacked like
+        ``w_stack``; the zero-padded rows contribute nothing.
+        """
+        return np.sum(self.x_conj * (pair_laplacian(weights, resp) @ self.w_conj), axis=-2)
 
     def pair_values(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs."""
-        bob, eve = self.forward(p)
-        return bob.dist, eve.dist
+        bob, eve = self.forward(p).dist
+        return bob, eve
 
     def kappas(self, p: np.ndarray) -> tuple[float, float]:
-        bob, eve = self.forward(p)
-        return bob.kappa, eve.kappa
+        kb, ke = self.forward(p).kappa.tolist()
+        return kb, ke
 
     def secrecy_rate(self, p: HybridPrecoder | np.ndarray) -> float:
         """log2 kappa_E - log2 kappa_B at p, by ``rates.rate_from_kappas``."""
@@ -116,10 +127,9 @@ class PrecoderQuadratics:
         with chi the per-pair exponentials.  Real directional derivative along
         a direction d is Re{g^H d}.  Exactly zero at p = 0.
         """
-        g = np.zeros(len(p), dtype=complex)
-        for fw, w_conj, sign in zip(self.forward(p), self.w_conj, (1.0, -1.0)):
-            g += (sign * 2.0 / fw.kappa) * self.pull_back(w_conj, fw.chi, fw.resp)
-        return (self.tau / LN2) * g
+        fw = self.forward(p)
+        terms = (_RECEIVER_SIGNS / fw.kappa)[:, None] * self.pull_back(fw.chi, fw.resp)
+        return (self.tau / LN2) * (terms[0] + terms[1])
 
 
 def build_precoder_quadratics(
@@ -167,12 +177,12 @@ class ScaSubproblem:
     def __init__(self, pq: PrecoderQuadratics, p0: np.ndarray):
         self.pq = pq
         self.tau = pq.tau
-        bob, eve = pq.forward(p0)  # a memo hit when p0 was just scored
-        self.resp0_b = bob.resp  # Bob linearization point
-        self.c_eve = eve.chi  # per-pair weights exp(-tau q_E0), Eve expansion
+        fw = pq.forward(p0)  # a memo hit when p0 was just scored
+        self.resp0_b = fw.resp[0]  # Bob linearization point
+        self.c_eve = fw.chi[1]  # per-pair weights exp(-tau q_E0), Eve expansion
         # p-independent parts of the two bounds
-        self._eve_base = 1.0 + self.tau * eve.dist
-        self._bob_base = self.tau * bob.dist
+        self._eve_base = 1.0 + self.tau * fw.dist[1]
+        self._bob_base = self.tau * fw.dist[0]
         self._resp0_b_conj = np.conj(self.resp0_b)
         # terms at the last evaluated point: the ascent asks for the value
         # and then the gradient at the same p
@@ -183,17 +193,17 @@ class ScaSubproblem:
         """(Eve response stack, Eve-bound sum, Bob exponents) at p."""
         key = p.tobytes()
         if key != self._key:
-            resp_e = self.pq.response(self.pq.w_e, p)
+            resp_b, resp_e = response_stack(self.pq.w_stack, self.pq.x_mat, p)
             s = float((self.c_eve * (self._eve_base - self.tau * pair_distances(resp_e))).sum())
-            self._key, self._terms = key, (resp_e, s, self._bob_exponents(p))
+            self._key, self._terms = key, (resp_e, s, self._bob_exponents(resp_b))
         return self._terms
 
     def eve_sum(self, p: np.ndarray) -> float:
         return self._at(p)[1]
 
-    def _bob_exponents(self, p: np.ndarray) -> np.ndarray:
+    def _bob_exponents(self, resp_b: np.ndarray) -> np.ndarray:
         # Re{p0^H B_mn p} = Re<r0_m - r0_n, r_m - r_n> from the cross Gram conj(R0) R^T
-        cross = (self._resp0_b_conj @ self.pq.response(self.pq.w_b, p).T).real
+        cross = (self._resp0_b_conj @ resp_b.T).real
         diag = cross.diagonal()
         lin = diag[:, None] + diag[None, :] - cross - cross.T
         return self._bob_base - 2.0 * self.tau * lin
@@ -212,12 +222,12 @@ class ScaSubproblem:
         return float(np.logaddexp.reduce(self._at(p)[2], axis=None)) / LN2
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
-        pq = self.pq
         resp_e, s, h = self._at(p)
-        g_eve = (-2.0 * self.tau / (s * LN2)) * pq.pull_back(pq.w_conj[1], self.c_eve, resp_e)
         weights = np.exp(h - np.max(h))
         weights /= weights.sum()
-        g_bob_upper = (-2.0 * self.tau / LN2) * pq.pull_back(pq.w_conj[0], weights, self.resp0_b)
+        bob, eve = self.pq.pull_back(np.stack((weights, self.c_eve)), np.stack((self.resp0_b, resp_e)))
+        g_eve = (-2.0 * self.tau / (s * LN2)) * eve
+        g_bob_upper = (-2.0 * self.tau / LN2) * bob
         return g_eve - g_bob_upper
 
 

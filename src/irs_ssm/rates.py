@@ -12,16 +12,22 @@ is the null-space projector of Bob's effective channel when n_rf > n_b and
 the identity otherwise, since every unitary gives the same AN covariance.
 The approximate secrecy rate log2(kappa_E) - log2(kappa_B), the Bob/Eve
 cut-off rate difference, is computed one way: ``pair_weights`` is the one
-forward pass of a receiver at p (the response stack R, the K x K distances d,
-the pair weights exp(-tau d) and their sum kappa) and ``rate_from_kappas``
-the one log ratio.  ``secrecy_rate`` chains them; the precoder layer memoizes
-the two passes per point and applies the same ratio, the IRS layer returns
+forward pass at p (the response stacks R, the K x K distances d, the pair
+weights exp(-tau d) and their sums kappa) and ``rate_from_kappas`` the one log
+ratio.  Both receivers go through one pass: ``receiver_stack`` puts W_B and
+W_E on a leading axis of a (2, max(n_b, n_e), n_tx) array, Bob first, with
+the smaller receiver zero-padded.  A zero row adds a zero column to that
+receiver's response stack, which leaves its distances and kappa unchanged up
+to the rounding of the Gram sums; with n_b = n_e nothing is padded.
+``secrecy_rate`` chains the pass and the ratio; the precoder layer memoizes
+the stacked pass per point and applies the same ratio, the IRS layer returns
 ``secrecy_rate``'s float, and ``approx_secrecy_rate``, the rate the joint
 steps and the harness report on the refreshed link, returns the same float.
 The hypothesis stack X is ``model.hypothesis_matrix(cfg)``.
 Every layer evaluates its pair sums with one kernel on a K-row stack R (here
-r_m = W X_m p): ``pair_distances`` gives the K x K distances from the Gram
-matrix conj(R) R^T, and ``pair_laplacian`` applies the pair Laplacian L_w, so
+r_m = W X_m p), with any leading axes (the receiver axis) carried through:
+``pair_distances`` gives the K x K distances from the Gram matrix
+conj(R) R^T, and ``pair_laplacian`` applies the pair Laplacian L_w, so
 sum_{m,n} w_mn (a_m - a_n)^H (b_m - b_n) = a^H L_w b.  The Monte Carlo mutual
 information here is a validation oracle only; the optimizers never consume
 it because each estimate costs thousands of noise draws per channel.
@@ -57,54 +63,82 @@ class RateReport:
 
 
 def pair_distances(stack: np.ndarray) -> np.ndarray:
-    """K x K squared distances ||r_m - r_n||^2 between the rows of ``stack``.
+    """(..., K, K) squared distances ||r_m - r_n||^2 between the rows of each (K, n_r) stack.
 
     Forward face of the pair kernel: d_mn = G_mm + G_nn - 2 Re G_mn from the
     Gram matrix G = conj(R) R^T, with the diagonal set to exactly zero and
     cancellation below zero clamped, so d >= 0 everywhere.
     """
-    gram = np.conj(stack) @ stack.T
-    norms = gram.diagonal().real
-    dist = norms[:, None] + norms[None, :] - 2.0 * gram.real
-    np.fill_diagonal(dist, 0.0)
+    gram = np.conj(stack) @ np.swapaxes(stack, -1, -2)
+    norms = np.diagonal(gram, axis1=-2, axis2=-1).real
+    dist = norms[..., :, None] + norms[..., None, :] - 2.0 * gram.real
+    k = dist.shape[-1]
+    # dist is a fresh C-contiguous array, so this reshape is a view of it
+    dist.reshape(*dist.shape[:-2], k * k)[..., :: k + 1] = 0.0
     return np.maximum(dist, 0.0, out=dist)
 
 
 def pair_laplacian(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """L_w R for real K x K pair weights w, L_w = diag(w 1 + w^T 1) - w - w^T.
+    """L_w R for real (..., K, K) pair weights w, L_w = diag(w 1 + w^T 1) - w - w^T.
 
     Adjoint face of the pair kernel: for row stacks a and b,
     sum_{m,n} w_mn (a_m - a_n)^H (b_m - b_n) = a^H L_w b.
     """
-    degree = w.sum(axis=1) + w.sum(axis=0)
-    return degree[:, None] * stack - (w + w.T) @ stack
+    degree = w.sum(axis=-1) + w.sum(axis=-2)
+    return degree[..., :, None] * stack - (w + np.swapaxes(w, -1, -2)) @ stack
+
+
+def receiver_stack(w_b: np.ndarray, w_e: np.ndarray) -> np.ndarray:
+    """(2, max(n_b, n_e), n_tx) stack of Bob's and Eve's channels, the smaller zero-padded."""
+    n_r = max(len(w_b), len(w_e))
+    stack = np.zeros((2, n_r, w_b.shape[1]), dtype=np.result_type(w_b, w_e))
+    stack[0, : len(w_b)] = w_b
+    stack[1, : len(w_e)] = w_e
+    return stack
+
+
+def response_stack(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(..., K, n_r) responses r_m = W X_m p for a (..., n_r, n_tx) channel stack W."""
+    return (x_mat * p[None, :]) @ np.swapaxes(w_eff, -1, -2)
 
 
 class PairWeights(NamedTuple):
-    """One receiver's forward pass at p: everything the rate and its gradient read."""
+    """The forward pass at p: everything the rate and its gradient read.
 
-    resp: np.ndarray  # (K, n_r) response stack r_m = W X_m p
-    dist: np.ndarray  # K x K pair distances ||r_m - r_n||^2
-    chi: np.ndarray  # K x K pair weights exp(-tau d)
-    kappa: float  # sum of chi, in [K, K^2]
+    With a (2, n_r, n_tx) ``receiver_stack`` every field carries a leading
+    receiver axis, Bob first, and kappa is a (2,) array.
+    """
+
+    resp: np.ndarray  # (..., K, n_r) response stacks r_m = W X_m p
+    dist: np.ndarray  # (..., K, K) pair distances ||r_m - r_n||^2
+    chi: np.ndarray  # (..., K, K) pair weights exp(-tau d)
+    kappa: float | np.ndarray  # sums of chi, each in [K, K^2]
 
 
 def pair_weights(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray, tau: float) -> PairWeights:
-    """Forward pass of the pair kernel on the response stack of one receiver.
+    """Forward pass of the pair kernel on the response stacks of a (..., n_r, n_tx) channel stack.
 
     Individual exp underflows saturate to zero, which only sharpens kappa
     toward its lower bound K.
     """
-    resp = (x_mat * p[None, :]) @ w_eff.T
+    resp = response_stack(w_eff, x_mat, p)
     dist = pair_distances(resp)
     with np.errstate(under="ignore"):
         chi = np.exp(-tau * dist)
-    return PairWeights(resp, dist, chi, float(np.sum(chi)))
+    return PairWeights(resp, dist, chi, np.sum(chi, axis=(-2, -1)))
 
 
 def kappa(w_eff: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float) -> float:
-    """Pairwise exponent sum over all ordered pairs of the (K, n_tx) hypothesis stack."""
-    return pair_weights(w_eff, x_mat, np.asarray(p), tau).kappa
+    """Pairwise exponent sum of one receiver over all ordered pairs of the (K, n_tx) hypothesis stack."""
+    return float(pair_weights(w_eff, x_mat, np.asarray(p), tau).kappa)
+
+
+def kappas(
+    w_b: np.ndarray, w_e: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float
+) -> tuple[float, float]:
+    """(kappa_B, kappa_E) from one forward pass on the ``receiver_stack``."""
+    kb, ke = pair_weights(receiver_stack(w_b, w_e), x_mat, np.asarray(p), tau).kappa.tolist()
+    return kb, ke
 
 
 def rate_from_kappas(kappa_b: float, kappa_e: float) -> float:
@@ -119,10 +153,10 @@ def secrecy_rate(
 
     The one evaluation of the approximate secrecy rate: the IRS forms read it
     here, and the precoder quadratics and ``approx_secrecy_rate`` (the rate
-    the joint loop and the harness report) chain the same ``pair_weights``
-    and ``rate_from_kappas``.
+    the joint loop and the harness report) chain the same stacked
+    ``pair_weights`` and ``rate_from_kappas``.
     """
-    return rate_from_kappas(kappa(w_b, x_mat, p, tau), kappa(w_e, x_mat, p, tau))
+    return rate_from_kappas(*kappas(w_b, w_e, x_mat, p, tau))
 
 
 def approx_secrecy_rate(
@@ -136,10 +170,7 @@ def approx_secrecy_rate(
     ``r_approx`` equals ``secrecy_rate`` at the same state bit for bit, and
     may be negative when Eve holds the better link; no clamping is applied.
     """
-    x_mat = hypothesis_matrix(cfg)
-    w_b, w_e = effective_channels(wch, v)
-    kb = kappa(w_b, x_mat, p, cfg.tau)
-    ke = kappa(w_e, x_mat, p, cfg.tau)
+    kb, ke = kappas(*effective_channels(wch, v), hypothesis_matrix(cfg), p, cfg.tau)
     log2k = np.log2(cfg.n_hyp)
     return RateReport(
         i0_bob=float(2.0 * log2k - np.log2(kb)),

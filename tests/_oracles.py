@@ -58,6 +58,25 @@ def dense_pair_matrices(
     return np.array([[(xm - xn).conj().T @ gram @ (xm - xn) for xn in mats] for xm in mats])
 
 
+def precoder_gradient_dense(
+    w_b: np.ndarray,
+    w_e: np.ndarray,
+    hyps: list[TransmitHypothesis],
+    p: np.ndarray,
+    tau: float,
+    n_rf: int,
+    n_k: int,
+) -> np.ndarray:
+    """tau/ln2 [sum chi_B (B + B^H) p / kappa_B - sum chi_E (E + E^H) p / kappa_E], densely."""
+    grad = np.zeros(len(p), dtype=complex)
+    for w_eff, sign in ((w_b, 1.0), (w_e, -1.0)):
+        mats = dense_pair_matrices(w_eff, hyps, n_rf, n_k)
+        chi = np.array([[np.exp(-tau * np.vdot(p, a @ p).real) for a in row] for row in mats])
+        pulled = sum(c * ((a + a.conj().T) @ p) for row_c, row in zip(chi, mats) for c, a in zip(row_c, row))
+        grad += sign * pulled / chi.sum()
+    return tau / np.log(2.0) * grad
+
+
 def secrecy_rate_dense(
     cfg: SystemConfig,
     wch: WhitenedChannels,

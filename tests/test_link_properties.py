@@ -1,11 +1,14 @@
-"""Property tests of the link layer over small random configurations.
+"""Property tests of the link layer and the precoder layer over small random configurations.
 
 Each example draws a system (n_rf <= n_b included, so the identity AN
-fallback is exercised; beta = 1 included), seeded channels, a random
+fallback is exercised; beta = 1, n_irs = 1 and n_b != n_e included, so the
+zero-padded receiver stack is exercised), seeded channels, a random
 reflection vector and a random precoder inside the power ball, then checks
-the link state and the rate against the brute-force oracles, and that the
-three rate entry points (the rate report, the IRS forms and the precoder
-quadratics) return the same float.
+the link state, the rate and the precoder gradient against the brute-force
+oracles, that the three rate entry points (the rate report, the IRS forms
+and the precoder quadratics) return the same float, and the COR-GA
+invariants: a trace that never decreases, ||p|| <= n_rf, and a reported
+rate equal to a fresh evaluation at the returned p.
 """
 
 import numpy as np
@@ -20,10 +23,10 @@ from irs_ssm.model import (
     enumerate_hypotheses,
     link_state,
 )
-from irs_ssm.precoder_opt import build_precoder_quadratics
-from irs_ssm.rates import approx_secrecy_rate
+from irs_ssm.precoder_opt import build_precoder_quadratics, cor_ga
+from irs_ssm.rates import approx_secrecy_rate, secrecy_rate
 
-from _oracles import an_covariances_elementwise, kappa_dense, secrecy_rate_dense
+from _oracles import an_covariances_elementwise, kappa_dense, precoder_gradient_dense, secrecy_rate_dense
 
 PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -91,3 +94,27 @@ def test_rate_entry_points_return_the_same_float(case):
     rate = approx_secrecy_rate(cfg, wch, v, p).r_approx
     assert build_quadratic_forms(cfg, wch, p).secrecy_rate(v) == rate
     assert build_precoder_quadratics(cfg, wch, v).secrecy_rate(p) == rate
+
+
+@PROPERTY_SETTINGS
+@given(link_cases())
+def test_precoder_gradient_matches_dense_oracle(case):
+    cfg, ch, v, p = case
+    wch = link_state(cfg, ch, v)[3]
+    pq = build_precoder_quadratics(cfg, wch, v)
+    want = precoder_gradient_dense(pq.w_b, pq.w_e, enumerate_hypotheses(cfg), p, cfg.tau, cfg.n_rf, cfg.n_k)
+    assert np.linalg.norm(pq.gradient(p) - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@PROPERTY_SETTINGS
+@given(link_cases())
+def test_cor_ga_invariants(case):
+    cfg, ch, v, p0 = case
+    wch = link_state(cfg, ch, v)[3]
+    pq = build_precoder_quadratics(cfg, wch, v)
+    res = cor_ga(pq, p0)
+    assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
+    assert np.linalg.norm(res.p.p) <= cfg.n_rf + 1e-9
+    fresh = build_precoder_quadratics(cfg, wch, v)
+    assert float.hex(res.secrecy_rate) == float.hex(fresh.secrecy_rate(res.p))
+    assert float.hex(res.secrecy_rate) == float.hex(secrecy_rate(pq.w_b, pq.w_e, pq.x_mat, res.p, cfg.tau))

@@ -177,17 +177,17 @@ class TestForwardMemo:
         calls = []
         forward = rates.pair_weights
 
-        def counted(*args):
-            calls.append(1)
-            return forward(*args)
+        def counted(w_eff, *args):
+            calls.append(w_eff.shape)
+            return forward(w_eff, *args)
 
         monkeypatch.setattr(rates, "pair_weights", counted)
         res = cor_ga(pq, HybridPrecoder.default_init(cfg))
         accepted = len(res.trace) - 1
         assert accepted > 0 and res.iterations > 0
-        # the start point and each candidate once per receiver; every gradient
-        # is read at a point just scored
-        assert len(calls) == 2 * (res.iterations + 1)
+        # one stacked pass for both receivers at the start point and at each
+        # candidate; every gradient is read at a point just scored
+        assert calls == [(2, max(cfg.n_b, cfg.n_e), cfg.n_tx)] * (res.iterations + 1)
 
     def test_cor_ga_matches_uncached_quadratics(self):
         for seed in range(2):
