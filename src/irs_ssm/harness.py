@@ -176,7 +176,9 @@ class ExperimentSpec:
     """One campaign: an experiment kind, its parameter grid, and bookkeeping.
 
     Empty grid axes fall back to the corresponding ``system`` value, so every
-    kind runs through the same cartesian-product machinery.
+    kind runs through the same cartesian-product machinery.  The config of
+    every grid point is built at construction, so a grid value its
+    ``SystemConfig`` rejects fails here, with that config's error.
     """
 
     kind: str
@@ -206,6 +208,8 @@ class ExperimentSpec:
             values = getattr(self, name)
             if not all(math.isfinite(x) for x in values):
                 raise ValueError(f"{name} must be finite, got {values}")
+        for gp in self.grid_points():
+            self.config_at(gp)  # SystemConfig's own checks, at load rather than mid-campaign
 
     def grid_points(self) -> list[dict]:
         cfg = self.system

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import (
     LOG2E,
@@ -47,6 +46,8 @@ SDP_TOL = 1e-6  # stationarity tolerance of the SDP core, relative to max(1, ||p
 SDP_RESTARTS = 5
 SDP_MAX_SWEEPS = 5000  # row-coordinate sweeps per restart
 SDP_SEED = 0
+# a numerator below the smallest normal float has no usable phase: 1/|z| overflows
+TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,9 @@ class IrsPhaseVector:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.max(np.abs(np.abs(self.v) - 1.0)) > 1e-9:
+        if not np.all(np.isfinite(self.v)):
+            raise ValueError("reflection coefficients contain non-finite entries")
+        if not np.max(np.abs(np.abs(self.v) - 1.0)) <= 1e-9:
             raise ValueError("reflection coefficients must have unit modulus")
 
     def __len__(self) -> int:
@@ -137,10 +140,14 @@ def build_quadratic_forms(
     For hypothesis (i, j): s_ij is the p-weighted IRS-incident response,
     a_ij the p-weighted whitened direct response.  Every pair sum runs
     through the all-ones pair Laplacian, under which diagonal pairs (m == n)
-    contribute nothing.
+    contribute nothing.  Every IRS solver reads its input from these forms,
+    so a non-finite p is rejected here, naming the cause, rather than
+    turning into a NaN v or surrogate downstream.
     """
     x_mat = hypothesis_matrix(cfg)
     pvec = np.asarray(p)
+    if not np.all(np.isfinite(pvec)):
+        raise ValueError("precoder p contains non-finite entries")
     xp = x_mat * pvec[None, :]  # (K, n_tx)
 
     s_hyp = xp @ wch.f.T  # (K, N)
@@ -189,10 +196,15 @@ class BeamformerResult:
 
 
 def project_unit_modulus(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Elementwise z / |z|, keeping the previous phase where z is exactly zero."""
+    """Elementwise z / |z|, keeping the phase of ``keep`` where |z| < TINY.
+
+    An exact zero has no phase, and below the smallest normal float 1/|z|
+    overflows, so both keep the previous phase; every normal z is divided
+    as is.
+    """
     mag = np.abs(z)
     out = keep.copy()
-    nz = mag > 0.0
+    nz = mag >= TINY
     out[nz] = z[nz] / mag[nz]
     return out
 
@@ -205,7 +217,8 @@ def irs_bca(
     """Cyclic block coordinate ascent with the closed-form per-element update.
 
     Element n maximizes its own term exactly, so the surrogate never decreases
-    across updates.  A zero update numerator keeps the previous phase.  Stops
+    across updates.  An update numerator below TINY in modulus (zero or
+    subnormal, as in ``project_unit_modulus``) keeps the previous phase.  Stops
     when a full sweep improves the surrogate by at most
     BCA_TOL * max(1, |value|), or after BCA_MAX_SWEEPS sweeps.
     """
@@ -222,7 +235,7 @@ def irs_bca(
         for idx in range(n):
             c = w[idx] - phi[idx, idx] * v[idx] + np.conj(delta[idx])
             mag = abs(c)
-            if mag == 0.0:
+            if mag < TINY:
                 if trace_elements:
                     trace.append(qf.surrogate_value(v))
                 continue
@@ -258,8 +271,13 @@ def irs_admm(
 
     The outer loop re-linearizes the convex Bob term at the current iterate;
     the inner ADMM alternates a linear solve for the slack u, the unit-modulus
-    projection for v (keeping the previous phase at exact zeros), and the dual
-    update, with the scale-aware penalty rho = 2 tr(Phi_E)/N + 1.  Inner stop:
+    projection for v (``project_unit_modulus``), and the dual update, with the
+    scale-aware penalty rho = 2 tr(Phi_E)/N + 1.  The system 2 Phi_E + rho I
+    is the same at every step, so its inverse is formed once and each solve
+    is one matrix-vector product: with Phi_E >= 0 its eigenvalues lie in
+    [rho, 2 tr(Phi_E) + rho] and rho > 2 tr(Phi_E)/N, so its condition number
+    is below N + 1 and the explicit inverse is as accurate as a Cholesky
+    solve.  Inner stop:
     ||v_k - v_{k-1}|| <= tol.  Outer stop: the change of ``qf.secrecy_rate``,
     the rate at the forms' fixed whitening, is <= tol.  Returns the
     best-surrogate iterate seen, so the result never falls below the
@@ -269,7 +287,7 @@ def irs_admm(
     v = np.array(v0) if v0 is not None else np.ones(n, dtype=complex)
     rho = 2.0 * float(np.trace(qf.phi_e).real) / n + 1.0
     lin = 2.0 * np.conj(qf.delta)  # 2 D^H - 2 D'^H
-    system = cho_factor(2.0 * qf.phi_e + rho * np.eye(n))
+    system_inv = np.linalg.inv(2.0 * qf.phi_e + rho * np.eye(n))
     u = v.copy()
     lam = np.zeros(n, dtype=complex)
 
@@ -283,7 +301,7 @@ def irs_admm(
         u_o = v.copy()
         rhs_const = 2.0 * (qf.phi_b.conj().T @ u_o) + lin
         for _ in range(inner_max):
-            u = cho_solve(system, rhs_const + lam + rho * v)
+            u = system_inv @ (rhs_const + lam + rho * v)
             v_new = project_unit_modulus(u - lam / rho, v)
             lam = lam - rho * (u - v_new)
             dv = float(np.linalg.norm(v_new - v))
@@ -436,8 +454,9 @@ def irs_sdr(qf: QuadraticForms, n_randomizations: int = 200, seed: int = 0) -> B
 
     Lifts the surrogate to a homogeneous quadratic in (v, t), solves the
     unit-diagonal SDP, then rounds: each Gaussian sample from the optimal Q is
-    projected elementwise to unit modulus and de-homogenized by the phase of
-    its last coordinate; the best-surrogate sample wins.
+    projected elementwise to unit modulus (``project_unit_modulus``, with
+    phase 0 below TINY) and de-homogenized by the phase of its last
+    coordinate; the best-surrogate sample wins.
     """
     if n_randomizations < 1:
         raise ValueError("n_randomizations must be >= 1")
@@ -453,8 +472,7 @@ def irs_sdr(qf: QuadraticForms, n_randomizations: int = 200, seed: int = 0) -> B
     rank = sol.factor.shape[1]
     w = (rng.standard_normal((n_randomizations, rank)) + 1j * rng.standard_normal((n_randomizations, rank))) / np.sqrt(2.0)
     xi = w @ sol.factor.T  # samples with covariance Q
-    mag = np.abs(xi)
-    unit = np.where(mag > 0.0, xi / np.where(mag > 0.0, mag, 1.0), 1.0)
+    unit = project_unit_modulus(xi, np.ones_like(xi))
     v_cands = unit[:, :n] * np.conj(unit[:, n])[:, None]
     values = qf.surrogate_values(v_cands)
     best = int(np.argmax(values))

@@ -217,8 +217,10 @@ class HybridPrecoder:
     def __post_init__(self) -> None:
         if len(self.p) % self.n_rf != 0:
             raise ValueError("precoder length must be a multiple of n_rf")
+        if not np.all(np.isfinite(self.p)):
+            raise ValueError("precoder p contains non-finite entries")
         norm = float(np.linalg.norm(self.p))
-        if norm > self.n_rf + 1e-9:
+        if not norm <= self.n_rf + 1e-9:
             raise ValueError(f"||p|| = {norm} exceeds the power budget {self.n_rf}")
         if self.f_blocks is not None:
             if self.d_gains is None:
@@ -226,12 +228,12 @@ class HybridPrecoder:
             n_k = self.n_k
             mods = np.abs(self.f_blocks)
             checked = [i for i in range(self.n_rf) if i not in self.skipped_blocks]
-            if checked and np.max(np.abs(mods[checked] - 1.0 / np.sqrt(n_k))) > 1e-9:
+            if checked and not np.max(np.abs(mods[checked] - 1.0 / np.sqrt(n_k))) <= 1e-9:
                 raise ValueError("analog entries must have modulus 1/sqrt(n_k)")
             for i in checked:
                 block = self.blocks[i]
                 err = np.linalg.norm(block - self.f_blocks[i] * self.d_gains[i])
-                if i not in self.infeasible_blocks and err > 1e-9 * max(1.0, np.linalg.norm(block)):
+                if i not in self.infeasible_blocks and not err <= 1e-9 * max(1.0, np.linalg.norm(block)):
                     raise ValueError(f"block {i} factorization does not reconstruct p")
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:

@@ -262,6 +262,16 @@ def _projected_gradient_max(value_fn, grad_fn, p0: np.ndarray, radius: float) ->
     return p, f, it
 
 
+def _starting_point(p0: HybridPrecoder | np.ndarray, radius: float) -> np.ndarray:
+    """p0 as a complex copy; raises, naming the cause, when it is non-finite or outside the power ball."""
+    pvec = np.array(p0, dtype=complex)
+    if not np.all(np.isfinite(pvec)):
+        raise ValueError("p0 contains non-finite entries")
+    if not np.linalg.norm(pvec) <= radius + 1e-9:
+        raise ValueError("p0 violates the power constraint")
+    return pvec
+
+
 def asr_sca(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> PrecoderResult:
     """Successive convex approximation of the secrecy objective.
 
@@ -271,10 +281,8 @@ def asr_sca(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> Precoder
     objective is non-decreasing across outer steps.  Stops when
     ||p_k - p_{k-1}|| <= SCA_TOL, or after SCA_MAX_ITERS outer steps.
     """
-    pvec = np.array(p0, dtype=complex)
     radius = float(pq.n_rf)
-    if np.linalg.norm(pvec) > radius + 1e-9:
-        raise ValueError("p0 violates the power constraint")
+    pvec = _starting_point(p0, radius)
     rate = pq.secrecy_rate(pvec)
     trace = [rate]
     converged = False
@@ -319,10 +327,8 @@ def cor_ga(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> PrecoderR
     without an accepted step (``extras["stalled"]``, not converged), or
     after GA_MAX_ITERS steps.
     """
-    pvec = np.array(p0, dtype=complex)
     radius = float(pq.n_rf)
-    if np.linalg.norm(pvec) > radius + 1e-9:
-        raise ValueError("p0 violates the power constraint")
+    pvec = _starting_point(p0, radius)
     rate = pq.secrecy_rate(pvec)
     trace = [rate]
     g = pq.gradient(pvec)

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     LN2,
@@ -192,7 +191,10 @@ def _mc_mi_one_receiver(
     Uses exp(-||f + w||^2 + ||w||^2) = exp(-||f||^2 - 2 Re<f, w>) so only the
     cross term needs fresh draws.  Noise draws are shared across the outer
     hypothesis index, which leaves the estimate unbiased and makes the
-    per-draw aggregate the natural unit for the standard error.
+    per-draw aggregate the natural unit for the standard error.  The inner
+    sum over n is a log-sum-exp, ``np.logaddexp.reduce`` along that axis (the
+    idiom ``ScaSubproblem.bob_upper`` uses), which never exponentiates a large
+    exponent.
     """
     k_hyp, _, n_r = f_pairs.shape
     norm_sq = np.sum(np.abs(f_pairs) ** 2, axis=2)  # (K, K)
@@ -203,7 +205,7 @@ def _mc_mi_one_receiver(
         w = (rng.standard_normal((size, n_r)) + 1j * rng.standard_normal((size, n_r))) / np.sqrt(2.0)
         cross = 2.0 * np.real(np.einsum("mnr,sr->mns", np.conj(f_pairs), w))
         expo = -norm_sq[:, :, None] - cross  # (K, K, S)
-        lse = logsumexp(expo, axis=1) / LN2  # log2 sum_n, shape (K, S)
+        lse = np.logaddexp.reduce(expo, axis=1) / LN2  # log2 sum_n, shape (K, S)
         per_draw[done : done + size] = np.mean(lse, axis=0)
         done += size
     mi = np.log2(k_hyp) - float(np.mean(per_draw))

@@ -32,6 +32,12 @@ class Instance:
     omega_e: np.ndarray
 
 
+def subnormal_beta_config() -> SystemConfig:
+    """beta = 5e-324: on ``draw_channels(cfg, 2)`` every BCA update numerator is subnormal."""
+    return desk_config(n_rf=4, n_k=1, n_b=1, n_e=1, n_irs=1, m_ary=16,
+                       p_total=2.51188643150958, beta=5e-324)
+
+
 def make_instance(
     seed: int,
     n_rf: int = 2,

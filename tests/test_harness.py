@@ -26,7 +26,10 @@ from irs_ssm.harness import (
     run_method,
     system_config_from_dict,
 )
+from irs_ssm.joint import joint_optimize
 from irs_ssm.model import Geometry, db_to_linear
+
+from _instances import subnormal_beta_config
 
 
 class TestPathLoss:
@@ -235,6 +238,13 @@ class TestRunExperiment:
                 ExperimentSpec(kind="cdf", combinations=("irs_bca",), powers_dbm=(10.0, bad))
             with pytest.raises(ValueError, match="irs_y_values"):
                 ExperimentSpec(kind="position_sweep", combinations=("irs_bca",), irs_y_values=(bad,))
+        # a grid value the system config rejects fails at construction, with its own error,
+        # rather than mid-campaign outside the per-cell error capture
+        with pytest.raises(ValueError, match="receive antenna counts"):
+            ExperimentSpec(kind="sr_vs_power", powers_dbm=(10.0, 20.0), n_e_values=(2, 0),
+                           n_channel_trials=2, combinations=("irs_bca",))
+        with pytest.raises(ValueError, match="n_irs"):
+            ExperimentSpec(kind="sr_vs_elements", n_irs_values=(16, -3), combinations=("irs_bca",))
         # a YAML ``p_total_dbm: .nan`` is rejected at load, naming the field
         with pytest.raises(ValueError, match="p_total"):
             system_config_from_dict({"p_total_dbm": float("nan")})
@@ -330,6 +340,16 @@ class TestMethodRunners:
         cfg = desk_config(n_irs=4)
         with pytest.raises(ValueError):
             run_method("nope", cfg, draw_channels(cfg, 0), 0)
+
+    def test_subnormal_beta_draw_finishes_at_a_unit_modulus_v(self):
+        # every BCA numerator is subnormal here; a NaN v from c / |c| would make
+        # link_state raise "SVD did not converge", a cause that names nothing
+        cfg = subnormal_beta_config()
+        ch = draw_channels(cfg, 2)
+        for method in ("irs_bca", "cor_ga", "joint_I"):
+            assert np.isfinite(run_method(method, cfg, ch, 2).sr_bits)
+        v_star = joint_optimize(cfg, ch, "I", seed=2).v_star.v
+        assert np.max(np.abs(np.abs(v_star) - 1.0)) <= 1e-9
 
 
 # Prints one "scale power seed method sr_bits iterations" line per run, with

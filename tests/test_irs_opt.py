@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from irs_ssm import irs_opt
-from irs_ssm.harness import ExperimentSpec, desk_config, run_experiment
+from irs_ssm.harness import ExperimentSpec, desk_config, draw_channels, run_experiment
 from irs_ssm.irs_opt import (
     IrsPhaseVector,
     SdpNonConvergence,
@@ -16,10 +16,11 @@ from irs_ssm.irs_opt import (
     project_unit_modulus,
     sdp_unit_diag,
 )
-from irs_ssm.model import LOG2E, HybridPrecoder
+from irs_ssm.joint import IRS_SOLVERS, irs_step
+from irs_ssm.model import LOG2E, HybridPrecoder, link_state
 
 from _oracles import grid_search_phases, sdp_unit_diag_admm, surrogate_direct
-from _instances import make_instance
+from _instances import make_instance, subnormal_beta_config
 
 
 def _zero_forms(n_irs: int = 4):
@@ -43,6 +44,12 @@ class TestIrsPhaseVector:
         v = IrsPhaseVector.from_phases(np.array([0.0, np.pi / 3]))
         assert np.allclose(np.abs(v.v), 1.0)
 
+    def test_non_finite_entry_is_named(self):
+        # NaN compares False against any tolerance, so a bare "> tol" check would pass it
+        for bad in (np.nan, np.inf, complex(np.nan, 0.0)):
+            with pytest.raises(ValueError, match="non-finite"):
+                IrsPhaseVector(np.array([1.0 + 0j, bad]))
+
     def test_reads_as_its_array(self):
         inst = make_instance(0, n_irs=6)
         pv = IrsPhaseVector(inst.v.copy())
@@ -55,12 +62,16 @@ class TestIrsPhaseVector:
         assert np.array_equal(pv.v, inst.v)  # the solvers copied their start
 
     def test_projection_keeps_previous_phase_at_zero(self):
-        keep = np.exp(1j * np.array([0.3, 1.2, 2.5]))
-        z = np.array([2.0 + 0j, 0.0 + 0j, -1j])
+        keep = np.exp(1j * np.array([0.3, 1.2, 2.5, 0.9, 2.2]))
+        tiny = np.finfo(float).tiny
+        # a subnormal modulus counts as zero: 1/|z| would overflow into inf+infj and then NaN
+        z = np.array([2.0 + 0j, 0.0 + 0j, -1j, 5e-324 + 5e-324j, -tiny + 0j])
         out = project_unit_modulus(z, keep)
         assert out[0] == pytest.approx(1.0)
         assert out[1] == keep[1]
         assert out[2] == pytest.approx(-1j)
+        assert out[3] == keep[3]
+        assert out[4] == -1.0  # the smallest normal modulus is divided as is
 
 
 class TestQuadraticForms:
@@ -107,6 +118,17 @@ class TestQuadraticForms:
                 assert np.linalg.norm(phi - phi.conj().T) < 1e-10 * max(1, np.linalg.norm(phi))
                 assert np.linalg.eigvalsh(phi)[0] > -1e-10 * max(1, np.linalg.norm(phi))
 
+    def test_non_finite_precoder_is_named(self):
+        inst = make_instance(0)
+        p = inst.p.p.copy()
+        p[1] = np.nan
+        with pytest.raises(ValueError, match="precoder p contains non-finite"):
+            build_quadratic_forms(inst.cfg, inst.wch, p)
+        # every IRS solver reads the forms, so none returns a NaN v or surrogate
+        for method in IRS_SOLVERS:
+            with pytest.raises(ValueError, match="precoder p contains non-finite"):
+                irs_step(inst.cfg, method, inst.wch, inst.v, p, inst.ch, 0)
+
     def test_surrogate_value_is_real_scale(self):
         inst = make_instance(2, n_irs=5, power_dbm=18.0)
         qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
@@ -129,6 +151,18 @@ class TestBca:
         v0 = np.exp(1j * np.array([0.1, 0.7, 1.9, 3.0]))
         res = irs_bca(qf, v0=v0)
         assert np.allclose(res.v.v, v0)
+
+    def test_subnormal_numerators_keep_their_phase(self):
+        # every update numerator is subnormal here, where c / |c| would overflow into a NaN v
+        cfg = subnormal_beta_config()
+        ch = draw_channels(cfg, 2)
+        v0 = np.ones(cfg.n_irs, dtype=complex)
+        p0 = HybridPrecoder.default_init(cfg)
+        qf = build_quadratic_forms(cfg, link_state(cfg, ch, v0)[3], p0)
+        assert 0.0 < np.max(np.abs(qf.delta)) < np.finfo(float).tiny
+        res = irs_bca(qf, v0=v0)
+        assert np.array_equal(res.v.v, v0)
+        assert np.all(np.isfinite(res.trace))
 
     def test_monotone_per_element(self):
         for seed in range(6):

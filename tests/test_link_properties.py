@@ -6,17 +6,21 @@ zero-padded receiver stack is exercised), seeded channels, a random
 reflection vector and a random precoder inside the power ball, then checks
 the link state, the rate and the precoder gradient against the brute-force
 oracles, that the three rate entry points (the rate report, the IRS forms
-and the precoder quadratics) return the same float, and the COR-GA
-invariants: a trace that never decreases, ||p|| <= n_rf, and a reported
-rate equal to a fresh evaluation at the returned p.
+and the precoder quadratics) return the same float, and the solver
+invariants: for COR-GA a trace that never decreases, ||p|| <= n_rf and a
+reported rate equal to a fresh evaluation at the returned p; for BCA a
+trace that starts at the surrogate of v0 and never decreases, a reported
+surrogate equal to a fresh evaluation at the returned v, and unit modulus;
+for ADMM, at its defaults and at the campaign settings, a result no worse
+than the surrogate of v0, and unit modulus.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irs_ssm.harness import desk_config, draw_channels
-from irs_ssm.irs_opt import build_quadratic_forms
+from irs_ssm.harness import CAMPAIGN_ADMM, desk_config, draw_channels
+from irs_ssm.irs_opt import build_quadratic_forms, irs_admm, irs_bca
 from irs_ssm.model import (
     db_to_linear,
     default_analog_blocks,
@@ -26,9 +30,26 @@ from irs_ssm.model import (
 from irs_ssm.precoder_opt import build_precoder_quadratics, cor_ga
 from irs_ssm.rates import approx_secrecy_rate, secrecy_rate
 
+from _instances import subnormal_beta_config
 from _oracles import an_covariances_elementwise, kappa_dense, precoder_gradient_dense, secrecy_rate_dense
 
 PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+# the IRS solvers cost more per example: 1000 BCA and ADMM examples take about 40 s
+SOLVER_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=100)
+
+
+def _case(cfg, seed: int):
+    """(cfg, channels, v, p) with the channels, v and p drawn from ``seed``."""
+    ch = draw_channels(cfg, seed)
+    rng = np.random.default_rng(seed)
+    v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cfg.n_irs))
+    p = rng.standard_normal(cfg.n_tx) + 1j * rng.standard_normal(cfg.n_tx)
+    p *= cfg.n_rf * rng.uniform(0.05, 1.0) / np.linalg.norm(p)
+    return cfg, ch, v, p
+
+
+# every BCA update numerator is subnormal here, where c / |c| would overflow into NaN
+SUBNORMAL_CASE = _case(subnormal_beta_config(), 2)
 
 
 @st.composite
@@ -43,13 +64,7 @@ def link_cases(draw):
         beta=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))),
         p_total=db_to_linear(draw(st.floats(0.0, 30.0))),
     )
-    seed = draw(st.integers(0, 2**32 - 1))
-    ch = draw_channels(cfg, seed)
-    rng = np.random.default_rng(seed)
-    v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cfg.n_irs))
-    p = rng.standard_normal(cfg.n_tx) + 1j * rng.standard_normal(cfg.n_tx)
-    p *= cfg.n_rf * rng.uniform(0.05, 1.0) / np.linalg.norm(p)
-    return cfg, ch, v, p
+    return _case(cfg, draw(st.integers(0, 2**32 - 1)))
 
 
 def _rel(got: np.ndarray, want: np.ndarray) -> float:
@@ -118,3 +133,34 @@ def test_cor_ga_invariants(case):
     fresh = build_precoder_quadratics(cfg, wch, v)
     assert float.hex(res.secrecy_rate) == float.hex(fresh.secrecy_rate(res.p))
     assert float.hex(res.secrecy_rate) == float.hex(secrecy_rate(pq.w_b, pq.w_e, pq.x_mat, res.p, cfg.tau))
+
+
+def _unit_modulus_error(v: np.ndarray) -> float:
+    return float(np.max(np.abs(np.abs(v) - 1.0)))
+
+
+@SOLVER_SETTINGS
+@given(link_cases())
+@example(SUBNORMAL_CASE)
+def test_bca_invariants(case):
+    cfg, ch, v0, p = case
+    qf = build_quadratic_forms(cfg, link_state(cfg, ch, v0)[3], p)
+    res = irs_bca(qf, v0=v0)
+    assert res.trace[0] == qf.surrogate_value(v0)
+    assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
+    assert float.hex(res.surrogate_value) == float.hex(qf.surrogate_value(res.v))
+    assert _unit_modulus_error(res.v.v) <= 1e-9
+
+
+@SOLVER_SETTINGS
+@given(link_cases())
+@example(SUBNORMAL_CASE)
+def test_admm_invariants(case):
+    cfg, ch, v0, p = case
+    qf = build_quadratic_forms(cfg, link_state(cfg, ch, v0)[3], p)
+    start = qf.surrogate_value(v0)
+    for settings_ in ({}, CAMPAIGN_ADMM):
+        res = irs_admm(qf, v0=v0, **settings_)
+        assert res.trace[0] == start
+        assert res.surrogate_value >= start
+        assert _unit_modulus_error(res.v.v) <= 1e-9

@@ -52,6 +52,16 @@ class TestConfig:
             Constellation(np.array([2.0 + 0j, 0.5 + 0j]))
 
 
+class TestHybridPrecoder:
+    def test_non_finite_entry_is_named(self):
+        # NaN compares False against the power budget, so a bare "> budget" check would pass it
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="precoder p contains non-finite"):
+                HybridPrecoder(p=np.full(8, bad, dtype=complex), n_rf=4)
+        with pytest.raises(ValueError, match="exceeds the power budget"):
+            HybridPrecoder(p=np.full(8, 2.0, dtype=complex), n_rf=4)
+
+
 class TestHypotheses:
     def test_counts_full_scale(self):
         cfg = desk_config(n_rf=8, n_k=4, m_ary=4)

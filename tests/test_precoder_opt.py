@@ -274,6 +274,16 @@ class TestAsrSca:
             asr_sca(pq, np.full(4, 10.0, dtype=complex))
 
 
+@pytest.mark.parametrize("solver", [asr_sca, cor_ga])
+def test_non_finite_start_is_named(solver):
+    # NaN passes a bare "> radius" power check, and asr_sca would return a NaN rate
+    _, pq = _quadratics(0)
+    p0 = np.full(4, 0.5, dtype=complex)
+    p0[2] = np.nan
+    with pytest.raises(ValueError, match="p0 contains non-finite"):
+        solver(pq, p0)
+
+
 class TestCorGa:
     def test_zero_start_is_stationary(self):
         inst, pq = _quadratics(1)
