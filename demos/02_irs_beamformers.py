@@ -52,7 +52,7 @@ print(f"IRS-ADMM:       surrogate {admm.surrogate_value:10.4f}  "
       f"rate {reported_rate(admm.v.v):.4f}  ({admm.iterations} outer iterations, "
       f"primal residual {admm.extras['primal_residual']:.1e})")
 
-sdr = irs_sdr(qf, n_randomizations=200, seed=1)
+sdr = irs_sdr(qf, seed=1)
 print(f"IRS-SDR:        surrogate {sdr.surrogate_value:10.4f}  "
       f"rate {reported_rate(sdr.v.v):.4f}  (SDP bound {sdr.extras['sdp_bound']:.4f}, "
       f"certified={sdr.extras['sdp_certified']})")

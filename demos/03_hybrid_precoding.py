@@ -45,11 +45,11 @@ print("\nascent trace (first 8 accepted values):")
 print("  SCA:", np.array2string(np.array(sca.trace[:8]), precision=4))
 print("  GA: ", np.array2string(np.array(ga.trace[:8]), precision=4))
 
-fac = factorize_hybrid(sca.p, cfg)
+fac = factorize_hybrid(sca.p, cfg)  # a HybridFactorization record
 print("\nhybrid factorization of the SCA solution:")
 for i in range(cfg.n_rf):
     err = fac.recon_errors[i]
     tag = "infeasible" if i in fac.infeasible_blocks else "exact" if err < 1e-9 else "approx"
     print(f"  block {i}: digital gain {fac.d_gains[i]:.3f}, residual {err:.2e} ({tag})")
-print("blocks that are not constant-modulus keep their flag so callers can",
-      "quantify the hybrid-structure violation")
+print(f"infeasible blocks (residual above 1e-6 of the block norm): {list(fac.infeasible_blocks)}; "
+      f"skipped zero blocks: {list(fac.skipped_blocks)}")

@@ -11,7 +11,8 @@ so the Jensen-style surrogate of the secrecy objective collapses to
 
 with Phi_B, Phi_E positive semidefinite Gram aggregates.  The aggregates come
 from the K per-hypothesis stacks through the all-ones pair Laplacian,
-sum_{m,n} (x_m - x_n)^H (y_m - y_n) = 2K x^H y - 2 (1^T x)^H (1^T y).  The
+sum_{m,n} (x_m - x_n)^H (y_m - y_n) = 2K x^H y - 2 (1^T x)^H (1^T y), for
+Bob and Eve at once on the leading axis of ``rates.receiver_stack``.  The
 forms also evaluate the rate at a candidate v: ``rates.secrecy_rate`` on the
 effective channels at v, with the whitening held where the forms were built.
 Three maximizers of that surrogate over the unit-modulus constraint set live
@@ -37,7 +38,7 @@ from .model import (
     effective_channels,
     hypothesis_matrix,
 )
-from .rates import pair_laplacian, pair_weights, receiver_stack, secrecy_rate
+from .rates import pair_laplacian, pair_weights, receiver_stack, response_stack, secrecy_rate
 
 # Solver settings no caller varies, read at call time.
 BCA_TOL = 1e-7  # stop once a sweep gains at most this, relative to max(1, |value|)
@@ -46,6 +47,7 @@ SDP_TOL = 1e-6  # stationarity tolerance of the SDP core, relative to max(1, ||p
 SDP_RESTARTS = 5
 SDP_MAX_SWEEPS = 5000  # row-coordinate sweeps per restart
 SDP_SEED = 0
+SDR_RANDOMIZATIONS = 200  # Gaussian samples drawn from the SDP solution
 # a numerator below the smallest normal float has no usable phase: 1/|z| overflows
 TINY = np.finfo(float).tiny
 
@@ -140,42 +142,36 @@ def build_quadratic_forms(
     For hypothesis (i, j): s_ij is the p-weighted IRS-incident response,
     a_ij the p-weighted whitened direct response.  Every pair sum runs
     through the all-ones pair Laplacian, under which diagonal pairs (m == n)
-    contribute nothing.  Every IRS solver reads its input from these forms,
-    so a non-finite p is rejected here, naming the cause, rather than
-    turning into a NaN v or surrogate downstream.
+    contribute nothing.  Bob and Eve share one expression per quantity: the
+    direct channels (H~, Q~) and the cascaded ones (G~, M~) sit on the
+    leading axis of ``rates.receiver_stack``, Bob first, the smaller
+    receiver zero-padded, as in the precoder layer.  Every IRS solver reads
+    its input from these forms, so a non-finite p is rejected here, naming
+    the cause, rather than turning into a NaN v or surrogate downstream.
     """
     x_mat = hypothesis_matrix(cfg)
     pvec = np.asarray(p)
     if not np.all(np.isfinite(pvec)):
         raise ValueError("precoder p contains non-finite entries")
-    xp = x_mat * pvec[None, :]  # (K, n_tx)
-
-    s_hyp = xp @ wch.f.T  # (K, N)
-    a_hyp_b = xp @ wch.h.T  # (K, n_b)
-    a_hyp_e = xp @ wch.q.T  # (K, n_e)
+    cascade = receiver_stack(wch.g, wch.m)  # (2, n_r, N)
+    a_hyp = response_stack(receiver_stack(wch.h, wch.q), x_mat, pvec)  # (2, K, n_r)
+    s_hyp = response_stack(wch.f, x_mat, pvec)  # (K, N)
 
     ones = np.ones((cfg.n_hyp, cfg.n_hyp))
     ls = pair_laplacian(ones, s_hyp)
     scale = cfg.tau * LOG2E
     ds_gram = s_hyp.conj().T @ ls  # sum_{m,n} conj(s_m - s_n) (s_m - s_n)^T
-    phi_b = scale * ((wch.g.conj().T @ wch.g) * ds_gram)
-    phi_e = scale * ((wch.m.conj().T @ wch.m) * ds_gram)
-    phi_b = 0.5 * (phi_b + phi_b.conj().T)
-    phi_e = 0.5 * (phi_e + phi_e.conj().T)
-
-    d_row = scale * np.sum((a_hyp_b.conj() @ wch.g) * ls, axis=0)
-    d_prime_row = scale * np.sum((a_hyp_e.conj() @ wch.m) * ls, axis=0)
-    c_const = scale * float(
-        np.vdot(a_hyp_b, pair_laplacian(ones, a_hyp_b)).real
-        - np.vdot(a_hyp_e, pair_laplacian(ones, a_hyp_e)).real
-    )
+    phi = scale * ((np.conj(np.swapaxes(cascade, -1, -2)) @ cascade) * ds_gram)
+    phi_b, phi_e = 0.5 * (phi + np.conj(np.swapaxes(phi, -1, -2)))
+    d_b, d_e = scale * np.sum((a_hyp.conj() @ cascade) * ls, axis=-2)
+    c_b, c_e = (np.vdot(a, la).real for a, la in zip(a_hyp, pair_laplacian(ones, a_hyp)))
 
     return QuadraticForms(
         phi_b=phi_b,
         phi_e=phi_e,
         phi=phi_b - phi_e,
-        delta=d_row - d_prime_row,
-        c_const=c_const,
+        delta=d_b - d_e,
+        c_const=scale * float(c_b - c_e),
         tau=cfg.tau,
         wch=wch,
         x_mat=x_mat,
@@ -342,12 +338,19 @@ class SdpNonConvergence(RuntimeError):
 
 @dataclass
 class SdpSolution:
-    q: np.ndarray
+    """Low-rank solution of the unit-diagonal SDP; Q = Y Y^H is formed only when read."""
+
     value: float
     factor: np.ndarray  # Y with Q = Y Y^H, unit-norm rows
     residual: float
     certified: bool
     restarts_used: int
+
+    @property
+    def q(self) -> np.ndarray:
+        """The Hermitian solution matrix Y Y^H."""
+        q = self.factor @ self.factor.conj().T
+        return 0.5 * (q + q.conj().T)
 
 
 def _row_normalize(y: np.ndarray) -> np.ndarray:
@@ -361,8 +364,8 @@ def _bm_ascent(
 
     Fixing every row but k, the objective is 2 Re{y_k^H c_k} + const with
     c_k = (psi Y)_k - psi_kk y_k, maximized by aligning y_k with c_k.  Each
-    sweep is monotone and costs O(K^2 r); the Riemannian gradient norm is the
-    stationarity measure.
+    sweep is monotone and costs O(K^2 r); the Riemannian gradient norm after
+    the last sweep (at least one runs) is the stationarity measure.
     """
     k_dim = psi.shape[0]
     g = psi @ y
@@ -381,10 +384,7 @@ def _bm_ascent(
         rnorm = float(np.linalg.norm(g - inner[:, None] * y))
         if rnorm <= tol_abs:
             break
-    f = float(np.sum(np.conj(y) * g).real)
-    inner = np.real(np.sum(np.conj(y) * g, axis=1))
-    rnorm = float(np.linalg.norm(g - inner[:, None] * y))
-    return y, f, rnorm
+    return y, float(np.sum(np.conj(y) * g).real), rnorm
 
 
 def sdp_unit_diag(psi: np.ndarray) -> SdpSolution:
@@ -407,8 +407,7 @@ def sdp_unit_diag(psi: np.ndarray) -> SdpSolution:
     k = psi.shape[0]
     scale = float(np.linalg.norm(psi, "fro"))
     if scale == 0.0:
-        eye = np.eye(k, dtype=complex)
-        return SdpSolution(q=eye, value=0.0, factor=eye, residual=0.0, certified=True, restarts_used=0)
+        return SdpSolution(value=0.0, factor=np.eye(k, dtype=complex), residual=0.0, certified=True, restarts_used=0)
 
     rank = math.ceil(math.sqrt(2 * k))
     tol_abs = SDP_TOL * max(1.0, scale)
@@ -438,9 +437,7 @@ def sdp_unit_diag(psi: np.ndarray) -> SdpSolution:
             value=value,
             residual=residual,
         )
-    q = y @ y.conj().T
     return SdpSolution(
-        q=0.5 * (q + q.conj().T),
         value=value,
         factor=y,
         residual=residual,
@@ -449,17 +446,16 @@ def sdp_unit_diag(psi: np.ndarray) -> SdpSolution:
     )
 
 
-def irs_sdr(qf: QuadraticForms, n_randomizations: int = 200, seed: int = 0) -> BeamformerResult:
+def irs_sdr(qf: QuadraticForms, seed: int = 0) -> BeamformerResult:
     """Semidefinite relaxation with Gaussian randomization rounding.
 
     Lifts the surrogate to a homogeneous quadratic in (v, t), solves the
-    unit-diagonal SDP, then rounds: each Gaussian sample from the optimal Q is
+    unit-diagonal SDP, then rounds: each of SDR_RANDOMIZATIONS Gaussian
+    samples with covariance Q = Y Y^H, drawn through the factor Y, is
     projected elementwise to unit modulus (``project_unit_modulus``, with
     phase 0 below TINY) and de-homogenized by the phase of its last
     coordinate; the best-surrogate sample wins.
     """
-    if n_randomizations < 1:
-        raise ValueError("n_randomizations must be >= 1")
     n = qf.n_irs
     psi = np.zeros((n + 1, n + 1), dtype=complex)
     psi[:n, :n] = qf.phi
@@ -470,7 +466,8 @@ def irs_sdr(qf: QuadraticForms, n_randomizations: int = 200, seed: int = 0) -> B
     sol = sdp_unit_diag(psi)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xC0FFEE))))
     rank = sol.factor.shape[1]
-    w = (rng.standard_normal((n_randomizations, rank)) + 1j * rng.standard_normal((n_randomizations, rank))) / np.sqrt(2.0)
+    shape = (SDR_RANDOMIZATIONS, rank)
+    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     xi = w @ sol.factor.T  # samples with covariance Q
     unit = project_unit_modulus(xi, np.ones_like(xi))
     v_cands = unit[:, :n] * np.conj(unit[:, n])[:, None]

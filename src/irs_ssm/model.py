@@ -196,23 +196,17 @@ def hypothesis_matrix(cfg: SystemConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HybridPrecoder:
-    """Stacked precoding vector with optional analog/digital factorization.
+    """Stacked precoding vector under the power budget.
 
     ``p`` has length n_rf * n_k and is partitioned into n_rf blocks; block i is
     the analog vector of subarray i scaled by its digital gain.  The power
-    constraint is ||p|| <= n_rf.  When the factorization is present,
-    ``f_blocks[i] * d_gains[i]`` reconstructs block i except for blocks listed
-    in ``infeasible_blocks`` (not constant-modulus) or ``skipped_blocks``
-    (zero blocks).
+    constraint is ||p|| <= n_rf.  ``precoder_opt.factorize_hybrid`` recovers
+    the per-block analog phases and digital gains and decides which blocks
+    are constant-modulus.
     """
 
     p: np.ndarray
     n_rf: int
-    f_blocks: np.ndarray | None = None  # (n_rf, n_k), entries of modulus 1/sqrt(n_k)
-    d_gains: np.ndarray | None = None  # (n_rf,) complex digital gains
-    recon_errors: np.ndarray | None = None  # per-block absolute residual norms
-    infeasible_blocks: tuple[int, ...] = ()
-    skipped_blocks: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.p) % self.n_rf != 0:
@@ -222,19 +216,6 @@ class HybridPrecoder:
         norm = float(np.linalg.norm(self.p))
         if not norm <= self.n_rf + 1e-9:
             raise ValueError(f"||p|| = {norm} exceeds the power budget {self.n_rf}")
-        if self.f_blocks is not None:
-            if self.d_gains is None:
-                raise ValueError("factorization requires both f_blocks and d_gains")
-            n_k = self.n_k
-            mods = np.abs(self.f_blocks)
-            checked = [i for i in range(self.n_rf) if i not in self.skipped_blocks]
-            if checked and not np.max(np.abs(mods[checked] - 1.0 / np.sqrt(n_k))) <= 1e-9:
-                raise ValueError("analog entries must have modulus 1/sqrt(n_k)")
-            for i in checked:
-                block = self.blocks[i]
-                err = np.linalg.norm(block - self.f_blocks[i] * self.d_gains[i])
-                if i not in self.infeasible_blocks and not err <= 1e-9 * max(1.0, np.linalg.norm(block)):
-                    raise ValueError(f"block {i} factorization does not reconstruct p")
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The stacked vector p, so ``np.asarray`` reads a precoder as its vector (NumPy 1 or 2)."""

@@ -382,16 +382,29 @@ def cor_ga(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> PrecoderR
     )
 
 
-def factorize_hybrid(p: HybridPrecoder | np.ndarray, cfg: SystemConfig) -> HybridPrecoder:
+@dataclass(frozen=True)
+class HybridFactorization:
+    """``factorize_hybrid``'s result: ``f_blocks[i] * d_gains[i]`` fits block i with residual ``recon_errors[i]``."""
+
+    f_blocks: np.ndarray  # (n_rf, n_k), entries of modulus 1/sqrt(n_k)
+    d_gains: np.ndarray  # (n_rf,) complex digital gains
+    recon_errors: np.ndarray  # (n_rf,) per-block absolute residual norms
+    infeasible_blocks: tuple[int, ...]
+    skipped_blocks: tuple[int, ...]
+
+
+def factorize_hybrid(p: HybridPrecoder | np.ndarray, cfg: SystemConfig) -> HybridFactorization:
     """Recover per-block analog phases and digital gains from a stacked precoder.
 
     Block i factorizes as f_i d_i with f_i the elementwise phase of the block
-    scaled by 1/sqrt(n_k) and d_i its least-squares gain f_i^H block.  Blocks
-    whose relative residual exceeds 1e-6 are flagged infeasible (the block is
-    not constant-modulus); zero blocks are skipped.
+    scaled by 1/sqrt(n_k) and d_i its least-squares gain f_i^H block.  A block
+    whose residual exceeds 1e-6 times its norm is flagged infeasible (the
+    block is not constant-modulus); this is the one place that decides
+    hybrid feasibility.  Zero blocks are skipped; a non-finite p is rejected.
     """
-    pvec = np.array(p, dtype=complex)
-    blocks = pvec.reshape(cfg.n_rf, cfg.n_k)
+    blocks = np.asarray(p, dtype=complex).reshape(cfg.n_rf, cfg.n_k)
+    if not np.all(np.isfinite(blocks)):
+        raise ValueError("precoder p contains non-finite entries")
     f_blocks = np.full((cfg.n_rf, cfg.n_k), 1.0 / np.sqrt(cfg.n_k), dtype=complex)
     d_gains = np.zeros(cfg.n_rf, dtype=complex)
     errors = np.zeros(cfg.n_rf)
@@ -407,9 +420,7 @@ def factorize_hybrid(p: HybridPrecoder | np.ndarray, cfg: SystemConfig) -> Hybri
         errors[i] = float(np.linalg.norm(block - f_blocks[i] * d_gains[i]))
         if errors[i] > 1e-6 * nrm:
             infeasible.append(i)
-    return HybridPrecoder(
-        p=pvec,
-        n_rf=cfg.n_rf,
+    return HybridFactorization(
         f_blocks=f_blocks,
         d_gains=d_gains,
         recon_errors=errors,

@@ -49,6 +49,8 @@ from .model import (
     hypothesis_matrix,
 )
 
+MC_CHUNK = 256  # noise draws per block of the Monte Carlo MI oracle
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -184,7 +186,6 @@ def _mc_mi_one_receiver(
     f_pairs: np.ndarray,  # (K, K, n_r) whitened pairwise signal differences
     n_samples: int,
     rng: np.random.Generator,
-    chunk: int = 256,
 ) -> tuple[float, float]:
     """Sample-mean MI (bits) and its standard error, unit-variance noise.
 
@@ -201,7 +202,7 @@ def _mc_mi_one_receiver(
     per_draw = np.empty(n_samples)
     done = 0
     while done < n_samples:
-        size = min(chunk, n_samples - done)
+        size = min(MC_CHUNK, n_samples - done)
         w = (rng.standard_normal((size, n_r)) + 1j * rng.standard_normal((size, n_r))) / np.sqrt(2.0)
         cross = 2.0 * np.real(np.einsum("mnr,sr->mns", np.conj(f_pairs), w))
         expo = -norm_sq[:, :, None] - cross  # (K, K, S)

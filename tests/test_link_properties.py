@@ -6,9 +6,11 @@ zero-padded receiver stack is exercised), seeded channels, a random
 reflection vector and a random precoder inside the power ball, then checks
 the link state, the rate and the precoder gradient against the brute-force
 oracles, that the three rate entry points (the rate report, the IRS forms
-and the precoder quadratics) return the same float, and the solver
-invariants: for COR-GA a trace that never decreases, ||p|| <= n_rf and a
-reported rate equal to a fresh evaluation at the returned p; for BCA a
+and the precoder quadratics) return the same float, that the IRS forms,
+assembled on the receiver stack, give the surrogate of the direct pair norms
+and Hermitian PSD aggregates, and the solver invariants: for COR-GA and
+ASR-SCA a trace that never decreases, ||p|| <= n_rf and a reported rate
+equal to a fresh evaluation at the returned p; for BCA a
 trace that starts at the surrogate of v0 and never decreases, a reported
 surrogate equal to a fresh evaluation at the returned v, and unit modulus;
 for ADMM, at its defaults and at the campaign settings, a result no worse
@@ -27,15 +29,23 @@ from irs_ssm.model import (
     enumerate_hypotheses,
     link_state,
 )
-from irs_ssm.precoder_opt import build_precoder_quadratics, cor_ga
+from irs_ssm.precoder_opt import asr_sca, build_precoder_quadratics, cor_ga
 from irs_ssm.rates import approx_secrecy_rate, secrecy_rate
 
 from _instances import subnormal_beta_config
-from _oracles import an_covariances_elementwise, kappa_dense, precoder_gradient_dense, secrecy_rate_dense
+from _oracles import (
+    an_covariances_elementwise,
+    kappa_dense,
+    precoder_gradient_dense,
+    secrecy_rate_dense,
+    surrogate_direct,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 # the IRS solvers cost more per example: 1000 BCA and ADMM examples take about 40 s
 SOLVER_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=100)
+# ASR-SCA runs an inner ascent per outer step: 50 examples take about 20 s
+SCA_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=50)
 
 
 def _case(cfg, seed: int):
@@ -133,6 +143,31 @@ def test_cor_ga_invariants(case):
     fresh = build_precoder_quadratics(cfg, wch, v)
     assert float.hex(res.secrecy_rate) == float.hex(fresh.secrecy_rate(res.p))
     assert float.hex(res.secrecy_rate) == float.hex(secrecy_rate(pq.w_b, pq.w_e, pq.x_mat, res.p, cfg.tau))
+
+
+@SCA_SETTINGS
+@given(link_cases())
+def test_sca_invariants(case):
+    cfg, ch, v, p0 = case
+    wch = link_state(cfg, ch, v)[3]
+    res = asr_sca(build_precoder_quadratics(cfg, wch, v), p0)
+    assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
+    assert np.linalg.norm(res.p.p) <= cfg.n_rf + 1e-9
+    fresh = build_precoder_quadratics(cfg, wch, v)
+    assert float.hex(res.secrecy_rate) == float.hex(fresh.secrecy_rate(res.p))
+
+
+@SOLVER_SETTINGS
+@given(link_cases())
+def test_irs_forms_match_direct_norms(case):
+    cfg, ch, v, p = case
+    wch = link_state(cfg, ch, v)[3]
+    qf = build_quadratic_forms(cfg, wch, p)
+    direct = surrogate_direct(cfg, wch, p, v)
+    assert abs(qf.surrogate_value(v) - direct) <= 1e-8 * max(1.0, abs(direct))
+    for phi in (qf.phi_b, qf.phi_e):
+        assert np.linalg.norm(phi - phi.conj().T) < 1e-10 * max(1, np.linalg.norm(phi))
+        assert np.linalg.eigvalsh(phi)[0] > -1e-10 * max(1, np.linalg.norm(phi))
 
 
 def _unit_modulus_error(v: np.ndarray) -> float:

@@ -364,8 +364,27 @@ class TestFactorizeHybrid:
         inst = make_instance(0, n_rf=2, n_k=2)
         p = HybridPrecoder.default_init(inst.cfg)
         fac = factorize_hybrid(p, inst.cfg)
-        assert np.array_equal(fac.p, p.p) and not np.shares_memory(fac.p, p.p)
         assert np.array_equal(fac.f_blocks, factorize_hybrid(p.p, inst.cfg).f_blocks)
+
+    @pytest.mark.parametrize("rel, infeasible", [(1e-8, ()), (1e-7, ()), (1e-5, (0,))])
+    def test_near_hybrid_precoder_follows_the_residual_rule(self, rel, infeasible):
+        # block 0 off constant modulus by rel: flagged only above 1e-6 of its norm, never an error
+        cfg = desk_config()
+        p = HybridPrecoder.default_init(cfg).p.copy()
+        p[1] *= 1 + rel
+        p *= 0.99
+        fac = factorize_hybrid(p, cfg)
+        assert fac.infeasible_blocks == infeasible
+        norms = np.linalg.norm(p.reshape(cfg.n_rf, cfg.n_k), axis=1)
+        assert (fac.recon_errors[0] < 1e-6 * norms[0]) == (infeasible == ())
+        assert np.all(fac.recon_errors[1:] < 1e-6 * norms[1:])
+
+    def test_non_finite_precoder_is_named(self):
+        inst = make_instance(0, n_rf=2, n_k=2)
+        p = HybridPrecoder.default_init(inst.cfg).p.copy()
+        p[1] = np.nan
+        with pytest.raises(ValueError, match="precoder p contains non-finite"):
+            factorize_hybrid(p, inst.cfg)
 
     def test_zero_block_skipped(self):
         inst = make_instance(0, n_rf=2, n_k=2)
