@@ -1,18 +1,13 @@
 """Secrecy-rate optimization for IRS-aided hybrid secure spatial modulation."""
 
 from .model import (
-    AnProjection,
     ChannelSet,
-    Constellation,
     Geometry,
     HybridPrecoder,
     SystemConfig,
-    TransmitHypothesis,
     WhitenedChannels,
-    build_an_projection,
     db_to_linear,
     enumerate_hypotheses,
-    interference_covariances,
     link_state,
     ml_detect,
     whiten,
@@ -43,8 +38,8 @@ from .harness import (
     desk_config,
     draw_channels,
     flop_estimates,
-    load_config,
     full_scale_config,
+    load_config,
     path_loss_db,
     run_experiment,
 )
@@ -52,10 +47,8 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnProjection",
     "BeamformerResult",
     "ChannelSet",
-    "Constellation",
     "ExperimentRecord",
     "ExperimentSpec",
     "Geometry",
@@ -67,11 +60,9 @@ __all__ = [
     "QuadraticForms",
     "RateReport",
     "SystemConfig",
-    "TransmitHypothesis",
     "WhitenedChannels",
     "approx_secrecy_rate",
     "asr_sca",
-    "build_an_projection",
     "build_precoder_quadratics",
     "build_quadratic_forms",
     "cor_ga",
@@ -81,7 +72,7 @@ __all__ = [
     "enumerate_hypotheses",
     "factorize_hybrid",
     "flop_estimates",
-    "interference_covariances",
+    "full_scale_config",
     "irs_admm",
     "irs_bca",
     "irs_sdr",
@@ -91,7 +82,6 @@ __all__ = [
     "load_config",
     "mc_mutual_information",
     "ml_detect",
-    "full_scale_config",
     "path_loss_db",
     "run_experiment",
     "sdp_unit_diag",

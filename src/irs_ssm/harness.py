@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .irs_opt import SDP_TOL, IrsPhaseVector
-from .irs_opt import irs_bca  # noqa: F401  unused; perfbench's tests patch harness.irs_bca (ROADMAP item 1)
+from .irs_opt import irs_bca  # noqa: F401  unused; perfbench's tests patch harness.irs_bca (ROADMAP item 2)
 from .joint import IRS_SOLVERS, NAMED_COMBINATIONS, PRECODER_SOLVERS, irs_step, joint_optimize, precoder_step
 from .model import ChannelSet, Geometry, HybridPrecoder, SystemConfig, db_to_linear, link_state
 from .rates import approx_secrecy_rate
@@ -199,6 +199,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.n_channel_trials < 1:
             raise ValueError("n_channel_trials must be >= 1")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         for m in self.combinations:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {ALL_METHODS}")
@@ -496,5 +498,9 @@ def load_config(path: str) -> ExperimentSpec:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict) or "experiment" not in raw:
         raise ValueError(f"{path}: expected a mapping with an 'experiment' section")
+    for section in ("system", "experiment"):
+        if section in raw and not isinstance(raw[section], dict):
+            raise ValueError(f"{path}: the '{section}' section is empty or not a mapping: "
+                             f"{raw[section]!r}")
     system = system_config_from_dict(raw.get("system", {}))
     return experiment_spec_from_dict(raw["experiment"], system)

@@ -38,7 +38,7 @@ from .model import (
     effective_channels,
     hypothesis_matrix,
 )
-from .rates import pair_laplacian, pair_weights, receiver_stack, response_stack, secrecy_rate
+from .rates import pair_laplacian, receiver_stack, response_stack, secrecy_rate
 
 # Solver settings no caller varies, read at call time.
 BCA_TOL = 1e-7  # stop once a sweep gains at most this, relative to max(1, |value|)
@@ -115,12 +115,6 @@ class QuadraticForms:
         quad = np.einsum("si,si->s", np.conj(v_batch) @ self.phi, v_batch).real
         lin = 2.0 * np.real(v_batch @ self.delta)
         return quad + lin + self.c_const
-
-    def pair_quadratics(self, v: IrsPhaseVector | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact K x K pair exponents ||W (X_m - X_n) p||^2 for Bob and Eve at v, from one pass."""
-        stack = receiver_stack(*effective_channels(self.wch, np.asarray(v)))
-        bob, eve = pair_weights(stack, self.x_mat, self.p, self.tau).dist
-        return bob, eve
 
     def secrecy_rate(self, v: IrsPhaseVector | np.ndarray) -> float:
         """Approximate secrecy rate log2 kappa_E - log2 kappa_B at v and this p.

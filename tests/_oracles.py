@@ -66,15 +66,22 @@ def precoder_gradient_dense(
     tau: float,
     n_rf: int,
     n_k: int,
-) -> np.ndarray:
-    """tau/ln2 [sum chi_B (B + B^H) p / kappa_B - sum chi_E (E + E^H) p / kappa_E], densely."""
-    grad = np.zeros(len(p), dtype=complex)
-    for w_eff, sign in ((w_b, 1.0), (w_e, -1.0)):
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d log2 kappa_B, d log2 kappa_E) at p, densely.
+
+    d log2 kappa = -tau/ln2 sum chi (A + A^H) p / kappa, for A = B (Bob) or
+    E (Eve).  The secrecy-rate gradient is their difference,
+    d log2 kappa_E - d log2 kappa_B =
+    tau/ln2 [sum chi_B (B + B^H) p / kappa_B - sum chi_E (E + E^H) p / kappa_E].
+    """
+    terms = []
+    for w_eff in (w_b, w_e):
         mats = dense_pair_matrices(w_eff, hyps, n_rf, n_k)
         chi = np.array([[np.exp(-tau * np.vdot(p, a @ p).real) for a in row] for row in mats])
         pulled = sum(c * ((a + a.conj().T) @ p) for row_c, row in zip(chi, mats) for c, a in zip(row_c, row))
-        grad += sign * pulled / chi.sum()
-    return tau / np.log(2.0) * grad
+        terms.append(-tau / np.log(2.0) * pulled / chi.sum())
+    d_log2_kb, d_log2_ke = terms
+    return d_log2_kb, d_log2_ke
 
 
 def secrecy_rate_dense(

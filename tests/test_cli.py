@@ -13,13 +13,6 @@ def test_flops_subcommand(capsys):
     assert "irs_sdr" in out and "O(N^4.5)" in out
 
 
-def test_validate_subcommand(capsys):
-    assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "validation PASSED" in out
-    assert out.count("[PASS]") >= 6
-
-
 def test_run_subcommand(tmp_path, capsys):
     config = tmp_path / "campaign.yaml"
     config.write_text(
@@ -45,6 +38,13 @@ experiment:
     summary = json.loads((tmp_path / "results.json").read_text())
     assert summary["base_seed"] == 9
     assert summary["n_channel_trials"] == 2
+
+
+def test_run_rejects_non_positive_threads(tmp_path):
+    config = tmp_path / "campaign.yaml"
+    config.write_text("experiment:\n  kind: cdf\n  n_channel_trials: 1\n  combinations: [irs_bca]\n")
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        main(["run", str(config), "--threads", "0"])
 
 
 def test_run_rejects_missing_config(tmp_path):

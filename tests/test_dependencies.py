@@ -1,12 +1,13 @@
-"""The package runs on numpy alone: no code path it takes loads scipy."""
+"""The package runs on numpy alone, and its public API is what the demos import."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 # Runs every method on one desk draw, the Monte Carlo MI oracle and the
-# self-validation, then prints the scipy modules loaded.
+# CLI's flops command, then prints the scipy modules loaded.
 _RUN_ALL = """
 import sys
 import numpy as np
@@ -20,7 +21,7 @@ for method in harness.ALL_METHODS:
     harness.run_method(method, cfg, ch, 0)
 v = np.ones(cfg.n_irs, dtype=complex)
 rates.mc_mutual_information(cfg, link_state(cfg, ch, v)[3], v, HybridPrecoder.default_init(cfg), 200, 0)
-assert cli.main(["validate"]) == 0
+assert cli.main(["flops"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -33,3 +34,26 @@ def test_no_code_path_loads_scipy():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# model internals the demos, the CLI and the benchmark do not read; the tests
+# import them from ``irs_ssm.model``
+_NOT_EXPORTED = ("AnProjection", "Constellation", "TransmitHypothesis", "build_an_projection",
+                 "interference_covariances")
+
+
+def test_public_surface_is_what_the_demos_import():
+    import irs_ssm
+
+    exported = irs_ssm.__all__
+    for name in exported:
+        assert getattr(irs_ssm, name, None) is not None, name
+    assert len(set(exported)) == len(exported)
+    assert list(exported) == sorted(exported)
+    demo_imports = set()
+    for demo in sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "irs_ssm" and node.level == 0:
+                demo_imports.update(alias.name for alias in node.names)
+    assert demo_imports and demo_imports <= set(exported), sorted(demo_imports - set(exported))
+    assert not set(_NOT_EXPORTED) & set(exported)

@@ -231,6 +231,9 @@ class TestRunExperiment:
             ExperimentSpec(kind="nope", combinations=("irs_bca",))
         with pytest.raises(ValueError):
             ExperimentSpec(kind="cdf", combinations=("irs_bca",), n_channel_trials=0)
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                ExperimentSpec(kind="cdf", combinations=("irs_bca",), threads=threads)
         with pytest.raises(ValueError):
             ExperimentSpec(kind="cdf", combinations=("who",))
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -317,6 +320,18 @@ experiment:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown system fields"):
             system_config_from_dict({"n_wigs": 3})
+
+    @pytest.mark.parametrize("text, section", [
+        ("system:\nexperiment:\n  kind: cdf\n  combinations: [irs_bca]\n", "system"),
+        ("experiment:\n", "experiment"),
+        ("system: [1, 2]\nexperiment:\n  kind: cdf\n  combinations: [irs_bca]\n", "system"),
+    ])
+    def test_empty_or_non_mapping_section_is_named(self, tmp_path, text, section):
+        path = tmp_path / "campaign.yaml"
+        path.write_text(text)
+        named = f"campaign.yaml: the '{section}' section is empty or not a mapping"
+        with pytest.raises(ValueError, match=named):
+            load_config(str(path))
 
     def test_spec_from_dict_tuplifies(self):
         spec = experiment_spec_from_dict(

@@ -4,17 +4,19 @@ Each example draws a system (n_rf <= n_b included, so the identity AN
 fallback is exercised; beta = 1, n_irs = 1 and n_b != n_e included, so the
 zero-padded receiver stack is exercised), seeded channels, a random
 reflection vector and a random precoder inside the power ball, then checks
-the link state, the rate and the precoder gradient against the brute-force
-oracles, that the three rate entry points (the rate report, the IRS forms
-and the precoder quadratics) return the same float, that the IRS forms,
-assembled on the receiver stack, give the surrogate of the direct pair norms
-and Hermitian PSD aggregates, and the solver invariants: for COR-GA and
-ASR-SCA a trace that never decreases, ||p|| <= n_rf and a reported rate
-equal to a fresh evaluation at the returned p; for BCA a
-trace that starts at the surrogate of v0 and never decreases, a reported
-surrogate equal to a fresh evaluation at the returned v, and unit modulus;
-for ADMM, at its defaults and at the campaign settings, a result no worse
-than the surrogate of v0, and unit modulus.
+the link state, the rate and the precoder gradient (with each receiver's
+d log2 kappa) against the brute-force oracles, that the three rate entry
+points (the rate report, the IRS forms and the precoder quadratics) return
+the same float, that the IRS forms, assembled on the receiver stack, give
+the surrogate of the direct pair norms and Hermitian PSD aggregates, and
+the solver invariants: for COR-GA and ASR-SCA a trace that never
+decreases, ||p|| <= n_rf and a reported rate equal to a fresh evaluation at
+the returned p; for BCA a trace that starts at the surrogate of v0 and
+never decreases, a reported surrogate equal to a fresh evaluation at the
+returned v, and unit modulus; for ADMM, at its defaults and at the campaign
+settings, a result no worse than the surrogate of v0, and unit modulus; for
+the joint alternation, an objective equal to the rate on the link refreshed
+at (v*, p*), a trace that never decreases, unit modulus and ||p*|| <= n_rf.
 """
 
 import numpy as np
@@ -23,7 +25,9 @@ from hypothesis import strategies as st
 
 from irs_ssm.harness import CAMPAIGN_ADMM, desk_config, draw_channels
 from irs_ssm.irs_opt import build_quadratic_forms, irs_admm, irs_bca
+from irs_ssm.joint import joint_optimize
 from irs_ssm.model import (
+    LN2,
     db_to_linear,
     default_analog_blocks,
     enumerate_hypotheses,
@@ -46,6 +50,9 @@ PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, 
 SOLVER_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=100)
 # ASR-SCA runs an inner ascent per outer step: 50 examples take about 20 s
 SCA_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=50)
+# a joint run alternates up to MAX_OUTER IRS and precoder steps (SCA in
+# combination I): 45 examples take about 15 s
+JOINT_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=30)
 
 
 def _case(cfg, seed: int):
@@ -127,8 +134,14 @@ def test_precoder_gradient_matches_dense_oracle(case):
     cfg, ch, v, p = case
     wch = link_state(cfg, ch, v)[3]
     pq = build_precoder_quadratics(cfg, wch, v)
-    want = precoder_gradient_dense(pq.w_b, pq.w_e, enumerate_hypotheses(cfg), p, cfg.tau, cfg.n_rf, cfg.n_k)
+    want_rx = precoder_gradient_dense(pq.w_b, pq.w_e, enumerate_hypotheses(cfg), p, cfg.tau, cfg.n_rf, cfg.n_k)
+    want = want_rx[1] - want_rx[0]
     assert np.linalg.norm(pq.gradient(p) - want) <= 1e-9 * np.linalg.norm(want)
+    # each receiver's d log2 kappa = -2 tau / (ln2 kappa) * pull-back, Bob first
+    fw = pq.forward(p)
+    got_rx = (-2.0 * cfg.tau / LN2) * pq.pull_back(fw.chi, fw.resp) / fw.kappa[:, None]
+    for got, want_r in zip(got_rx, want_rx):
+        assert np.linalg.norm(got - want_r) <= 1e-9 * np.linalg.norm(want_r)
 
 
 @PROPERTY_SETTINGS
@@ -199,3 +212,17 @@ def test_admm_invariants(case):
         assert res.trace[0] == start
         assert res.surrogate_value >= start
         assert _unit_modulus_error(res.v.v) <= 1e-9
+
+
+@JOINT_SETTINGS
+@given(link_cases(), st.sampled_from(("I", "II", "III")), st.integers(0, 2**31 - 1))
+def test_joint_objective_is_the_refreshed_rate(case, combination, seed):
+    cfg, ch, _, _ = case
+    res = joint_optimize(cfg, ch, combination, seed=seed)
+    v, p = res.v_star.v, res.p_star
+    rate = approx_secrecy_rate(cfg, link_state(cfg, ch, v)[3], v, p).r_approx
+    assert abs(res.objective - rate) <= 1e-9
+    objectives = [t.objective for t in res.trace]
+    assert all(b >= a for a, b in zip(objectives, objectives[1:]))
+    assert _unit_modulus_error(v) <= 1e-9
+    assert np.linalg.norm(p.p) <= cfg.n_rf + 1e-9
