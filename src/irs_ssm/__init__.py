@@ -12,7 +12,7 @@ from .model import (
     ml_detect,
     whiten,
 )
-from .rates import RateReport, approx_secrecy_rate, kappa, mc_mutual_information
+from .rates import RateReport, approx_secrecy_rate, mc_mutual_information
 from .irs_opt import (
     BeamformerResult,
     IrsPhaseVector,
@@ -77,7 +77,6 @@ __all__ = [
     "irs_bca",
     "irs_sdr",
     "joint_optimize",
-    "kappa",
     "link_state",
     "load_config",
     "mc_mutual_information",

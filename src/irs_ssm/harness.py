@@ -34,7 +34,7 @@ import numpy as np
 from .irs_opt import SDP_TOL, IrsPhaseVector
 from .irs_opt import irs_bca  # noqa: F401  unused; perfbench's tests patch harness.irs_bca (ROADMAP item 2)
 from .joint import IRS_SOLVERS, NAMED_COMBINATIONS, PRECODER_SOLVERS, irs_step, joint_optimize, precoder_step
-from .model import ChannelSet, Geometry, HybridPrecoder, SystemConfig, db_to_linear, link_state
+from .model import ChannelSet, Geometry, HybridPrecoder, SystemConfig, check_integer, db_to_linear, link_state
 from .rates import approx_secrecy_rate
 
 EXPERIMENT_KINDS = ("sr_vs_power", "cdf", "convergence", "sr_vs_elements", "position_sweep")
@@ -197,6 +197,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for name in ("n_channel_trials", "threads", "base_seed"):
+            check_integer(name, getattr(self, name))
+        for name in ("n_irs_values", "n_e_values"):
+            check_integer(name, *getattr(self, name))
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.n_channel_trials < 1:
             raise ValueError("n_channel_trials must be >= 1")
         if self.threads < 1:
@@ -486,6 +492,8 @@ def experiment_spec_from_dict(raw: dict, system: SystemConfig) -> ExperimentSpec
     data = dict(raw)
     for key in ("powers_dbm", "n_irs_values", "n_e_values", "irs_y_values", "combinations"):
         if key in data:
+            if not isinstance(data[key], (list, tuple)):
+                raise ValueError(f"experiment {key} must be a list, got {data[key]!r}")
             data[key] = tuple(data[key])
     return ExperimentSpec(system=system, **data)
 

@@ -13,8 +13,9 @@ with Phi_B, Phi_E positive semidefinite Gram aggregates.  The aggregates come
 from the K per-hypothesis stacks through the all-ones pair Laplacian,
 sum_{m,n} (x_m - x_n)^H (y_m - y_n) = 2K x^H y - 2 (1^T x)^H (1^T y), for
 Bob and Eve at once on the leading axis of ``rates.receiver_stack``.  The
-forms also evaluate the rate at a candidate v: ``rates.secrecy_rate`` on the
-effective channels at v, with the whitening held where the forms were built.
+forms also evaluate the rate at a candidate v: ``rates.rate_from_kappas`` of
+``rates.kappas`` on the effective channels at v, with the whitening held
+where the forms were built.
 Three maximizers of that surrogate over the unit-modulus constraint set live
 here: a DC-linearized ADMM, a cyclic per-element block coordinate ascent with
 a closed-form update, and a semidefinite relaxation with Gaussian
@@ -38,7 +39,7 @@ from .model import (
     effective_channels,
     hypothesis_matrix,
 )
-from .rates import pair_laplacian, receiver_stack, response_stack, secrecy_rate
+from .rates import kappas, pair_laplacian, rate_from_kappas, receiver_stack, response_stack
 
 # Solver settings no caller varies, read at call time.
 BCA_TOL = 1e-7  # stop once a sweep gains at most this, relative to max(1, |value|)
@@ -87,7 +88,7 @@ class QuadraticForms:
     The surrogate is v^H phi v + 2 Re{delta v} + c_const with
     phi = phi_b - phi_e and delta = D - D'.  The whitened channels, the
     hypothesis stack and p they were built from keep the rate evaluable from
-    the same object, through ``rates.secrecy_rate``.
+    the same object, through ``rates.kappas`` and ``rates.rate_from_kappas``.
     """
 
     phi_b: np.ndarray
@@ -123,7 +124,8 @@ class QuadraticForms:
         whitening stays fixed at the v it was computed for, so away from that
         v this is not the rate of the link refreshed at v.
         """
-        return secrecy_rate(*effective_channels(self.wch, np.asarray(v)), self.x_mat, self.p, self.tau)
+        w_b, w_e = effective_channels(self.wch, np.asarray(v))
+        return rate_from_kappas(*kappas(w_b, w_e, self.x_mat, self.p, self.tau))
 
 
 def build_quadratic_forms(
@@ -316,7 +318,7 @@ def irs_admm(
         iterations=outer,
         surrogate_value=best_s,
         trace=trace,
-        extras={"primal_residual": primal, "rho": rho},
+        extras={"primal_residual": primal},
     )
 
 
@@ -473,10 +475,5 @@ def irs_sdr(qf: QuadraticForms, seed: int = 0) -> BeamformerResult:
         iterations=1,
         surrogate_value=float(values[best]),
         trace=[float(values[best])],
-        extras={
-            "sdp_value": sol.value,
-            "sdp_bound": sol.value + qf.c_const,
-            "sdp_residual": sol.residual,
-            "sdp_certified": sol.certified,
-        },
+        extras={"sdp_bound": sol.value + qf.c_const, "sdp_certified": sol.certified},
     )

@@ -68,11 +68,6 @@ class TraceEntry:
     precoder_iterations: int
     wall_s: float
 
-    def signature(self) -> tuple:
-        """Deterministic fields only (wall time excluded)."""
-        return (self.iteration, round(self.objective, 12), self.irs_accepted,
-                self.irs_iterations, self.precoder_iterations)
-
 
 @dataclass
 class JointResult:
@@ -80,12 +75,8 @@ class JointResult:
     p_star: HybridPrecoder
     trace: list[TraceEntry]
     converged: bool
-    combination_id: str
     objective: float
     extras: dict = field(default_factory=dict)
-
-    def signature(self) -> tuple:
-        return tuple(entry.signature() for entry in self.trace)
 
 
 def _run_irs(method: str, qf, v: np.ndarray, seed: int, admm_settings: dict | None) -> BeamformerResult:
@@ -197,7 +188,6 @@ def joint_optimize(
         p_star=p,
         trace=trace,
         converged=converged,
-        combination_id=combination,
         objective=float(objective),
         extras={"irs_method": irs_method, "precoder_method": pre_method,
                 "precoder_rejected": precoder_rejected},

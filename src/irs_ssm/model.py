@@ -22,6 +22,7 @@ All powers are linear milliwatts; dB/dBm conversions happen at config load.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,15 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
+def check_integer(name: str, *values) -> None:
+    """Raise a ValueError naming ``name`` unless every value is an integer (Python or numpy)."""
+    for value in values:
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Geometry:
     """3-D coordinates (meters) of the four terminals."""
@@ -42,6 +52,12 @@ class Geometry:
     irs: tuple[float, float, float] = (0.0, 45.0, 2.0)
     bob: tuple[float, float, float] = (10.0, 45.0, 0.0)
     eve: tuple[float, float, float] = (10.0, 35.0, 0.0)
+
+    def __post_init__(self) -> None:
+        for name in ("alice", "irs", "bob", "eve"):
+            xyz = getattr(self, name)
+            if len(xyz) != 3 or not all(map(math.isfinite, xyz)):
+                raise ValueError(f"geometry {name} must be 3 finite coordinates, got {xyz!r}")
 
     def distance(self, a: str, b: str) -> float:
         pa = np.asarray(getattr(self, a), dtype=float)
@@ -75,6 +91,8 @@ class SystemConfig:
     pl0_db: float = -30.0
 
     def __post_init__(self) -> None:
+        for name in ("n_rf", "n_k", "n_b", "n_e", "n_irs", "m_ary"):
+            check_integer(name, getattr(self, name))
         if self.n_rf < 1 or self.n_k < 1 or self.n_irs < 1:
             raise ValueError("n_rf, n_k and n_irs must all be >= 1")
         if self.n_b < 1 or self.n_e < 1:
@@ -209,6 +227,10 @@ class HybridPrecoder:
     n_rf: int
 
     def __post_init__(self) -> None:
+        if self.n_rf < 1:
+            raise ValueError(f"n_rf must be >= 1, got {self.n_rf}")
+        if np.ndim(self.p) != 1:
+            raise ValueError(f"precoder p must be 1-D, got shape {np.shape(self.p)}")
         if len(self.p) % self.n_rf != 0:
             raise ValueError("precoder length must be a multiple of n_rf")
         if not np.all(np.isfinite(self.p)):
@@ -220,14 +242,6 @@ class HybridPrecoder:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The stacked vector p, so ``np.asarray`` reads a precoder as its vector (NumPy 1 or 2)."""
         return np.array(self.p, dtype=dtype) if copy else np.asarray(self.p, dtype=dtype)
-
-    @property
-    def n_k(self) -> int:
-        return len(self.p) // self.n_rf
-
-    @property
-    def blocks(self) -> np.ndarray:
-        return self.p.reshape(self.n_rf, self.n_k)
 
     @classmethod
     def default_init(cls, cfg: SystemConfig) -> "HybridPrecoder":

@@ -10,13 +10,16 @@ Both receivers share one stacked forward pass per point: W_B and W_E sit on
 the leading axis of ``rates.receiver_stack`` (the smaller receiver
 zero-padded to max(n_b, n_e) rows), and ``rates.pair_weights`` gives both
 response stacks, distances, pair weights exp(-tau d) and kappas in one call.
-The pass is memoized on the quadratics: the rate, the gradient (one batched
-pull-back over the receiver axis) and the SCA expansion at that point all
-read it, so an accepted ascent step costs no second evaluation.
+The pass is memoized on the quadratics: the rate (``rates.rate_from_kappas``
+of its kappas), the gradient (one batched pull-back over the receiver axis)
+and the SCA expansion at that point all read it, so an accepted ascent step
+costs no second evaluation.
 Two maximizers over ||p|| <= n_rf live here: a successive convex approximation
 that pairs a concave lower bound on the Eve rate with a convex upper bound on
 the Bob rate (both tight at the expansion point, so outer steps ascend), and
 a direct gradient ascent on the cut-off-rate objective with backtracking.
+Both read their starting point through ``model.HybridPrecoder``, whose checks
+(1-D, finite, inside the power ball) are the only ones on p0.
 """
 
 from __future__ import annotations
@@ -112,13 +115,9 @@ class PrecoderQuadratics:
         bob, eve = self.forward(p).dist
         return bob, eve
 
-    def kappas(self, p: np.ndarray) -> tuple[float, float]:
-        kb, ke = self.forward(p).kappa.tolist()
-        return kb, ke
-
     def secrecy_rate(self, p: HybridPrecoder | np.ndarray) -> float:
-        """log2 kappa_E - log2 kappa_B at p, by ``rates.rate_from_kappas``."""
-        return rates.rate_from_kappas(*self.kappas(p))
+        """log2 kappa_E - log2 kappa_B at p, by ``rates.rate_from_kappas`` on ``forward(p).kappa``."""
+        return rates.rate_from_kappas(*self.forward(p).kappa.tolist())
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         """Gradient of the secrecy objective with respect to p.
@@ -198,9 +197,6 @@ class ScaSubproblem:
             self._key, self._terms = key, (resp_e, s, self._bob_exponents(resp_b))
         return self._terms
 
-    def eve_sum(self, p: np.ndarray) -> float:
-        return self._at(p)[1]
-
     def _bob_exponents(self, resp_b: np.ndarray) -> np.ndarray:
         # Re{p0^H B_mn p} = Re<r0_m - r0_n, r_m - r_n> from the cross Gram conj(R0) R^T
         cross = (self._resp0_b_conj @ resp_b.T).real
@@ -209,13 +205,10 @@ class ScaSubproblem:
         return self._bob_base - 2.0 * self.tau * lin
 
     def value(self, p: np.ndarray) -> float:
-        s = self.eve_sum(p)
-        if s <= 0.0:
-            return -np.inf
-        return float(np.log2(s)) - self.bob_upper(p)
+        return self.eve_lower(p) - self.bob_upper(p)
 
     def eve_lower(self, p: np.ndarray) -> float:
-        s = self.eve_sum(p)
+        s = self._at(p)[1]
         return float(np.log2(s)) if s > 0.0 else -np.inf
 
     def bob_upper(self, p: np.ndarray) -> float:
@@ -262,16 +255,6 @@ def _projected_gradient_max(value_fn, grad_fn, p0: np.ndarray, radius: float) ->
     return p, f, it
 
 
-def _starting_point(p0: HybridPrecoder | np.ndarray, radius: float) -> np.ndarray:
-    """p0 as a complex copy; raises, naming the cause, when it is non-finite or outside the power ball."""
-    pvec = np.array(p0, dtype=complex)
-    if not np.all(np.isfinite(pvec)):
-        raise ValueError("p0 contains non-finite entries")
-    if not np.linalg.norm(pvec) <= radius + 1e-9:
-        raise ValueError("p0 violates the power constraint")
-    return pvec
-
-
 def asr_sca(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> PrecoderResult:
     """Successive convex approximation of the secrecy objective.
 
@@ -282,7 +265,7 @@ def asr_sca(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> Precoder
     ||p_k - p_{k-1}|| <= SCA_TOL, or after SCA_MAX_ITERS outer steps.
     """
     radius = float(pq.n_rf)
-    pvec = _starting_point(p0, radius)
+    pvec = HybridPrecoder(np.array(p0, dtype=complex), pq.n_rf).p  # rejects a non-finite or over-budget p0
     rate = pq.secrecy_rate(pvec)
     trace = [rate]
     converged = False
@@ -328,7 +311,7 @@ def cor_ga(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> PrecoderR
     after GA_MAX_ITERS steps.
     """
     radius = float(pq.n_rf)
-    pvec = _starting_point(p0, radius)
+    pvec = HybridPrecoder(np.array(p0, dtype=complex), pq.n_rf).p  # rejects a non-finite or over-budget p0
     rate = pq.secrecy_rate(pvec)
     trace = [rate]
     g = pq.gradient(pvec)

@@ -19,10 +19,10 @@ W_E on a leading axis of a (2, max(n_b, n_e), n_tx) array, Bob first, with
 the smaller receiver zero-padded.  A zero row adds a zero column to that
 receiver's response stack, which leaves its distances and kappa unchanged up
 to the rounding of the Gram sums; with n_b = n_e nothing is padded.
-``secrecy_rate`` chains the pass and the ratio; the precoder layer memoizes
-the stacked pass per point and applies the same ratio, the IRS layer returns
-``secrecy_rate``'s float, and ``approx_secrecy_rate``, the rate the joint
-steps and the harness report on the refreshed link, returns the same float.
+``kappas`` is that stacked pass; the IRS layer and ``approx_secrecy_rate``
+(the rate the joint steps and the harness report on the refreshed link)
+apply ``rate_from_kappas`` to it, and the precoder layer memoizes the same
+pass per point and applies the same ratio, so all three return one float.
 The hypothesis stack X is ``model.hypothesis_matrix(cfg)``.
 Every layer evaluates its pair sums with one kernel on a K-row stack R (here
 r_m = W X_m p), with any leading axes (the receiver axis) carried through:
@@ -129,11 +129,6 @@ def pair_weights(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray, tau: float
     return PairWeights(resp, dist, chi, np.sum(chi, axis=(-2, -1)))
 
 
-def kappa(w_eff: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float) -> float:
-    """Pairwise exponent sum of one receiver over all ordered pairs of the (K, n_tx) hypothesis stack."""
-    return float(pair_weights(w_eff, x_mat, np.asarray(p), tau).kappa)
-
-
 def kappas(
     w_b: np.ndarray, w_e: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float
 ) -> tuple[float, float]:
@@ -147,19 +142,6 @@ def rate_from_kappas(kappa_b: float, kappa_e: float) -> float:
     return float(np.log2(kappa_e) - np.log2(kappa_b))
 
 
-def secrecy_rate(
-    w_b: np.ndarray, w_e: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float
-) -> float:
-    """log2 kappa_E - log2 kappa_B on the whitened effective channels (W_B, W_E).
-
-    The one evaluation of the approximate secrecy rate: the IRS forms read it
-    here, and the precoder quadratics and ``approx_secrecy_rate`` (the rate
-    the joint loop and the harness report) chain the same stacked
-    ``pair_weights`` and ``rate_from_kappas``.
-    """
-    return rate_from_kappas(*kappas(w_b, w_e, x_mat, p, tau))
-
-
 def approx_secrecy_rate(
     cfg: SystemConfig,
     wch: WhitenedChannels,
@@ -168,8 +150,9 @@ def approx_secrecy_rate(
 ) -> RateReport:
     """Cut-off rates for Bob and Eve and their difference.
 
-    ``r_approx`` equals ``secrecy_rate`` at the same state bit for bit, and
-    may be negative when Eve holds the better link; no clamping is applied.
+    ``r_approx`` is ``rate_from_kappas`` of ``kappas`` on the effective
+    channels at v, and may be negative when Eve holds the better link; no
+    clamping is applied.
     """
     kb, ke = kappas(*effective_channels(wch, v), hypothesis_matrix(cfg), p, cfg.tau)
     log2k = np.log2(cfg.n_hyp)
@@ -237,7 +220,7 @@ def mc_mutual_information(
     stream_b, stream_e = ss.spawn(2)
     results = []
     for w_eff, stream in zip(effective_channels(wch, v), (stream_b, stream_e)):
-        resp = scale * ((x_mat * pvec[None, :]) @ w_eff.T)  # (K, n_r)
+        resp = scale * response_stack(w_eff, x_mat, pvec)  # (K, n_r)
         f_pairs = resp[:, None, :] - resp[None, :, :]
         rng = np.random.Generator(np.random.Philox(stream))
         results.append(_mc_mi_one_receiver(f_pairs, n_noise_samples, rng))

@@ -199,7 +199,7 @@ def test_criterion_6_sca_bounds():
             inst.cfg.n_rf,
         )
         sub = ScaSubproblem(pq, p0)
-        kb0, ke0 = pq.kappas(p0)
+        kb0, ke0 = pq.forward(p0).kappa
         worst_tight = max(
             worst_tight,
             abs(sub.eve_lower(p0) - np.log2(ke0)),
@@ -208,7 +208,7 @@ def test_criterion_6_sca_bounds():
         for _ in range(100):
             step = rng.standard_normal(inst.cfg.n_tx) + 1j * rng.standard_normal(inst.cfg.n_tx)
             p = p0 + 0.2 * step / np.linalg.norm(step)
-            kb, ke = pq.kappas(p)
+            kb, ke = pq.forward(p).kappa
             violations += sub.eve_lower(p) > np.log2(ke) + 1e-9
             violations += sub.bob_upper(p) < np.log2(kb) - 1e-9
     report("6", worst_tight <= 1e-10 and violations == 0,

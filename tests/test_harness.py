@@ -251,6 +251,22 @@ class TestRunExperiment:
         # a YAML ``p_total_dbm: .nan`` is rejected at load, naming the field
         with pytest.raises(ValueError, match="p_total"):
             system_config_from_dict({"p_total_dbm": float("nan")})
+        # counts and the seed are integers, named when they are not; 16.7 is not truncated to 16
+        for bad in ({"n_channel_trials": 2.5}, {"threads": 1.5}, {"base_seed": 0.5},
+                    {"n_irs_values": (16, 16.7)}, {"n_e_values": (2.0,)}):
+            (name,) = bad
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                ExperimentSpec(kind="cdf", combinations=("irs_bca",), **bad)
+        with pytest.raises(ValueError, match="base_seed must be >= 0"):
+            ExperimentSpec(kind="cdf", combinations=("irs_bca",), base_seed=-1)
+        for name in ("n_rf", "n_k", "n_b", "n_e", "n_irs", "m_ary"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                desk_config(**{name: 2.0})
+        # numpy integers are integers
+        spec = ExperimentSpec(kind="sr_vs_elements", combinations=("irs_bca",),
+                              n_irs_values=(np.int64(8),), n_channel_trials=np.int32(1),
+                              base_seed=np.int64(3), system=desk_config(n_rf=np.int64(2)))
+        assert spec.grid_points()[0]["n_irs"] == 8
 
     def test_csv_deterministic_order(self, tmp_path):
         spec = _tiny_spec(tmp_path)
@@ -333,6 +349,33 @@ experiment:
         with pytest.raises(ValueError, match=named):
             load_config(str(path))
 
+    @pytest.mark.parametrize("system, experiment, named", [
+        ("n_irs: 16.5", "", "n_irs must be an integer"),
+        ("n_rf: 2.0", "", "n_rf must be an integer"),
+        ("m_ary: 4.0", "", "m_ary must be an integer"),
+        ("geometry: {alice: [10, 0]}", "", "geometry alice must be 3 finite coordinates"),
+        ("geometry: {eve: [10, .nan, 0]}", "", "geometry eve must be 3 finite coordinates"),
+        ("", "n_channel_trials: 2.5", "n_channel_trials must be an integer"),
+        ("", "threads: 1.5", "threads must be an integer"),
+        ("", "n_irs_values: [16.7]", "n_irs_values must be an integer"),
+        ("", "base_seed: -1", "base_seed must be >= 0"),
+    ])
+    def test_bad_value_is_named_at_load(self, tmp_path, system, experiment, named):
+        path = tmp_path / "campaign.yaml"
+        path.write_text(f"system:\n  n_b: 2\n  {system}\n"
+                        f"experiment:\n  kind: cdf\n  combinations: [irs_bca]\n  {experiment}\n")
+        with pytest.raises(ValueError, match=named):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("combinations", "irs_bca"), ("powers_dbm", 30), ("n_irs_values", 16),
+        ("n_e_values", "2"), ("irs_y_values", 45.0),
+    ])
+    def test_scalar_for_a_list_is_named(self, key, value):
+        data = {"kind": "cdf", "combinations": ["irs_bca"], key: value}
+        with pytest.raises(ValueError, match=f"experiment {key} must be a list"):
+            experiment_spec_from_dict(data, desk_config())
+
     def test_spec_from_dict_tuplifies(self):
         spec = experiment_spec_from_dict(
             {"kind": "cdf", "n_e_values": [2, 4], "combinations": ["irs_bca"],
@@ -365,6 +408,23 @@ class TestMethodRunners:
             assert np.isfinite(run_method(method, cfg, ch, 2).sr_bits)
         v_star = joint_optimize(cfg, ch, "I", seed=2).v_star.v
         assert np.max(np.abs(np.abs(v_star) - 1.0)) <= 1e-9
+
+    def test_extreme_noise_levels_give_a_bounded_rate(self):
+        # -150 dBm saturates the links (COR-GA reaches log2 K); +20 dBm drowns
+        # them (|sr| near 1e-6 at most); K <= kappa <= K^2 bounds |sr| by log2 K
+        methods = ("random_phase", "irs_bca", "irs_admm", "irs_sdr", "cor_ga", "joint_II", "joint_III")
+        bad = []
+        for make in (desk_config, full_scale_config):
+            for noise_dbm in (-150.0, -120.0, 0.0, 20.0):
+                for power_dbm in (-30.0, 30.0):
+                    sigma2 = db_to_linear(noise_dbm)
+                    cfg = make(p_total=db_to_linear(power_dbm), sigma_b2=sigma2, sigma_e2=sigma2)
+                    ch = draw_channels(cfg, 0)
+                    for method in methods:
+                        sr = run_method(method, cfg, ch, 0).sr_bits
+                        if not (np.isfinite(sr) and abs(sr) <= np.log2(cfg.n_hyp)):
+                            bad.append((make.__name__, noise_dbm, power_dbm, method, sr))
+        assert bad == []
 
 
 # Prints one "scale power seed method sr_bits iterations" line per run, with

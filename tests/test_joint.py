@@ -1,5 +1,7 @@
 """Alternating joint optimization: guard, convergence, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,7 @@ class TestJointOptimize:
         ch = draw_channels(cfg, 321)
         a = joint_optimize(cfg, ch, "II", seed=5)
         b = joint_optimize(cfg, ch, "II", seed=5)
-        assert a.signature() == b.signature()
+        # every trace field but the wall time, compared exactly
+        assert [replace(t, wall_s=0.0) for t in a.trace] == [replace(t, wall_s=0.0) for t in b.trace]
         assert np.array_equal(a.v_star.v, b.v_star.v)
         assert np.array_equal(a.p_star.p, b.p_star.p)

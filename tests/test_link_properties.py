@@ -34,7 +34,7 @@ from irs_ssm.model import (
     link_state,
 )
 from irs_ssm.precoder_opt import asr_sca, build_precoder_quadratics, cor_ga
-from irs_ssm.rates import approx_secrecy_rate, secrecy_rate
+from irs_ssm.rates import approx_secrecy_rate, kappas, rate_from_kappas
 
 from _instances import subnormal_beta_config
 from _oracles import (
@@ -155,7 +155,8 @@ def test_cor_ga_invariants(case):
     assert np.linalg.norm(res.p.p) <= cfg.n_rf + 1e-9
     fresh = build_precoder_quadratics(cfg, wch, v)
     assert float.hex(res.secrecy_rate) == float.hex(fresh.secrecy_rate(res.p))
-    assert float.hex(res.secrecy_rate) == float.hex(secrecy_rate(pq.w_b, pq.w_e, pq.x_mat, res.p, cfg.tau))
+    stacked = rate_from_kappas(*kappas(pq.w_b, pq.w_e, pq.x_mat, res.p, cfg.tau))
+    assert float.hex(res.secrecy_rate) == float.hex(stacked)
 
 
 @SCA_SETTINGS

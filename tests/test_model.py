@@ -61,6 +61,14 @@ class TestHybridPrecoder:
         with pytest.raises(ValueError, match="exceeds the power budget"):
             HybridPrecoder(p=np.full(8, 2.0, dtype=complex), n_rf=4)
 
+    def test_bad_n_rf_or_shape_is_named(self):
+        for n_rf in (0, -2):
+            with pytest.raises(ValueError, match="n_rf must be >= 1"):
+                HybridPrecoder(p=np.zeros(4, dtype=complex), n_rf=n_rf)
+        for p in (np.zeros((2, 2), dtype=complex), np.array(0.5 + 0j)):
+            with pytest.raises(ValueError, match="precoder p must be 1-D"):
+                HybridPrecoder(p=p, n_rf=2)
+
 
 class TestHypotheses:
     def test_counts_full_scale(self):

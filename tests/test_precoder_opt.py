@@ -117,7 +117,7 @@ class _Uncached:
         self.n_rf = pq.n_rf
 
     def secrecy_rate(self, p):
-        return rates.secrecy_rate(self.pq.w_b, self.pq.w_e, self.pq.x_mat, p, self.pq.tau)
+        return rates.rate_from_kappas(*rates.kappas(self.pq.w_b, self.pq.w_e, self.pq.x_mat, p, self.pq.tau))
 
     def gradient(self, p):
         return replace(self.pq).gradient(p)
@@ -163,7 +163,7 @@ class TestForwardMemo:
         same("gradient", p1.real.copy())
 
         pq.gradient(p2)
-        direct = rates.secrecy_rate(pq.w_b, pq.w_e, pq.x_mat, p1, pq.tau)
+        direct = rates.rate_from_kappas(*rates.kappas(pq.w_b, pq.w_e, pq.x_mat, p1, pq.tau))
         assert float.hex(pq.secrecy_rate(p1)) == float.hex(direct)
 
     def test_shared_arrays_are_read_only(self):
@@ -219,7 +219,7 @@ class TestScaBounds:
             _, pq = _quadratics(seed, power_dbm=12.0)
             p0 = np.full(4, 1.0, dtype=complex)
             sub = ScaSubproblem(pq, p0)
-            kb0, ke0 = pq.kappas(p0)
+            kb0, ke0 = pq.forward(p0).kappa
             assert sub.eve_lower(p0) == pytest.approx(np.log2(ke0), abs=1e-10)
             assert sub.bob_upper(p0) == pytest.approx(np.log2(kb0), abs=1e-10)
             assert sub.value(p0) == pytest.approx(pq.secrecy_rate(p0), abs=1e-10)
@@ -233,7 +233,7 @@ class TestScaBounds:
             for _ in range(100):
                 step = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 p = p0 + 0.2 * step / np.linalg.norm(step)
-                kb, ke = pq.kappas(p)
+                kb, ke = pq.forward(p).kappa
                 assert sub.eve_lower(p) <= np.log2(ke) + 1e-9
                 assert sub.bob_upper(p) >= np.log2(kb) - 1e-9
 
@@ -280,7 +280,7 @@ def test_non_finite_start_is_named(solver):
     _, pq = _quadratics(0)
     p0 = np.full(4, 0.5, dtype=complex)
     p0[2] = np.nan
-    with pytest.raises(ValueError, match="p0 contains non-finite"):
+    with pytest.raises(ValueError, match="precoder p contains non-finite"):
         solver(pq, p0)
 
 

@@ -17,10 +17,11 @@ from irs_ssm.model import (
 )
 from irs_ssm.rates import (
     approx_secrecy_rate,
-    kappa,
+    kappas,
     mc_mutual_information,
     pair_distances,
-    secrecy_rate,
+    pair_weights,
+    rate_from_kappas,
 )
 
 from _oracles import kappa_dense
@@ -47,19 +48,19 @@ class TestKappa:
         x_mat = hypothesis_matrix(cfg)
         w_zero = np.zeros((cfg.n_b, cfg.n_tx), dtype=complex)
         p = HybridPrecoder.default_init(cfg)
-        assert kappa(w_zero, x_mat, p, cfg.tau) == pytest.approx(1024.0)
+        assert pair_weights(w_zero, x_mat, p.p, cfg.tau).kappa == pytest.approx(1024.0)
 
     def test_huge_tau_hits_lower_bound(self):
         inst = make_instance(0, n_rf=8, n_k=4, n_irs=4, m_ary=4, sigma_dbm=-80.0)
         w_b, _ = effective_channels(inst.wch, inst.v)
-        assert kappa(w_b, hypothesis_matrix(inst.cfg), inst.p, 1e12) == pytest.approx(32.0)
+        assert pair_weights(w_b, hypothesis_matrix(inst.cfg), inst.p.p, 1e12).kappa == pytest.approx(32.0)
 
     def test_matches_dense_oracle(self):
         for seed in range(5):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=5, m_ary=2, power_dbm=12.0)
             hyps = enumerate_hypotheses(inst.cfg)
             for w_eff in effective_channels(inst.wch, inst.v):
-                fast = kappa(w_eff, hypothesis_matrix(inst.cfg), inst.p, inst.cfg.tau)
+                fast = pair_weights(w_eff, hypothesis_matrix(inst.cfg), inst.p.p, inst.cfg.tau).kappa
                 slow = kappa_dense(w_eff, hyps, inst.p.p, inst.cfg.tau, inst.cfg.n_rf, inst.cfg.n_k)
                 assert abs(fast - slow) < 1e-10 * slow
 
@@ -67,7 +68,7 @@ class TestKappa:
         inst = make_instance(1, power_dbm=15.0)
         x_mat = hypothesis_matrix(inst.cfg)
         w_b, _ = effective_channels(inst.wch, inst.v)
-        values = [kappa(w_b, x_mat, inst.p, t) for t in (0.0, 0.1, 1.0, 10.0, 1e3, 1e6)]
+        values = [pair_weights(w_b, x_mat, inst.p.p, t).kappa for t in (0.0, 0.1, 1.0, 10.0, 1e3, 1e6)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_bounds_always_hold(self):
@@ -77,7 +78,7 @@ class TestKappa:
             x_mat = hypothesis_matrix(inst.cfg)
             w_b, w_e = effective_channels(inst.wch, inst.v)
             for w in (w_b, w_e):
-                val = kappa(w, x_mat, inst.p, inst.cfg.tau)
+                val = pair_weights(w, x_mat, inst.p.p, inst.cfg.tau).kappa
                 assert k_hyp - 1e-9 <= val <= k_hyp**2 + 1e-9
 
     def test_bounds_hold_when_gram_distances_cancel_below_zero(self):
@@ -109,8 +110,8 @@ class TestKappa:
             terms = np.exp(-cfg.tau * pair_distances(resp))
             assert np.all((terms >= 0.0) & (terms <= 1.0))
             for w_eff in (w_b, w_e):
-                assert k_hyp <= kappa(w_eff, x_mat, p, cfg.tau) <= k_hyp**2
-            assert abs(secrecy_rate(w_b, w_e, x_mat, p, cfg.tau)) <= np.log2(k_hyp)
+                assert k_hyp <= pair_weights(w_eff, x_mat, p.p, cfg.tau).kappa <= k_hyp**2
+            assert abs(rate_from_kappas(*kappas(w_b, w_e, x_mat, p, cfg.tau))) <= np.log2(k_hyp)
         assert negative > 0  # the cancellation the clamp guards against did occur
 
 
