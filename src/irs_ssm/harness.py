@@ -27,7 +27,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -197,6 +197,13 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for name in ("powers_dbm", "n_irs_values", "n_e_values", "irs_y_values", "combinations"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"experiment {name} must be a list, got {values!r}")
+            object.__setattr__(self, name, tuple(values))  # a list from YAML is stored as a tuple
+        if not isinstance(self.deterministic_timing, (bool, np.bool_)):
+            raise ValueError(f"deterministic_timing must be true or false, got {self.deterministic_timing!r}")
         for name in ("n_channel_trials", "threads", "base_seed"):
             check_integer(name, getattr(self, name))
         for name in ("n_irs_values", "n_e_values"):
@@ -467,6 +474,23 @@ def write_outputs(spec: ExperimentSpec, records: list[ExperimentRecord], summary
     return csv_path, json_path
 
 
+def _geometry_from_dict(geo) -> Geometry:
+    """A Geometry from a config-file ``geometry`` section, naming the field a bad entry sits in."""
+    if not isinstance(geo, dict):
+        raise ValueError(f"geometry must be a mapping of terminal names to coordinates, got {geo!r}")
+    terminals = [f.name for f in fields(Geometry)]
+    unknown = sorted(set(geo) - set(terminals))
+    if unknown:
+        raise ValueError(f"unknown geometry terminals: {unknown}; choose from {terminals}")
+    coords = {}
+    for name, xyz in geo.items():
+        try:
+            coords[name] = tuple(float(x) for x in xyz)
+        except (TypeError, ValueError):
+            raise ValueError(f"geometry {name} must be 3 finite coordinates, got {xyz!r}") from None
+    return Geometry(**coords)
+
+
 def system_config_from_dict(raw: dict) -> SystemConfig:
     """Build a SystemConfig from a config-file section.
 
@@ -479,8 +503,7 @@ def system_config_from_dict(raw: dict) -> SystemConfig:
         if dbm_key in data:
             data[lin_key] = db_to_linear(float(data.pop(dbm_key)))
     if "geometry" in data:
-        geo = data["geometry"]
-        data["geometry"] = Geometry(**{k: tuple(float(x) for x in geo[k]) for k in geo})
+        data["geometry"] = _geometry_from_dict(data["geometry"])
     defaults = SystemConfig()
     unknown = set(data) - set(asdict(defaults))
     if unknown:
@@ -489,13 +512,7 @@ def system_config_from_dict(raw: dict) -> SystemConfig:
 
 
 def experiment_spec_from_dict(raw: dict, system: SystemConfig) -> ExperimentSpec:
-    data = dict(raw)
-    for key in ("powers_dbm", "n_irs_values", "n_e_values", "irs_y_values", "combinations"):
-        if key in data:
-            if not isinstance(data[key], (list, tuple)):
-                raise ValueError(f"experiment {key} must be a list, got {data[key]!r}")
-            data[key] = tuple(data[key])
-    return ExperimentSpec(system=system, **data)
+    return ExperimentSpec(system=system, **raw)
 
 
 def load_config(path: str) -> ExperimentSpec:

@@ -3,17 +3,18 @@
 With the reflection vector fixed, every pairwise exponent is a Hermitian
 quadratic p^H B p (Bob) or p^H E p (Eve) in the stacked precoder, and the
 secrecy objective is a difference of log-sum-exp terms over those quadratics.
-No B or E is built: values are the K x K Gram distances of the response stack
-R = (X p) W^T, and a weighted sum of pair gradients is
-sum_m conj(x_m) * W^H (L_w R)_m with the pair Laplacian L_w from ``rates``.
+No B or E is built, and no K x K array either: values are the factored
+distances ||u_i - c_delta u_i'||^2 of ``rates.subarray_pairs``
+(u_i = W_i p_i, c_delta the M-PSK rotation, one term per (i, delta, i')
+standing for M ordered pairs), and a weighted sum of pair gradients is
+2M W_i^H (deg_i u_i - sum w c_delta u_i') on block i (``pull_back``).
 Both receivers share one stacked forward pass per point: W_B and W_E sit on
 the leading axis of ``rates.receiver_stack`` (the smaller receiver
-zero-padded to max(n_b, n_e) rows), and ``rates.pair_weights`` gives both
-response stacks, distances, pair weights exp(-tau d) and kappas in one call.
-The pass is memoized on the quadratics: the rate (``rates.rate_from_kappas``
-of its kappas), the gradient (one batched pull-back over the receiver axis)
-and the SCA expansion at that point all read it, so an accepted ascent step
-costs no second evaluation.
+zero-padded to max(n_b, n_e) rows), split into subarray blocks once per
+quadratics.  The pass is memoized on the quadratics: the rate
+(``rates.rate_from_kappas`` of its kappas), the gradient (one batched
+pull-back over the receiver axis) and the SCA expansion at that point all
+read it, so an accepted ascent step costs no second evaluation.
 Two maximizers over ||p|| <= n_rf live here: a successive convex approximation
 that pairs a concave lower bound on the Eve rate with a convex upper bound on
 the Bob rate (both tight at the expansion point, so outer steps ascend), and
@@ -37,7 +38,7 @@ from .model import (
     hypothesis_matrix,
 )
 from . import rates
-from .rates import pair_distances, pair_laplacian, receiver_stack, response_stack
+from .rates import receiver_stack, subarray_distances, subarray_stacks
 
 # Solver settings no caller varies, read at call time.
 SCA_TOL = 0.01  # outer stop on ||p_k - p_{k-1}||
@@ -57,10 +58,10 @@ class PrecoderQuadratics:
     """Pairwise quadratic forms in the stacked precoder for both receivers.
 
     Held in factored form: the whitened effective channels and the
-    hypothesis diagonals.  Values and gradients go through the response
-    stacks and the K x K pair kernel, one memoized forward pass for both
-    receivers per point (see ``forward``).  The channels must not change
-    after construction.
+    hypothesis diagonals.  Values and gradients go through the subarray
+    stacks and the factored pair kernel of ``rates``, one memoized forward
+    pass for both receivers per point (see ``forward``).  The channels must
+    not change after construction.
     """
 
     tau: float
@@ -68,23 +69,24 @@ class PrecoderQuadratics:
     w_b: np.ndarray  # whitened effective Bob channel (n_b, n_tx)
     w_e: np.ndarray  # whitened effective Eve channel (n_e, n_tx)
     x_mat: np.ndarray  # (K, n_tx) hypothesis diagonals
-    # (2, n_r, n_tx) ``rates.receiver_stack`` of (W_B, W_E), and the
-    # p-independent conjugates of the pull-back: conj(X) and conj of the stack
-    w_stack: np.ndarray = field(init=False, repr=False, compare=False)
-    x_conj: np.ndarray = field(init=False, repr=False, compare=False)
-    w_conj: np.ndarray = field(init=False, repr=False, compare=False)
+    # p-independent parts of the kernel: the (2, n_rf, n_r, n_k) subarray
+    # blocks of the ``rates.receiver_stack`` of (W_B, W_E), their conjugate
+    # transposes for the pull-back, and the (M,) PSK rotations c_delta
+    w_blocks: np.ndarray = field(init=False, repr=False, compare=False)
+    w_blocks_h: np.ndarray = field(init=False, repr=False, compare=False)
+    rot: np.ndarray = field(init=False, repr=False, compare=False)
     # [key, stacked forward pass] at the last point evaluated
     _memo: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w_stack = receiver_stack(self.w_b, self.w_e)
-        object.__setattr__(self, "w_stack", w_stack)
-        object.__setattr__(self, "x_conj", np.conj(self.x_mat))
-        object.__setattr__(self, "w_conj", np.conj(w_stack))
+        w_blocks = rates.subarray_channels(receiver_stack(self.w_b, self.w_e), self.n_rf)
+        object.__setattr__(self, "w_blocks", np.ascontiguousarray(w_blocks))
+        object.__setattr__(self, "w_blocks_h", np.ascontiguousarray(np.conj(np.swapaxes(w_blocks, -1, -2))))
+        object.__setattr__(self, "rot", rates.psk_rotations(self.x_mat).copy())
         object.__setattr__(self, "_memo", [None, None])
 
-    def forward(self, p: HybridPrecoder | np.ndarray) -> rates.PairWeights:
-        """``rates.pair_weights`` of both receivers at p, computed once per point.
+    def forward(self, p: HybridPrecoder | np.ndarray) -> rates.SubarrayPairs:
+        """``rates.subarray_pairs`` of both receivers at p, computed once per point.
 
         Every field carries the receiver axis, Bob first.  The GA scores a
         point and then asks for its gradient there, and the SCA expands at
@@ -96,23 +98,33 @@ class PrecoderQuadratics:
         pvec = np.asarray(p, dtype=complex)
         key = (pvec.shape, pvec.tobytes())
         if key != self._memo[0]:
-            fw = rates.pair_weights(self.w_stack, self.x_mat, pvec, self.tau)
+            fw = rates.subarray_pairs(self.w_blocks, self.rot, pvec, self.tau)
             for a in fw:
                 a.flags.writeable = False
             self._memo[:] = key, fw
         return self._memo[1]
 
-    def pull_back(self, weights: np.ndarray, resp: np.ndarray) -> np.ndarray:
-        """(2, n_tx) sums sum_{m,n} w_mn (X_m - X_n)^H W^H (r_m - r_n), one per receiver.
+    def pull_back(self, weights: np.ndarray, u: np.ndarray, u_rot: np.ndarray) -> np.ndarray:
+        """(2, n_tx) ordered-pair sums sum_{m,n} w_mn (X_m - X_n)^H W^H (r_m - r_n), one per receiver.
 
-        ``weights`` (2, K, K) and ``resp`` (2, K, n_r) are stacked like
-        ``w_stack``; the zero-padded rows contribute nothing.
+        ``weights`` (2, n_rf, M, n_rf) give w_mn = weights[i_m, (j_n - j_m) mod M, i_n]
+        and must be symmetric under (i, delta, i') <-> (i', -delta, i), as
+        exp(-tau d) and the SCA's Bob weights are.  Each (i, delta, i') term
+        then stands for M ordered pairs, each counted from both ends, so block
+        i of the sum is 2M W_i^H (deg_i u_i - sum_{delta, i'} w[i, delta, i'] c_delta u_i'),
+        deg_i the weight of row i: one real product of the weights with the
+        rotated stack.  ``u`` and ``u_rot`` are stacked like ``w_blocks``, and
+        the zero-padded rows contribute nothing.
         """
-        return np.sum(self.x_conj * (pair_laplacian(weights, resp) @ self.w_conj), axis=-2)
+        w = weights.reshape(2, self.n_rf, -1)
+        g = (w.sum(axis=-1)[..., None] * u.view(float) - w @ u_rot.view(float)).view(complex)
+        return (2.0 * len(self.rot)) * (self.w_blocks_h @ g[..., None]).reshape(2, -1)
 
     def pair_values(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs."""
-        bob, eve = self.forward(p).dist
+        """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs, gathered from ``forward(p).dist``."""
+        m_ary = len(self.rot)
+        i, j = np.divmod(np.arange(len(self.x_mat)), m_ary)
+        bob, eve = self.forward(p).dist[:, i[:, None], (j[None, :] - j[:, None]) % m_ary, i[None, :]]
         return bob, eve
 
     def secrecy_rate(self, p: HybridPrecoder | np.ndarray) -> float:
@@ -127,7 +139,7 @@ class PrecoderQuadratics:
         a direction d is Re{g^H d}.  Exactly zero at p = 0.
         """
         fw = self.forward(p)
-        terms = (_RECEIVER_SIGNS / fw.kappa)[:, None] * self.pull_back(fw.chi, fw.resp)
+        terms = (_RECEIVER_SIGNS / fw.kappa)[:, None] * self.pull_back(fw.chi, fw.u, fw.u_rot)
         return (self.tau / LN2) * (terms[0] + terms[1])
 
 
@@ -170,55 +182,63 @@ class ScaSubproblem:
     inside the exponents.  Both are tight at p0, R_E^l is concave, R_B^u is
     convex, so the surrogate is concave and globally lower-bounds the true
     objective.  Outside the (open) region where the Eve-bound sum stays
-    positive the value is -inf.
+    positive the value is -inf.  Both bounds sum over the factored
+    (i, delta, i') terms of ``rates.subarray_pairs``, each standing for M
+    ordered pairs.
     """
 
     def __init__(self, pq: PrecoderQuadratics, p0: np.ndarray):
         self.pq = pq
         self.tau = pq.tau
+        self.m_ary = len(pq.rot)
         fw = pq.forward(p0)  # a memo hit when p0 was just scored
-        self.resp0_b = fw.resp[0]  # Bob linearization point
-        self.c_eve = fw.chi[1]  # per-pair weights exp(-tau q_E0), Eve expansion
+        self.u0_b, self.rot0_b = fw.u[0], fw.u_rot[0]  # Bob linearization point a and its rotations
+        self.c_eve = fw.chi[1]  # per-term weights exp(-tau d_E0), Eve expansion
         # p-independent parts of the two bounds
         self._eve_base = 1.0 + self.tau * fw.dist[1]
         self._bob_base = self.tau * fw.dist[0]
-        self._resp0_b_conj = np.conj(self.resp0_b)
         # terms at the last evaluated point: the ascent asks for the value
         # and then the gradient at the same p
         self._key: bytes | None = None
-        self._terms: tuple[np.ndarray, float, np.ndarray] | None = None
+        self._terms: tuple[np.ndarray, np.ndarray, float, np.ndarray] | None = None
 
-    def _at(self, p: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        """(Eve response stack, Eve-bound sum, Bob exponents) at p."""
+    def _at(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """(Eve stacks u and u_rot, Eve-bound sum, Bob exponents) at p."""
         key = p.tobytes()
         if key != self._key:
-            resp_b, resp_e = response_stack(self.pq.w_stack, self.pq.x_mat, p)
-            s = float((self.c_eve * (self._eve_base - self.tau * pair_distances(resp_e))).sum())
-            self._key, self._terms = key, (resp_e, s, self._bob_exponents(resp_b))
+            u, u_rot = subarray_stacks(self.pq.w_blocks, self.pq.rot, p)
+            d_e = subarray_distances(u[1], u_rot[1])
+            s = self.m_ary * float((self.c_eve * (self._eve_base - self.tau * d_e)).sum())
+            self._key, self._terms = key, (u[1], u_rot[1], s, self._bob_exponents(u[0], u_rot[0]))
         return self._terms
 
-    def _bob_exponents(self, resp_b: np.ndarray) -> np.ndarray:
-        # Re{p0^H B_mn p} = Re<r0_m - r0_n, r_m - r_n> from the cross Gram conj(R0) R^T
-        cross = (self._resp0_b_conj @ resp_b.T).real
-        diag = cross.diagonal()
-        lin = diag[:, None] + diag[None, :] - cross - cross.T
+    def _bob_exponents(self, u_b: np.ndarray, rot_b: np.ndarray) -> np.ndarray:
+        # Re{p0^H B_mn p} = Re<a_i, b_i> + Re<a_i', b_i'> - Re<a_i, c b_i'> - Re<b_i, c a_i'>
+        # with a = u_B(p0), b = u_B(p), from two real cross Grams of the stacks
+        n_rf = len(u_b)
+        cross_a = self.u0_b.view(float) @ rot_b.view(float).T
+        diag = np.diagonal(cross_a)  # the delta = 0 block, c_0 = 1: Re<a_i, b_i>
+        cross = cross_a + u_b.view(float) @ self.rot0_b.view(float).T
+        lin = diag[:, None, None] + diag[None, None, :] - cross.reshape(n_rf, -1, n_rf)
         return self._bob_base - 2.0 * self.tau * lin
 
     def value(self, p: np.ndarray) -> float:
         return self.eve_lower(p) - self.bob_upper(p)
 
     def eve_lower(self, p: np.ndarray) -> float:
-        s = self._at(p)[1]
+        s = self._at(p)[2]
         return float(np.log2(s)) if s > 0.0 else -np.inf
 
     def bob_upper(self, p: np.ndarray) -> float:
-        return float(np.logaddexp.reduce(self._at(p)[2], axis=None)) / LN2
+        return (float(np.logaddexp.reduce(self._at(p)[3], axis=None)) + np.log(self.m_ary)) / LN2
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
-        resp_e, s, h = self._at(p)
+        u_e, rot_e, s, h = self._at(p)
         weights = np.exp(h - np.max(h))
-        weights /= weights.sum()
-        bob, eve = self.pq.pull_back(np.stack((weights, self.c_eve)), np.stack((self.resp0_b, resp_e)))
+        weights /= weights.sum() * self.m_ary  # per ordered pair: each term stands for M of them
+        bob, eve = self.pq.pull_back(
+            np.stack((weights, self.c_eve)), np.stack((self.u0_b, u_e)), np.stack((self.rot0_b, rot_e))
+        )
         g_eve = (-2.0 * self.tau / (s * LN2)) * eve
         g_bob_upper = (-2.0 * self.tau / LN2) * bob
         return g_eve - g_bob_upper

@@ -7,30 +7,34 @@ terms over all ordered transmit-hypothesis pairs,
 
 with W the whitened effective channel H~ + G~ V F (Bob) or Q~ + M~ V F (Eve),
 given by ``model.effective_channels`` on the whitened channels that
-``model.link_state`` returns.  Those depend on v alone: the AN shaping matrix
-is the null-space projector of Bob's effective channel when n_rf > n_b and
-the identity otherwise, since every unitary gives the same AN covariance.
-The approximate secrecy rate log2(kappa_E) - log2(kappa_B), the Bob/Eve
-cut-off rate difference, is computed one way: ``pair_weights`` is the one
-forward pass at p (the response stacks R, the K x K distances d, the pair
-weights exp(-tau d) and their sums kappa) and ``rate_from_kappas`` the one log
-ratio.  Both receivers go through one pass: ``receiver_stack`` puts W_B and
-W_E on a leading axis of a (2, max(n_b, n_e), n_tx) array, Bob first, with
-the smaller receiver zero-padded.  A zero row adds a zero column to that
-receiver's response stack, which leaves its distances and kappa unchanged up
-to the rounding of the Gram sums; with n_b = n_e nothing is padded.
-``kappas`` is that stacked pass; the IRS layer and ``approx_secrecy_rate``
-(the rate the joint steps and the harness report on the refreshed link)
-apply ``rate_from_kappas`` to it, and the precoder layer memoizes the same
-pass per point and applies the same ratio, so all three return one float.
-The hypothesis stack X is ``model.hypothesis_matrix(cfg)``.
-Every layer evaluates its pair sums with one kernel on a K-row stack R (here
-r_m = W X_m p), with any leading axes (the receiver axis) carried through:
-``pair_distances`` gives the K x K distances from the Gram matrix
-conj(R) R^T, and ``pair_laplacian`` applies the pair Laplacian L_w, so
-sum_{m,n} w_mn (a_m - a_n)^H (b_m - b_n) = a^H L_w b.  The Monte Carlo mutual
-information here is a validation oracle only; the optimizers never consume
-it because each estimate costs thousands of noise draws per channel.
+``model.link_state`` returns (they depend on v alone).  The approximate
+secrecy rate log2(kappa_E) - log2(kappa_B) is computed one way:
+``subarray_pairs`` is the one forward pass at p and ``rate_from_kappas`` the
+one log ratio.  ``kappas`` runs that pass on the ``receiver_stack`` (W_B and
+W_E on a leading axis, Bob first, the smaller zero-padded, which leaves its
+distances unchanged up to the rounding of the Gram sums); the IRS layer and
+``approx_secrecy_rate`` apply ``rate_from_kappas`` to it, and the precoder
+layer memoizes the same pass per point, so all three return one float.
+
+The pair kernel is factored by subarray.  Hypothesis m = (i, j) of
+``model.hypothesis_matrix`` sends M-PSK symbol s_j on subarray i, so
+r_m = s_j u_i with u_i = W_i p_i.  It rests on the PSK structure (the only
+one ``hypothesis_matrix`` builds): |s_j| = 1 and conj(s_j) s_j' = c_delta
+depends only on delta = (j' - j) mod M (``psk_rotations``), so
+
+    ||r_m - r_n||^2 = ||u_i - c_delta u_i'||^2
+
+and the K^2 = (n_rf M)^2 ordered pairs collapse to n_rf^2 M terms on the
+index (i, delta, i'), each standing for M pairs.  ``subarray_stacks`` builds
+u and the rotated stack c_delta u_i', ``subarray_distances`` the
+(n_rf, M, n_rf) distances from one real Gram of the two, and
+``subarray_pairs`` the weights exp(-tau d) and kappa = M sum exp(-tau d),
+so K <= kappa <= K^2 holds exactly; the precoder gradient pulls weights on
+the same index back through the same stacks.  No K x K Gram is formed:
+``response_stack`` (r_m = W X_m p) and ``pair_laplacian`` remain only for
+the IRS forms' all-ones aggregates and the Monte Carlo oracle.  That oracle
+validates the rates; the optimizers never consume it because each estimate
+costs thousands of noise draws per channel.
 """
 
 from __future__ import annotations
@@ -63,27 +67,11 @@ class RateReport:
     kappa_e: float
 
 
-def pair_distances(stack: np.ndarray) -> np.ndarray:
-    """(..., K, K) squared distances ||r_m - r_n||^2 between the rows of each (K, n_r) stack.
-
-    Forward face of the pair kernel: d_mn = G_mm + G_nn - 2 Re G_mn from the
-    Gram matrix G = conj(R) R^T, with the diagonal set to exactly zero and
-    cancellation below zero clamped, so d >= 0 everywhere.
-    """
-    gram = np.conj(stack) @ np.swapaxes(stack, -1, -2)
-    norms = np.diagonal(gram, axis1=-2, axis2=-1).real
-    dist = norms[..., :, None] + norms[..., None, :] - 2.0 * gram.real
-    k = dist.shape[-1]
-    # dist is a fresh C-contiguous array, so this reshape is a view of it
-    dist.reshape(*dist.shape[:-2], k * k)[..., :: k + 1] = 0.0
-    return np.maximum(dist, 0.0, out=dist)
-
-
 def pair_laplacian(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """L_w R for real (..., K, K) pair weights w, L_w = diag(w 1 + w^T 1) - w - w^T.
 
-    Adjoint face of the pair kernel: for row stacks a and b,
-    sum_{m,n} w_mn (a_m - a_n)^H (b_m - b_n) = a^H L_w b.
+    For row stacks a and b, sum_{m,n} w_mn (a_m - a_n)^H (b_m - b_n) = a^H L_w b.
+    The IRS forms apply it with all-ones weights.
     """
     degree = w.sum(axis=-1) + w.sum(axis=-2)
     return degree[..., :, None] * stack - (w + np.swapaxes(w, -1, -2)) @ stack
@@ -103,37 +91,81 @@ def response_stack(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray) -> np.nd
     return (x_mat * p[None, :]) @ np.swapaxes(w_eff, -1, -2)
 
 
-class PairWeights(NamedTuple):
+def psk_rotations(x_mat: np.ndarray) -> np.ndarray:
+    """(M,) rotations c_delta = conj(s_j) s_{j + delta} of a ``model.hypothesis_matrix`` stack.
+
+    Subarray 0's first antenna holds s_0 = 1, s_1, ..., s_{M-1} in the first
+    M rows and zero below, so c_delta = s_delta is read off that column.
+    """
+    return x_mat[: np.count_nonzero(x_mat[:, 0]), 0]
+
+
+def subarray_channels(w_eff: np.ndarray, n_rf: int) -> np.ndarray:
+    """(..., n_rf, n_r, n_k) blocks W_i of a (..., n_r, n_tx) channel stack, subarray first."""
+    w = np.asarray(w_eff, dtype=complex)
+    return w.reshape(*w.shape[:-1], n_rf, -1).swapaxes(-2, -3)
+
+
+def subarray_stacks(w_blocks: np.ndarray, rot: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u_rot): the (..., n_rf, n_r) subarray responses u_i = W_i p_i and the
+    (..., M n_rf, n_r) rotated stack whose row delta n_rf + i' is c_delta u_i'."""
+    n_rf, n_k = w_blocks.shape[-3], w_blocks.shape[-1]
+    u = (w_blocks @ p.reshape(n_rf, n_k, 1))[..., 0]
+    return u, (rot[:, None, None] * u[..., None, :, :]).reshape(*u.shape[:-2], -1, u.shape[-1])
+
+
+def subarray_distances(u: np.ndarray, u_rot: np.ndarray) -> np.ndarray:
+    """(..., n_rf, M, n_rf) squared distances ||u_i - c_delta u_i'||^2.
+
+    From the real Gram Re<u_i, c_delta u_i'> of the two stacks: the norms are
+    its delta = 0 diagonal (c_0 = 1), (i, 0, i) is set to exactly zero and
+    cancellation below zero is clamped, so d >= 0 everywhere.
+    """
+    n_rf = u.shape[-2]
+    gram = u.view(float) @ np.swapaxes(u_rot.view(float), -1, -2)  # (..., n_rf, M n_rf)
+    norms = np.diagonal(gram, axis1=-2, axis2=-1)
+    dist = norms[..., :, None, None] + norms[..., None, None, :] - 2.0 * gram.reshape(*gram.shape[:-1], -1, n_rf)
+    # dist is a fresh C-contiguous array, so this reshape is a view of it
+    dist.reshape(*dist.shape[:-3], -1)[..., :: gram.shape[-1] + 1] = 0.0
+    return np.maximum(dist, 0.0, out=dist)
+
+
+class SubarrayPairs(NamedTuple):
     """The forward pass at p: everything the rate and its gradient read.
 
-    With a (2, n_r, n_tx) ``receiver_stack`` every field carries a leading
-    receiver axis, Bob first, and kappa is a (2,) array.
+    With a ``receiver_stack`` every field carries a leading receiver axis,
+    Bob first, and kappa is a (2,) array.
     """
 
-    resp: np.ndarray  # (..., K, n_r) response stacks r_m = W X_m p
-    dist: np.ndarray  # (..., K, K) pair distances ||r_m - r_n||^2
-    chi: np.ndarray  # (..., K, K) pair weights exp(-tau d)
-    kappa: float | np.ndarray  # sums of chi, each in [K, K^2]
+    u: np.ndarray  # (..., n_rf, n_r) subarray responses u_i = W_i p_i
+    u_rot: np.ndarray  # (..., M n_rf, n_r) rotated stack c_delta u_i'
+    dist: np.ndarray  # (..., n_rf, M, n_rf) distances ||u_i - c_delta u_i'||^2
+    chi: np.ndarray  # (..., n_rf, M, n_rf) pair weights exp(-tau d)
+    kappa: np.ndarray  # M sum chi, each in [K, K^2]
 
 
-def pair_weights(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray, tau: float) -> PairWeights:
-    """Forward pass of the pair kernel on the response stacks of a (..., n_r, n_tx) channel stack.
+def subarray_pairs(w_blocks: np.ndarray, rot: np.ndarray, p: np.ndarray, tau: float) -> SubarrayPairs:
+    """Forward pass of the pair kernel on (..., n_rf, n_r, n_k) ``subarray_channels``.
 
-    Individual exp underflows saturate to zero, which only sharpens kappa
-    toward its lower bound K.
+    Each (i, delta, i') term stands for the M ordered pairs
+    ((i, j), (i', j + delta)), so kappa = M sum chi.  Individual exp
+    underflows saturate to zero, which only sharpens kappa toward its lower
+    bound K.
     """
-    resp = response_stack(w_eff, x_mat, p)
-    dist = pair_distances(resp)
+    u, u_rot = subarray_stacks(w_blocks, rot, p)
+    dist = subarray_distances(u, u_rot)
     with np.errstate(under="ignore"):
         chi = np.exp(-tau * dist)
-    return PairWeights(resp, dist, chi, np.sum(chi, axis=(-2, -1)))
+    return SubarrayPairs(u, u_rot, dist, chi, len(rot) * np.sum(chi, axis=(-3, -2, -1)))
 
 
 def kappas(
     w_b: np.ndarray, w_e: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float
 ) -> tuple[float, float]:
     """(kappa_B, kappa_E) from one forward pass on the ``receiver_stack``."""
-    kb, ke = pair_weights(receiver_stack(w_b, w_e), x_mat, np.asarray(p), tau).kappa.tolist()
+    rot = psk_rotations(x_mat)
+    w_blocks = subarray_channels(receiver_stack(w_b, w_e), len(x_mat) // len(rot))
+    kb, ke = subarray_pairs(w_blocks, rot, np.asarray(p), tau).kappa.tolist()
     return kb, ke
 
 

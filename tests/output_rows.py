@@ -10,20 +10,28 @@ Hex floats make any change of bits visible, so running the script once with
 one tree's ``src`` on PYTHONPATH and once with another's, then ``diff``-ing
 the two files, names the rows a change moves.  The package is imported from
 PYTHONPATH, so the same script serves both trees.
+
+    python tests/output_rows.py --compare A.json B.json
+
+lists every row whose ``sr_bits`` moved from A to B with the change in bits,
+then the largest change per method, and exits non-zero when any row's
+``iterations`` or ``flops`` differ or a row is missing from either file.
 """
 
 import json
 import sys
 
-from irs_ssm import harness
-from irs_ssm.model import db_to_linear
-
-SCALES = (("desk", harness.desk_config, (0, 1, 2, 3)), ("full", harness.full_scale_config, (0, 1)))
+SCALES = (("desk", "desk_config", (0, 1, 2, 3)), ("full", "full_scale_config", (0, 1)))
 POWERS_DBM = (10.0, 30.0)
 
 
 def rows():
-    for scale, make, seeds in SCALES:
+    # imported here, so --compare runs without the package on PYTHONPATH
+    from irs_ssm import harness
+    from irs_ssm.model import db_to_linear
+
+    for scale, config_name, seeds in SCALES:
+        make = getattr(harness, config_name)
         for power_dbm in POWERS_DBM:
             cfg = make(p_total=db_to_linear(power_dbm))
             for seed in seeds:
@@ -51,7 +59,40 @@ def main(path: str) -> None:
     print(f"wrote {count} rows to {path}")
 
 
+def _load(path: str) -> dict[tuple, dict]:
+    with open(path, encoding="utf-8") as fh:
+        return {(r["scale"], r["power_dbm"], r["seed"], r["method"]): r for r in map(json.loads, fh)}
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print the rows whose rate moved from A to B; 1 if any count differs or a row is missing, else 0."""
+    a, b = _load(path_a), _load(path_b)
+    mismatches = [f"row {key} is only in {path_a}" for key in a.keys() - b.keys()]
+    mismatches += [f"row {key} is only in {path_b}" for key in b.keys() - a.keys()]
+    largest: dict[str, float] = {}
+    moved = 0
+    for key in (k for k in a if k in b):
+        scale, power_dbm, seed, method = key
+        ra, rb = a[key], b[key]
+        for name in ("iterations", "flops"):
+            if ra[name] != rb[name]:
+                mismatches.append(f"{key}: {name} {ra[name]} -> {rb[name]}")
+        change = float.fromhex(rb["sr_bits"]) - float.fromhex(ra["sr_bits"])
+        largest[method] = max(largest.get(method, 0.0), abs(change))
+        if ra["sr_bits"] != rb["sr_bits"]:
+            moved += 1
+            print(f"{scale} {power_dbm:g} dBm seed {seed} {method}: sr_bits {change:+.3e} bit")
+    print(f"{moved} of {len(a.keys() & b.keys())} rows moved; largest |change| per method:")
+    for method, change in largest.items():
+        print(f"  {method}: {change:.3e} bit")
+    for line in mismatches:
+        print(f"MISMATCH {line}")
+    return 1 if mismatches else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit("usage: python tests/output_rows.py OUT.json")
+        sys.exit("usage: python tests/output_rows.py OUT.json | --compare A.json B.json")
     main(sys.argv[1])

@@ -355,6 +355,9 @@ experiment:
         ("m_ary: 4.0", "", "m_ary must be an integer"),
         ("geometry: {alice: [10, 0]}", "", "geometry alice must be 3 finite coordinates"),
         ("geometry: {eve: [10, .nan, 0]}", "", "geometry eve must be 3 finite coordinates"),
+        ("geometry: {carol: [1, 2, 3]}", "", r"unknown geometry terminals: \['carol'\]"),
+        ("geometry: {alice: 10}", "", "geometry alice must be 3 finite coordinates, got 10"),
+        ("geometry: [1, 2]", "", "geometry must be a mapping"),
         ("", "n_channel_trials: 2.5", "n_channel_trials must be an integer"),
         ("", "threads: 1.5", "threads must be an integer"),
         ("", "n_irs_values: [16.7]", "n_irs_values must be an integer"),
@@ -375,6 +378,19 @@ experiment:
         data = {"kind": "cdf", "combinations": ["irs_bca"], key: value}
         with pytest.raises(ValueError, match=f"experiment {key} must be a list"):
             experiment_spec_from_dict(data, desk_config())
+        # built in code, the same check: a string is never split into characters
+        with pytest.raises(ValueError, match=f"experiment {key} must be a list"):
+            ExperimentSpec(**data)
+
+    def test_non_bool_deterministic_timing_is_named(self):
+        # a YAML "no" is a string, not false; it must not silently zero wall_ms
+        named = "deterministic_timing must be true or false, got 'no'"
+        with pytest.raises(ValueError, match=named):
+            ExperimentSpec(kind="cdf", combinations=("irs_bca",), deterministic_timing="no")
+        with pytest.raises(ValueError, match=named):
+            experiment_spec_from_dict(
+                {"kind": "cdf", "combinations": ["irs_bca"], "deterministic_timing": "no"}, desk_config()
+            )
 
     def test_spec_from_dict_tuplifies(self):
         spec = experiment_spec_from_dict(

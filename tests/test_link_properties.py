@@ -8,7 +8,9 @@ the link state, the rate and the precoder gradient (with each receiver's
 d log2 kappa) against the brute-force oracles, that the three rate entry
 points (the rate report, the IRS forms and the precoder quadratics) return
 the same float, that the IRS forms, assembled on the receiver stack, give
-the surrogate of the direct pair norms and Hermitian PSD aggregates, and
+the surrogate of the direct pair norms and Hermitian PSD aggregates, that
+the ASR-SCA surrogate is tight at its expansion point with the objective's
+gradient there and a gradient that matches central differences off it, and
 the solver invariants: for COR-GA and ASR-SCA a trace that never
 decreases, ||p|| <= n_rf and a reported rate equal to a fresh evaluation at
 the returned p; for BCA a trace that starts at the surrogate of v0 and
@@ -20,6 +22,7 @@ at (v*, p*), a trace that never decreases, unit modulus and ||p*|| <= n_rf.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,9 +34,10 @@ from irs_ssm.model import (
     db_to_linear,
     default_analog_blocks,
     enumerate_hypotheses,
+    hypothesis_matrix,
     link_state,
 )
-from irs_ssm.precoder_opt import asr_sca, build_precoder_quadratics, cor_ga
+from irs_ssm.precoder_opt import ScaSubproblem, asr_sca, build_precoder_quadratics, cor_ga
 from irs_ssm.rates import approx_secrecy_rate, kappas, rate_from_kappas
 
 from _instances import subnormal_beta_config
@@ -110,8 +114,10 @@ def test_rate_matches_dense_oracle_and_kappa_bounds(case):
     rep = approx_secrecy_rate(cfg, wch, v, p)
     hyps = enumerate_hypotheses(cfg)
     k = cfg.n_hyp
-    for got, w_eff in ((rep.kappa_b, wch.h + wch.g @ (v[:, None] * wch.f)),
-                       (rep.kappa_e, wch.q + wch.m @ (v[:, None] * wch.f))):
+    w_rx = (wch.h + wch.g @ (v[:, None] * wch.f), wch.q + wch.m @ (v[:, None] * wch.f))
+    got_rx = kappas(*w_rx, hypothesis_matrix(cfg), p, cfg.tau)
+    assert got_rx == (rep.kappa_b, rep.kappa_e)
+    for got, w_eff in zip(got_rx, w_rx):
         want = kappa_dense(w_eff, hyps, p, cfg.tau, cfg.n_rf, cfg.n_k)
         assert abs(got - want) <= 1e-9 * want
         assert k <= got <= k * k
@@ -139,7 +145,7 @@ def test_precoder_gradient_matches_dense_oracle(case):
     assert np.linalg.norm(pq.gradient(p) - want) <= 1e-9 * np.linalg.norm(want)
     # each receiver's d log2 kappa = -2 tau / (ln2 kappa) * pull-back, Bob first
     fw = pq.forward(p)
-    got_rx = (-2.0 * cfg.tau / LN2) * pq.pull_back(fw.chi, fw.resp) / fw.kappa[:, None]
+    got_rx = (-2.0 * cfg.tau / LN2) * pq.pull_back(fw.chi, fw.u, fw.u_rot) / fw.kappa[:, None]
     for got, want_r in zip(got_rx, want_rx):
         assert np.linalg.norm(got - want_r) <= 1e-9 * np.linalg.norm(want_r)
 
@@ -157,6 +163,29 @@ def test_cor_ga_invariants(case):
     assert float.hex(res.secrecy_rate) == float.hex(fresh.secrecy_rate(res.p))
     stacked = rate_from_kappas(*kappas(pq.w_b, pq.w_e, pq.x_mat, res.p, cfg.tau))
     assert float.hex(res.secrecy_rate) == float.hex(stacked)
+
+
+@PROPERTY_SETTINGS
+@given(link_cases(), st.integers(0, 2**32 - 1))
+def test_sca_surrogate_is_tight_at_p0_and_its_gradient_matches_differences(case, seed):
+    cfg, ch, v, p0 = case
+    pq = build_precoder_quadratics(cfg, link_state(cfg, ch, v)[3], v)
+    sub = ScaSubproblem(pq, p0)
+    kb, ke = pq.forward(p0).kappa
+    assert abs(sub.eve_lower(p0) - np.log2(ke)) <= 1e-10
+    assert abs(sub.bob_upper(p0) - np.log2(kb)) <= 1e-10
+    assert abs(sub.value(p0) - pq.secrecy_rate(p0)) <= 1e-10
+    # both bounds are tangent at p0, so the surrogate has the objective's gradient there
+    g0 = pq.gradient(p0)
+    assert np.linalg.norm(sub.gradient(p0) - g0) <= 1e-9 * np.linalg.norm(g0)
+    # central differences at a point off p0, where the surrogate and the objective part
+    rng = np.random.default_rng(seed)
+    d1, d = (rng.standard_normal(cfg.n_tx) + 1j * rng.standard_normal(cfg.n_tx) for _ in range(2))
+    d /= np.linalg.norm(d)
+    p = p0 + 1e-3 * np.linalg.norm(p0) * d1 / np.linalg.norm(d1)
+    h = 1e-6 * np.linalg.norm(p0)
+    fd = (sub.value(p + h * d) - sub.value(p - h * d)) / (2.0 * h)
+    assert np.real(np.vdot(sub.gradient(p), d)) == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 @SCA_SETTINGS

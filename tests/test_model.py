@@ -22,10 +22,16 @@ from irs_ssm.model import (
     ml_detect,
     whiten,
 )
-from irs_ssm.rates import pair_distances
+from irs_ssm.precoder_opt import PrecoderQuadratics
 
 from _oracles import an_covariances_elementwise, dense_selection_matrix
 from _instances import make_instance
+
+
+def _pair_distances(cfg: SystemConfig, w_eff: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """K x K distances ||W (X_m - X_n) p||^2, gathered from the factored kernel."""
+    x_mat = hypothesis_matrix(cfg)
+    return PrecoderQuadratics(tau=1.0, n_rf=cfg.n_rf, w_b=w_eff, w_e=w_eff, x_mat=x_mat).pair_values(p)[0]
 
 
 class TestConfig:
@@ -75,8 +81,8 @@ class TestHypotheses:
         cfg = desk_config(n_rf=8, n_k=4, m_ary=4)
         hyps = enumerate_hypotheses(cfg)
         assert len(hyps) == 32
-        resp = hypothesis_matrix(cfg) @ draw_channels(cfg, 0).h.T
-        assert pair_distances(resp).shape == (32, 32)  # 1024 ordered pairs
+        dist = _pair_distances(cfg, draw_channels(cfg, 0).h, np.ones(cfg.n_tx, dtype=complex))
+        assert dist.shape == (32, 32)  # 1024 ordered pairs
 
     def test_ordering_and_support(self):
         cfg = desk_config(n_rf=3, n_k=2, m_ary=4)
@@ -107,8 +113,7 @@ class TestHypotheses:
     def test_self_difference_is_zero(self):
         cfg = desk_config(n_rf=2, n_k=2, m_ary=2)
         p = np.arange(1, cfg.n_tx + 1).astype(complex)
-        resp = hypothesis_matrix(cfg) * p[None, :]
-        assert np.all(np.diag(pair_distances(resp)) == 0.0)
+        assert np.all(np.diag(_pair_distances(cfg, np.eye(cfg.n_tx), p)) == 0.0)
 
     def test_same_subarray_difference_structure(self):
         cfg = desk_config(n_rf=2, n_k=2, m_ary=4)
@@ -127,10 +132,9 @@ class TestHypotheses:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             p = rng.standard_normal(cfg.n_tx) + 1j * rng.standard_normal(cfg.n_tx)
-            resp = hypothesis_matrix(cfg) * p[None, :]
             for h, xm in zip(hyps, dense):
                 assert np.linalg.norm(h.x_vec * p - xm @ p) < 1e-12
-            dist = pair_distances(resp)
+            dist = _pair_distances(cfg, np.eye(cfg.n_tx), p)
             for m, xm in enumerate(dense):
                 for n, xn in enumerate(dense):
                     assert abs(dist[m, n] - np.linalg.norm((xm - xn) @ p) ** 2) < 1e-12

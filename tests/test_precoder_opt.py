@@ -168,26 +168,27 @@ class TestForwardMemo:
 
     def test_shared_arrays_are_read_only(self):
         _, pq = _quadratics(1)
-        qb, _ = pq.pair_values(np.ones(4, dtype=complex))
-        with pytest.raises(ValueError):
-            qb[0, 1] = 0.0
+        fw = pq.forward(np.ones(4, dtype=complex))
+        for a in fw:
+            with pytest.raises(ValueError):
+                a.reshape(-1)[0] = 0.0
 
     def test_cor_ga_runs_one_forward_pass_per_scored_point(self, monkeypatch):
         cfg, _, pq = _desk_quadratics(0)
         calls = []
-        forward = rates.pair_weights
+        forward = rates.subarray_pairs
 
-        def counted(w_eff, *args):
-            calls.append(w_eff.shape)
-            return forward(w_eff, *args)
+        def counted(w_blocks, *args):
+            calls.append(w_blocks.shape)
+            return forward(w_blocks, *args)
 
-        monkeypatch.setattr(rates, "pair_weights", counted)
+        monkeypatch.setattr(rates, "subarray_pairs", counted)
         res = cor_ga(pq, HybridPrecoder.default_init(cfg))
         accepted = len(res.trace) - 1
         assert accepted > 0 and res.iterations > 0
         # one stacked pass for both receivers at the start point and at each
         # candidate; every gradient is read at a point just scored
-        assert calls == [(2, max(cfg.n_b, cfg.n_e), cfg.n_tx)] * (res.iterations + 1)
+        assert calls == [(2, cfg.n_rf, max(cfg.n_b, cfg.n_e), cfg.n_k)] * (res.iterations + 1)
 
     def test_cor_ga_matches_uncached_quadratics(self):
         for seed in range(2):

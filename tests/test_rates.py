@@ -19,9 +19,12 @@ from irs_ssm.rates import (
     approx_secrecy_rate,
     kappas,
     mc_mutual_information,
-    pair_distances,
-    pair_weights,
+    psk_rotations,
     rate_from_kappas,
+    subarray_channels,
+    subarray_distances,
+    subarray_pairs,
+    subarray_stacks,
 )
 
 from _oracles import kappa_dense
@@ -42,25 +45,31 @@ def _zero_wch(inst) -> WhitenedChannels:
     )
 
 
+def _kappa(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray, tau: float) -> float:
+    """kappa of one (n_r, n_tx) channel by the forward pass of the factored kernel."""
+    rot = psk_rotations(x_mat)
+    return float(subarray_pairs(subarray_channels(w_eff, len(x_mat) // len(rot)), rot, p, tau).kappa)
+
+
 class TestKappa:
     def test_zero_channel_hits_upper_bound(self):
         cfg = desk_config(n_rf=8, n_k=4, n_irs=4, m_ary=4)
         x_mat = hypothesis_matrix(cfg)
         w_zero = np.zeros((cfg.n_b, cfg.n_tx), dtype=complex)
         p = HybridPrecoder.default_init(cfg)
-        assert pair_weights(w_zero, x_mat, p.p, cfg.tau).kappa == pytest.approx(1024.0)
+        assert _kappa(w_zero, x_mat, p.p, cfg.tau) == pytest.approx(1024.0)
 
     def test_huge_tau_hits_lower_bound(self):
         inst = make_instance(0, n_rf=8, n_k=4, n_irs=4, m_ary=4, sigma_dbm=-80.0)
         w_b, _ = effective_channels(inst.wch, inst.v)
-        assert pair_weights(w_b, hypothesis_matrix(inst.cfg), inst.p.p, 1e12).kappa == pytest.approx(32.0)
+        assert _kappa(w_b, hypothesis_matrix(inst.cfg), inst.p.p, 1e12) == pytest.approx(32.0)
 
     def test_matches_dense_oracle(self):
         for seed in range(5):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=5, m_ary=2, power_dbm=12.0)
             hyps = enumerate_hypotheses(inst.cfg)
             for w_eff in effective_channels(inst.wch, inst.v):
-                fast = pair_weights(w_eff, hypothesis_matrix(inst.cfg), inst.p.p, inst.cfg.tau).kappa
+                fast = _kappa(w_eff, hypothesis_matrix(inst.cfg), inst.p.p, inst.cfg.tau)
                 slow = kappa_dense(w_eff, hyps, inst.p.p, inst.cfg.tau, inst.cfg.n_rf, inst.cfg.n_k)
                 assert abs(fast - slow) < 1e-10 * slow
 
@@ -68,7 +77,7 @@ class TestKappa:
         inst = make_instance(1, power_dbm=15.0)
         x_mat = hypothesis_matrix(inst.cfg)
         w_b, _ = effective_channels(inst.wch, inst.v)
-        values = [pair_weights(w_b, x_mat, inst.p.p, t).kappa for t in (0.0, 0.1, 1.0, 10.0, 1e3, 1e6)]
+        values = [_kappa(w_b, x_mat, inst.p.p, t) for t in (0.0, 0.1, 1.0, 10.0, 1e3, 1e6)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_bounds_always_hold(self):
@@ -78,39 +87,42 @@ class TestKappa:
             x_mat = hypothesis_matrix(inst.cfg)
             w_b, w_e = effective_channels(inst.wch, inst.v)
             for w in (w_b, w_e):
-                val = pair_weights(w, x_mat, inst.p.p, inst.cfg.tau).kappa
+                val = _kappa(w, x_mat, inst.p.p, inst.cfg.tau)
                 assert k_hyp - 1e-9 <= val <= k_hyp**2 + 1e-9
 
     def test_bounds_hold_when_gram_distances_cancel_below_zero(self):
-        # two hypotheses whose responses agree to ~1e-12 relative at norm ~1e6:
-        # the raw Gram distance G_mm + G_nn - 2 Re G_mn is rounding noise of
-        # order 1e-4, negative for some draws; the kernel must clamp it
-        cfg = SystemConfig(n_rf=1, n_k=2, n_b=2, n_e=2, n_irs=2, m_ary=2, p_total=1e6)
-        # one subarray of two antennas, two symbols 1e-12 rad apart
-        x_mat = np.repeat(np.exp(1j * np.array([0.0, 1e-12]))[:, None], cfg.n_k, axis=1)
+        # two subarrays whose responses u_0, u_1 agree to ~1e-12 relative at
+        # norm ~1e6: the raw Gram distance ||u_0||^2 + ||u_1||^2 - 2 Re<u_0, u_1>
+        # is rounding noise of order 1e-4, negative for some draws; the kernel
+        # must clamp it
+        cfg = SystemConfig(n_rf=2, n_k=2, n_b=2, n_e=2, n_irs=2, m_ary=2, p_total=1e6)
+        x_mat = hypothesis_matrix(cfg)
+        rot = psk_rotations(x_mat)
         p = HybridPrecoder.default_init(cfg)
         k_hyp = cfg.n_hyp
         negative = 0
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            q = rng.standard_normal((cfg.n_e, cfg.n_tx)) + 1j * rng.standard_normal((cfg.n_e, cfg.n_tx))
+            block = rng.standard_normal((cfg.n_e, cfg.n_k)) + 1j * rng.standard_normal((cfg.n_e, cfg.n_k))
+            # subarray 1 sees subarray 0's channel turned by 1e-12 rad
+            q = np.concatenate((block, block * np.exp(1e-12j)), axis=1)
             wch = WhitenedChannels(
                 h=np.zeros((cfg.n_b, cfg.n_tx), dtype=complex),
                 g=np.zeros((cfg.n_b, cfg.n_irs), dtype=complex),
-                q=q * (1e6 / np.linalg.norm(q @ (x_mat[0] * p.p))),
+                q=q * (1e6 / np.linalg.norm(block @ p.p[: cfg.n_k])),
                 m=np.zeros((cfg.n_e, cfg.n_irs), dtype=complex),
                 f=np.zeros((cfg.n_irs, cfg.n_tx), dtype=complex),
             )
             v = np.ones(cfg.n_irs, dtype=complex)
             w_b, w_e = effective_channels(wch, v)
-            resp = (x_mat * p.p[None, :]) @ w_e.T
-            gram = np.conj(resp) @ resp.T
+            u, u_rot = subarray_stacks(subarray_channels(w_e, cfg.n_rf), rot, p.p)
+            gram = np.conj(u) @ u.T
             norms = gram.diagonal().real
             negative += (norms[0] + norms[1] - 2.0 * gram[0, 1].real) < 0.0
-            terms = np.exp(-cfg.tau * pair_distances(resp))
+            terms = np.exp(-cfg.tau * subarray_distances(u, u_rot))
             assert np.all((terms >= 0.0) & (terms <= 1.0))
             for w_eff in (w_b, w_e):
-                assert k_hyp <= pair_weights(w_eff, x_mat, p.p, cfg.tau).kappa <= k_hyp**2
+                assert k_hyp <= _kappa(w_eff, x_mat, p.p, cfg.tau) <= k_hyp**2
             assert abs(rate_from_kappas(*kappas(w_b, w_e, x_mat, p, cfg.tau))) <= np.log2(k_hyp)
         assert negative > 0  # the cancellation the clamp guards against did occur
 
