@@ -450,7 +450,10 @@ def irs_sdr(qf: QuadraticForms, seed: int = 0) -> BeamformerResult:
     samples with covariance Q = Y Y^H, drawn through the factor Y, is
     projected elementwise to unit modulus (``project_unit_modulus``, with
     phase 0 below TINY) and de-homogenized by the phase of its last
-    coordinate; the best-surrogate sample wins.
+    coordinate.  The first sample within SDP_TOL * max(1, |best|) of the
+    best surrogate wins: when the SDP is tight at rank one every sample
+    rounds to the same v up to rounding, and a bare argmax would let noise
+    at the level of the last bit in phi pick among them.
     """
     n = qf.n_irs
     psi = np.zeros((n + 1, n + 1), dtype=complex)
@@ -468,7 +471,8 @@ def irs_sdr(qf: QuadraticForms, seed: int = 0) -> BeamformerResult:
     unit = project_unit_modulus(xi, np.ones_like(xi))
     v_cands = unit[:, :n] * np.conj(unit[:, n])[:, None]
     values = qf.surrogate_values(v_cands)
-    best = int(np.argmax(values))
+    top = float(values.max())
+    best = int(np.argmax(values >= top - SDP_TOL * max(1.0, abs(top))))
     return BeamformerResult(
         v=IrsPhaseVector(v_cands[best]),
         converged=True,

@@ -1,5 +1,7 @@
 """Quadratic forms in v and the three IRS beamformers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -17,7 +19,7 @@ from irs_ssm.irs_opt import (
     sdp_unit_diag,
 )
 from irs_ssm.joint import IRS_SOLVERS, irs_step
-from irs_ssm.model import HybridPrecoder, link_state
+from irs_ssm.model import HybridPrecoder, db_to_linear, link_state
 
 from _oracles import grid_search_phases, sdp_unit_diag_admm, surrogate_direct
 from _instances import make_instance, subnormal_beta_config
@@ -25,8 +27,6 @@ from _instances import make_instance, subnormal_beta_config
 
 def _zero_forms(n_irs: int = 4):
     inst = make_instance(0, n_irs=n_irs)
-    import dataclasses
-
     wch = dataclasses.replace(
         inst.wch,
         h=np.zeros_like(inst.wch.h),
@@ -77,8 +77,6 @@ class TestIrsPhaseVector:
 class TestQuadraticForms:
     def test_zero_irs_incident_channel(self):
         inst = make_instance(0, n_irs=5)
-        import dataclasses
-
         wch = dataclasses.replace(inst.wch, f=np.zeros_like(inst.wch.f))
         qf = build_quadratic_forms(inst.cfg, wch, inst.p)
         assert np.allclose(qf.phi_b, 0) and np.allclose(qf.phi_e, 0)
@@ -289,6 +287,21 @@ class TestSdr:
         a = irs_sdr(qf, seed=3)
         b = irs_sdr(qf, seed=3)
         assert np.array_equal(a.v.v, b.v.v)
+
+    def test_pick_ignores_rounding_noise_in_phi(self):
+        # the SDP is tight at rank one on this draw: all 200 samples round to one v
+        # to 1e-9, so a bare argmax picks among them by the last bits of phi
+        cfg = desk_config(p_total=db_to_linear(30.0))
+        v0 = np.ones(cfg.n_irs, dtype=complex)
+        qf = build_quadratic_forms(cfg, link_state(cfg, draw_channels(cfg, 0), v0)[3], HybridPrecoder.default_init(cfg))
+        ref = irs_sdr(qf, seed=0).v.v
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            noise = rng.standard_normal(qf.phi.shape) + 1j * rng.standard_normal(qf.phi.shape)
+            noise = 0.5 * (noise + noise.conj().T)
+            phi = qf.phi + (1e-15 * np.linalg.norm(qf.phi) / np.linalg.norm(noise)) * noise
+            got = irs_sdr(dataclasses.replace(qf, phi=phi), seed=0).v.v
+            assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 class TestSurrogateAgainstTruth:

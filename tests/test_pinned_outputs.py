@@ -6,7 +6,8 @@ method) row, the secrecy rate, iteration count and FLOP estimate that
 to keep outputs must keep these: iterations and flops exactly, the rate to
 1e-12 bit.  Regenerate the fixture (``PYTHONPATH=src python
 tests/test_pinned_outputs.py``) only in a change that says which outputs it
-moves and why.
+moves and why; regeneration prints every row that moved past those
+tolerances, with its old and new value, for that change to cite.
 """
 
 import json
@@ -18,6 +19,7 @@ from irs_ssm import harness
 from irs_ssm.model import db_to_linear
 
 FIXTURE = Path(__file__).resolve().parent / "pinned_outputs.json"
+SR_TOL = 1e-12  # bits; iterations and flops must match exactly
 
 # (scale, transmit power in dBm, channel seed, methods)
 DRAWS = [("desk", power, seed, harness.ALL_METHODS) for power in (10.0, 30.0) for seed in (0, 1)]
@@ -51,10 +53,45 @@ def test_run_method_output_is_pinned(case):
     got = _run(*case)
     assert got["iterations"] == want["iterations"]
     assert got["flops"] == want["flops"]
-    assert got["sr_bits"] == pytest.approx(want["sr_bits"], abs=1e-12, rel=0)
+    assert got["sr_bits"] == pytest.approx(want["sr_bits"], abs=SR_TOL, rel=0)
+
+
+def moved_rows(old: dict[tuple, dict], rows: list[dict]) -> list[str]:
+    """One line per row of ``rows`` that is new or moved past the pinned tolerances from ``old``."""
+    lines = []
+    for row in rows:
+        key = (row["scale"], row["power_dbm"], row["seed"], row["method"])
+        was = old.get(key)
+        if was is None:
+            lines.append(f"{key}: new row")
+            continue
+        for name, tol in (("sr_bits", SR_TOL), ("iterations", 0), ("flops", 0)):
+            if abs(row[name] - was[name]) > tol:
+                lines.append(f"{key}: {name} {was[name]!r} -> {row[name]!r}")
+    return lines
+
+
+def test_moved_rows_names_each_change_past_its_tolerance():
+    old = {("desk", 10.0, 0, m): {"sr_bits": 1.0, "iterations": 3, "flops": 5.0} for m in ("a", "b", "c")}
+    rows = [
+        {"scale": "desk", "power_dbm": 10.0, "seed": 0, "method": "a", "sr_bits": 1.0 + 0.5 * SR_TOL,
+         "iterations": 3, "flops": 5.0},
+        {"scale": "desk", "power_dbm": 10.0, "seed": 0, "method": "b", "sr_bits": 1.0 + 4 * SR_TOL,
+         "iterations": 3, "flops": 5.0},
+        {"scale": "desk", "power_dbm": 10.0, "seed": 0, "method": "c", "sr_bits": 1.0, "iterations": 4, "flops": 5.0},
+        {"scale": "full", "power_dbm": 0.0, "seed": 0, "method": "a", "sr_bits": 1.0, "iterations": 3, "flops": 5.0},
+    ]
+    assert moved_rows(old, rows) == [
+        f"('desk', 10.0, 0, 'b'): sr_bits 1.0 -> {1.0 + 4 * SR_TOL!r}",
+        "('desk', 10.0, 0, 'c'): iterations 3 -> 4",
+        "('full', 0.0, 0, 'a'): new row",
+    ]
 
 
 if __name__ == "__main__":
     rows = [_run(*case) for case in CASES]
+    moved = moved_rows(_pinned() if FIXTURE.exists() else {}, rows)
+    print("\n".join(moved))
+    print(f"{len(moved)} change(s) in {len(rows)} rows")
     FIXTURE.write_text(json.dumps({"rows": rows}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(rows)} rows to {FIXTURE}")
