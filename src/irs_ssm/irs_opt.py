@@ -9,13 +9,20 @@ so the Jensen-style surrogate of the secrecy objective collapses to
 
     v^H (Phi_B - Phi_E) v + 2 Re{(D - D') v} + C
 
-with Phi_B, Phi_E positive semidefinite Gram aggregates.  The aggregates come
-from the K per-hypothesis stacks through the all-ones pair Laplacian,
-sum_{m,n} (x_m - x_n)^H (y_m - y_n) = 2K x^H y - 2 (1^T x)^H (1^T y), for
-Bob and Eve at once on the leading axis of ``rates.receiver_stack``.  The
-forms also evaluate the rate at a candidate v: ``rates.rate_from_kappas`` of
-``rates.kappas`` on the effective channels at v, with the whitening held
-where the forms were built.
+with Phi_B, Phi_E positive semidefinite Gram aggregates.  They are sums over
+all ordered hypothesis pairs with unit weights, and for row stacks x, y
+
+    sum_{m,n} (x_m - x_n)^H (y_m - y_n) = 2K sum_m x_m^H y_m - 2 (sum_m x_m)^H (sum_m y_m).
+
+Hypothesis (i, j) sends M-PSK symbol s_j on subarray i, so each response is
+s_j times a subarray response (``rates.subarray_responses``).  The PSK
+symbols sum to zero, sum_j s_j = 0, so the second term vanishes, and
+|s_j| = 1 leaves 2KM sum_i x_i^H y_i over the n_rf subarray responses: the
+forms are built from those, for Bob and Eve at once on the leading axis of
+``rates.receiver_stack``, and no per-hypothesis stack is formed.  The forms
+also evaluate the rate at a candidate v: ``rates.approx_secrecy_rate`` with
+the whitening held where the forms were built.
+
 Three maximizers of that surrogate over the unit-modulus constraint set live
 here: a DC-linearized ADMM, a cyclic per-element block coordinate ascent with
 a closed-form update, and a semidefinite relaxation with Gaussian
@@ -31,15 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    LOG2E,
-    HybridPrecoder,
-    SystemConfig,
-    WhitenedChannels,
-    effective_channels,
-    hypothesis_matrix,
-)
-from .rates import kappas, pair_laplacian, rate_from_kappas, receiver_stack, response_stack
+from .model import LOG2E, HybridPrecoder, SystemConfig, WhitenedChannels
+from .rates import approx_secrecy_rate, receiver_stack, subarray_channels, subarray_responses
 
 # Solver settings no caller varies, read at call time.
 BCA_TOL = 1e-7  # stop once a sweep gains at most this, relative to max(1, |value|)
@@ -86,9 +86,19 @@ class QuadraticForms:
     """Quadratic-form reduction of the secrecy objective in v, for a fixed p.
 
     The surrogate is v^H phi v + 2 Re{delta v} + c_const with
-    phi = phi_b - phi_e and delta = D - D'.  The whitened channels, the
-    hypothesis stack and p they were built from keep the rate evaluable from
-    the same object, through ``rates.kappas`` and ``rates.rate_from_kappas``.
+    phi = phi_b - phi_e and delta = D - D'.  Each all-ones pair sum over the
+    K = n_rf M hypotheses is 2KM times a sum over the subarray responses
+    u_i = W_i p_i alone: sum_j s_j = 0 cancels the cross term and |s_j| = 1
+    drops the symbols (see the module docstring).  With f_i the
+    IRS-incident and a_i the direct responses, C the cascaded channel and
+    s = 2KM tau log2(e), per receiver
+
+        Phi = s (C^H C) .* sum_i conj(f_i) f_i^T,
+        D = s sum_i (a_i^H C) .* f_i,
+        c = s sum_i ||a_i||^2.
+
+    The config, the whitened channels and p they were built from keep the
+    rate evaluable from the same object, through ``rates.approx_secrecy_rate``.
     """
 
     phi_b: np.ndarray
@@ -96,14 +106,13 @@ class QuadraticForms:
     phi: np.ndarray  # Hermitian, phi_b - phi_e
     delta: np.ndarray  # row vector D - D'
     c_const: float
-    tau: float
+    cfg: SystemConfig = field(repr=False)
     wch: WhitenedChannels = field(repr=False)
-    x_mat: np.ndarray = field(repr=False)  # (K, n_tx) hypothesis stack
     p: np.ndarray = field(repr=False)  # stacked precoder the forms were built at
 
     @property
     def n_irs(self) -> int:
-        return self.wch.f.shape[0]
+        return self.cfg.n_irs
 
     def surrogate_value(self, v: IrsPhaseVector | np.ndarray) -> float:
         vv = np.asarray(v)
@@ -124,8 +133,7 @@ class QuadraticForms:
         whitening stays fixed at the v it was computed for, so away from that
         v this is not the rate of the link refreshed at v.
         """
-        w_b, w_e = effective_channels(self.wch, np.asarray(v))
-        return rate_from_kappas(*kappas(w_b, w_e, self.x_mat, self.p, self.tau))
+        return approx_secrecy_rate(self.cfg, self.wch, np.asarray(v), self.p).r_approx
 
 
 def build_quadratic_forms(
@@ -133,34 +141,29 @@ def build_quadratic_forms(
     wch: WhitenedChannels,
     p: HybridPrecoder | np.ndarray,
 ) -> QuadraticForms:
-    """Assemble the aggregate quadratic forms in v.
+    """Assemble the aggregate quadratic forms in v from the subarray responses.
 
-    For hypothesis (i, j): s_ij is the p-weighted IRS-incident response,
-    a_ij the p-weighted whitened direct response.  Every pair sum runs
-    through the all-ones pair Laplacian, under which diagonal pairs (m == n)
-    contribute nothing.  Bob and Eve share one expression per quantity: the
-    direct channels (H~, Q~) and the cascaded ones (G~, M~) sit on the
-    leading axis of ``rates.receiver_stack``, Bob first, the smaller
-    receiver zero-padded, as in the precoder layer.  Every IRS solver reads
-    its input from these forms, so a non-finite p is rejected here, naming
-    the cause, rather than turning into a NaN v or surrogate downstream.
+    f_i = F_i p_i is the IRS-incident response of subarray i and a_i its
+    whitened direct response; ``QuadraticForms`` gives the three sums.  Bob
+    and Eve share one expression per quantity: the direct channels (H~, Q~)
+    and the cascaded ones (G~, M~) sit on the leading axis of
+    ``rates.receiver_stack``, Bob first, the smaller receiver zero-padded,
+    as in the precoder layer.  Every IRS solver reads its input from these
+    forms, so a non-finite p is rejected here, naming the cause, rather than
+    turning into a NaN v or surrogate downstream.
     """
-    x_mat = hypothesis_matrix(cfg)
     pvec = np.asarray(p)
     if not np.all(np.isfinite(pvec)):
         raise ValueError("precoder p contains non-finite entries")
     cascade = receiver_stack(wch.g, wch.m)  # (2, n_r, N)
-    a_hyp = response_stack(receiver_stack(wch.h, wch.q), x_mat, pvec)  # (2, K, n_r)
-    s_hyp = response_stack(wch.f, x_mat, pvec)  # (K, N)
+    a = subarray_responses(subarray_channels(receiver_stack(wch.h, wch.q), cfg.n_rf), pvec)  # (2, n_rf, n_r)
+    f = subarray_responses(subarray_channels(wch.f, cfg.n_rf), pvec)  # (n_rf, N)
 
-    ones = np.ones((cfg.n_hyp, cfg.n_hyp))
-    ls = pair_laplacian(ones, s_hyp)
-    scale = cfg.tau * LOG2E
-    ds_gram = s_hyp.conj().T @ ls  # sum_{m,n} conj(s_m - s_n) (s_m - s_n)^T
-    phi = scale * ((np.conj(np.swapaxes(cascade, -1, -2)) @ cascade) * ds_gram)
+    scale = 2.0 * cfg.n_hyp * cfg.m_ary * cfg.tau * LOG2E
+    phi = scale * ((np.conj(np.swapaxes(cascade, -1, -2)) @ cascade) * (f.conj().T @ f))
     phi_b, phi_e = 0.5 * (phi + np.conj(np.swapaxes(phi, -1, -2)))
-    d_b, d_e = scale * np.sum((a_hyp.conj() @ cascade) * ls, axis=-2)
-    c_b, c_e = (np.vdot(a, la).real for a, la in zip(a_hyp, pair_laplacian(ones, a_hyp)))
+    d_b, d_e = scale * np.sum((a.conj() @ cascade) * f, axis=-2)
+    c_b, c_e = (np.vdot(a_rx, a_rx).real for a_rx in a)
 
     return QuadraticForms(
         phi_b=phi_b,
@@ -168,9 +171,8 @@ def build_quadratic_forms(
         phi=phi_b - phi_e,
         delta=d_b - d_e,
         c_const=scale * float(c_b - c_e),
-        tau=cfg.tau,
+        cfg=cfg,
         wch=wch,
-        x_mat=x_mat,
         p=pvec,
     )
 

@@ -10,7 +10,8 @@ transmit hypotheses, AN projection, interference-plus-noise whitening, and
 ML detection.  The hypotheses are a function of the config alone: the M-PSK
 set of ``m_ary`` on each of the ``n_rf`` subarrays, as the labelled list
 ``enumerate_hypotheses(cfg)`` or the (K, n_tx) stack ``hypothesis_matrix(cfg)``
-that every rate and optimizer reads.  ``link_state`` is the one map from a
+that ML detection and the Monte Carlo oracle read; the rates and optimizers
+need only (n_rf, m_ary).  ``link_state`` is the one map from a
 reflection vector v to the whitened link; the whitened channels are a
 ``ChannelSet``, so ``effective_channels`` gives H + GVF and Q + MVF for raw
 and whitened sets alike.  Everything downstream (cut-off rates, the IRS and

@@ -11,10 +11,11 @@ standing for M ordered pairs), and a weighted sum of pair gradients is
 Both receivers share one stacked forward pass per point: W_B and W_E sit on
 the leading axis of ``rates.receiver_stack`` (the smaller receiver
 zero-padded to max(n_b, n_e) rows), split into subarray blocks once per
-quadratics.  The pass is memoized on the quadratics: the rate
-(``rates.rate_from_kappas`` of its kappas), the gradient (one batched
-pull-back over the receiver axis) and the SCA expansion at that point all
-read it, so an accepted ascent step costs no second evaluation.
+quadratics; n_rf and the PSK order M fix the hypothesis set, so no
+per-hypothesis matrix is built.  The pass is memoized on the quadratics:
+the rate (``rates.rate_from_kappas`` of its kappas), the gradient (one
+batched pull-back over the receiver axis) and the SCA expansion at that
+point all read it, so an accepted ascent step costs no second evaluation.
 Two maximizers over ||p|| <= n_rf live here: a successive convex approximation
 that pairs a concave lower bound on the Eve rate with a convex upper bound on
 the Bob rate (both tight at the expansion point, so outer steps ascend), and
@@ -29,14 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    LN2,
-    HybridPrecoder,
-    SystemConfig,
-    WhitenedChannels,
-    effective_channels,
-    hypothesis_matrix,
-)
+from .model import LN2, HybridPrecoder, SystemConfig, WhitenedChannels, effective_channels
 from . import rates
 from .rates import receiver_stack, subarray_distances, subarray_stacks
 
@@ -57,18 +51,18 @@ _RECEIVER_SIGNS = np.array([2.0, -2.0])
 class PrecoderQuadratics:
     """Pairwise quadratic forms in the stacked precoder for both receivers.
 
-    Held in factored form: the whitened effective channels and the
-    hypothesis diagonals.  Values and gradients go through the subarray
-    stacks and the factored pair kernel of ``rates``, one memoized forward
-    pass for both receivers per point (see ``forward``).  The channels must
-    not change after construction.
+    Held in factored form: the whitened effective channels, n_rf and the
+    PSK order M, which fix the hypothesis set.  Values and gradients go
+    through the subarray stacks and the factored pair kernel of ``rates``,
+    one memoized forward pass for both receivers per point (see
+    ``forward``).  The channels must not change after construction.
     """
 
     tau: float
     n_rf: int
     w_b: np.ndarray  # whitened effective Bob channel (n_b, n_tx)
     w_e: np.ndarray  # whitened effective Eve channel (n_e, n_tx)
-    x_mat: np.ndarray  # (K, n_tx) hypothesis diagonals
+    m_ary: int  # PSK order M
     # p-independent parts of the kernel: the (2, n_rf, n_r, n_k) subarray
     # blocks of the ``rates.receiver_stack`` of (W_B, W_E), their conjugate
     # transposes for the pull-back, and the (M,) PSK rotations c_delta
@@ -82,7 +76,7 @@ class PrecoderQuadratics:
         w_blocks = rates.subarray_channels(receiver_stack(self.w_b, self.w_e), self.n_rf)
         object.__setattr__(self, "w_blocks", np.ascontiguousarray(w_blocks))
         object.__setattr__(self, "w_blocks_h", np.ascontiguousarray(np.conj(np.swapaxes(w_blocks, -1, -2))))
-        object.__setattr__(self, "rot", rates.psk_rotations(self.x_mat).copy())
+        object.__setattr__(self, "rot", rates.psk_rotations(self.m_ary))
         object.__setattr__(self, "_memo", [None, None])
 
     def forward(self, p: HybridPrecoder | np.ndarray) -> rates.SubarrayPairs:
@@ -118,13 +112,12 @@ class PrecoderQuadratics:
         """
         w = weights.reshape(2, self.n_rf, -1)
         g = (w.sum(axis=-1)[..., None] * u.view(float) - w @ u_rot.view(float)).view(complex)
-        return (2.0 * len(self.rot)) * (self.w_blocks_h @ g[..., None]).reshape(2, -1)
+        return (2.0 * self.m_ary) * (self.w_blocks_h @ g[..., None]).reshape(2, -1)
 
     def pair_values(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs, gathered from ``forward(p).dist``."""
-        m_ary = len(self.rot)
-        i, j = np.divmod(np.arange(len(self.x_mat)), m_ary)
-        bob, eve = self.forward(p).dist[:, i[:, None], (j[None, :] - j[:, None]) % m_ary, i[None, :]]
+        i, j = np.divmod(np.arange(self.n_rf * self.m_ary), self.m_ary)
+        bob, eve = self.forward(p).dist[:, i[:, None], (j[None, :] - j[:, None]) % self.m_ary, i[None, :]]
         return bob, eve
 
     def secrecy_rate(self, p: HybridPrecoder | np.ndarray) -> float:
@@ -155,7 +148,7 @@ def build_precoder_quadratics(
         n_rf=cfg.n_rf,
         w_b=w_b,
         w_e=w_e,
-        x_mat=hypothesis_matrix(cfg),
+        m_ary=cfg.m_ary,
     )
 
 
@@ -190,7 +183,7 @@ class ScaSubproblem:
     def __init__(self, pq: PrecoderQuadratics, p0: np.ndarray):
         self.pq = pq
         self.tau = pq.tau
-        self.m_ary = len(pq.rot)
+        self.m_ary = pq.m_ary
         fw = pq.forward(p0)  # a memo hit when p0 was just scored
         self.u0_b, self.rot0_b = fw.u[0], fw.u_rot[0]  # Bob linearization point a and its rotations
         self.c_eve = fw.chi[1]  # per-term weights exp(-tau d_E0), Eve expansion

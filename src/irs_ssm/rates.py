@@ -16,11 +16,11 @@ distances unchanged up to the rounding of the Gram sums); the IRS layer and
 ``approx_secrecy_rate`` apply ``rate_from_kappas`` to it, and the precoder
 layer memoizes the same pass per point, so all three return one float.
 
-The pair kernel is factored by subarray.  Hypothesis m = (i, j) of
-``model.hypothesis_matrix`` sends M-PSK symbol s_j on subarray i, so
-r_m = s_j u_i with u_i = W_i p_i.  It rests on the PSK structure (the only
-one ``hypothesis_matrix`` builds): |s_j| = 1 and conj(s_j) s_j' = c_delta
-depends only on delta = (j' - j) mod M (``psk_rotations``), so
+The pair kernel is factored by subarray.  Hypothesis m = (i, j) sends
+M-PSK symbol s_j on subarray i, so r_m = s_j u_i with u_i = W_i p_i
+(``subarray_responses``).  The hypothesis set is read from the config
+(n_rf, m_ary) alone: |s_j| = 1 and conj(s_j) s_j' = c_delta depends only on
+delta = (j' - j) mod M (``psk_rotations``), so
 
     ||r_m - r_n||^2 = ||u_i - c_delta u_i'||^2
 
@@ -30,11 +30,11 @@ u and the rotated stack c_delta u_i', ``subarray_distances`` the
 (n_rf, M, n_rf) distances from one real Gram of the two, and
 ``subarray_pairs`` the weights exp(-tau d) and kappa = M sum exp(-tau d),
 so K <= kappa <= K^2 holds exactly; the precoder gradient pulls weights on
-the same index back through the same stacks.  No K x K Gram is formed:
-``response_stack`` (r_m = W X_m p) and ``pair_laplacian`` remain only for
-the IRS forms' all-ones aggregates and the Monte Carlo oracle.  That oracle
-validates the rates; the optimizers never consume it because each estimate
-costs thousands of noise draws per channel.
+the same index back through the same stacks, and the IRS forms' all-ones
+pair sums reduce to sums over u_i (see ``irs_opt``).  No K x K Gram is
+formed, and only the Monte Carlo oracle builds the K responses W X_m p.
+That oracle validates the rates; the optimizers never consume it because
+each estimate costs thousands of noise draws per channel.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import numpy as np
 
 from .model import (
     LN2,
+    Constellation,
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
@@ -67,16 +68,6 @@ class RateReport:
     kappa_e: float
 
 
-def pair_laplacian(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """L_w R for real (..., K, K) pair weights w, L_w = diag(w 1 + w^T 1) - w - w^T.
-
-    For row stacks a and b, sum_{m,n} w_mn (a_m - a_n)^H (b_m - b_n) = a^H L_w b.
-    The IRS forms apply it with all-ones weights.
-    """
-    degree = w.sum(axis=-1) + w.sum(axis=-2)
-    return degree[..., :, None] * stack - (w + np.swapaxes(w, -1, -2)) @ stack
-
-
 def receiver_stack(w_b: np.ndarray, w_e: np.ndarray) -> np.ndarray:
     """(2, max(n_b, n_e), n_tx) stack of Bob's and Eve's channels, the smaller zero-padded."""
     n_r = max(len(w_b), len(w_e))
@@ -86,18 +77,9 @@ def receiver_stack(w_b: np.ndarray, w_e: np.ndarray) -> np.ndarray:
     return stack
 
 
-def response_stack(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(..., K, n_r) responses r_m = W X_m p for a (..., n_r, n_tx) channel stack W."""
-    return (x_mat * p[None, :]) @ np.swapaxes(w_eff, -1, -2)
-
-
-def psk_rotations(x_mat: np.ndarray) -> np.ndarray:
-    """(M,) rotations c_delta = conj(s_j) s_{j + delta} of a ``model.hypothesis_matrix`` stack.
-
-    Subarray 0's first antenna holds s_0 = 1, s_1, ..., s_{M-1} in the first
-    M rows and zero below, so c_delta = s_delta is read off that column.
-    """
-    return x_mat[: np.count_nonzero(x_mat[:, 0]), 0]
+def psk_rotations(m_ary: int) -> np.ndarray:
+    """(M,) rotations c_delta = conj(s_j) s_{j + delta} of M-PSK: c_delta = s_delta, as s_0 = 1."""
+    return Constellation.psk(m_ary).symbols
 
 
 def subarray_channels(w_eff: np.ndarray, n_rf: int) -> np.ndarray:
@@ -106,11 +88,16 @@ def subarray_channels(w_eff: np.ndarray, n_rf: int) -> np.ndarray:
     return w.reshape(*w.shape[:-1], n_rf, -1).swapaxes(-2, -3)
 
 
-def subarray_stacks(w_blocks: np.ndarray, rot: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, u_rot): the (..., n_rf, n_r) subarray responses u_i = W_i p_i and the
-    (..., M n_rf, n_r) rotated stack whose row delta n_rf + i' is c_delta u_i'."""
+def subarray_responses(w_blocks: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(..., n_rf, n_r) subarray responses u_i = W_i p_i of (..., n_rf, n_r, n_k) ``subarray_channels``."""
     n_rf, n_k = w_blocks.shape[-3], w_blocks.shape[-1]
-    u = (w_blocks @ p.reshape(n_rf, n_k, 1))[..., 0]
+    return (w_blocks @ p.reshape(n_rf, n_k, 1))[..., 0]
+
+
+def subarray_stacks(w_blocks: np.ndarray, rot: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u_rot): the ``subarray_responses`` u and the (..., M n_rf, n_r)
+    rotated stack whose row delta n_rf + i' is c_delta u_i'."""
+    u = subarray_responses(w_blocks, p)
     return u, (rot[:, None, None] * u[..., None, :, :]).reshape(*u.shape[:-2], -1, u.shape[-1])
 
 
@@ -160,12 +147,11 @@ def subarray_pairs(w_blocks: np.ndarray, rot: np.ndarray, p: np.ndarray, tau: fl
 
 
 def kappas(
-    w_b: np.ndarray, w_e: np.ndarray, x_mat: np.ndarray, p: HybridPrecoder | np.ndarray, tau: float
+    cfg: SystemConfig, w_b: np.ndarray, w_e: np.ndarray, p: HybridPrecoder | np.ndarray
 ) -> tuple[float, float]:
     """(kappa_B, kappa_E) from one forward pass on the ``receiver_stack``."""
-    rot = psk_rotations(x_mat)
-    w_blocks = subarray_channels(receiver_stack(w_b, w_e), len(x_mat) // len(rot))
-    kb, ke = subarray_pairs(w_blocks, rot, np.asarray(p), tau).kappa.tolist()
+    w_blocks = subarray_channels(receiver_stack(w_b, w_e), cfg.n_rf)
+    kb, ke = subarray_pairs(w_blocks, psk_rotations(cfg.m_ary), np.asarray(p), cfg.tau).kappa.tolist()
     return kb, ke
 
 
@@ -186,7 +172,7 @@ def approx_secrecy_rate(
     channels at v, and may be negative when Eve holds the better link; no
     clamping is applied.
     """
-    kb, ke = kappas(*effective_channels(wch, v), hypothesis_matrix(cfg), p, cfg.tau)
+    kb, ke = kappas(cfg, *effective_channels(wch, v), p)
     log2k = np.log2(cfg.n_hyp)
     return RateReport(
         i0_bob=float(2.0 * log2k - np.log2(kb)),
@@ -245,14 +231,13 @@ def mc_mutual_information(
     """
     if n_noise_samples < 100:
         raise ValueError("n_noise_samples must be >= 100")
-    x_mat = hypothesis_matrix(cfg)
-    pvec = np.asarray(p)
+    signals = hypothesis_matrix(cfg) * np.asarray(p)[None, :]  # rows X_m p
     scale = np.sqrt(cfg.beta * cfg.p_total)
     ss = np.random.SeedSequence(entropy=seed)
     stream_b, stream_e = ss.spawn(2)
     results = []
     for w_eff, stream in zip(effective_channels(wch, v), (stream_b, stream_e)):
-        resp = scale * response_stack(w_eff, x_mat, pvec)  # (K, n_r)
+        resp = scale * (signals @ w_eff.T)  # (K, n_r) responses W X_m p
         f_pairs = resp[:, None, :] - resp[None, :, :]
         rng = np.random.Generator(np.random.Philox(stream))
         results.append(_mc_mi_one_receiver(f_pairs, n_noise_samples, rng))

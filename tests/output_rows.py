@@ -11,11 +11,12 @@ one tree's ``src`` on PYTHONPATH and once with another's, then ``diff``-ing
 the two files, names the rows a change moves.  The package is imported from
 PYTHONPATH, so the same script serves both trees.
 
-    python tests/output_rows.py --compare A.json B.json
+    python tests/output_rows.py --compare A.json B.json [--max-bits X]
 
 lists every row whose ``sr_bits`` moved from A to B with the change in bits,
 then the largest change per method, and exits non-zero when any row's
-``iterations`` or ``flops`` differ or a row is missing from either file.
+``iterations`` or ``flops`` differ, a row is missing from either file, or,
+with ``--max-bits``, any row's ``sr_bits`` moved by more than X bits.
 """
 
 import json
@@ -64,8 +65,12 @@ def _load(path: str) -> dict[tuple, dict]:
         return {(r["scale"], r["power_dbm"], r["seed"], r["method"]): r for r in map(json.loads, fh)}
 
 
-def compare(path_a: str, path_b: str) -> int:
-    """Print the rows whose rate moved from A to B; 1 if any count differs or a row is missing, else 0."""
+def compare(path_a: str, path_b: str, max_bits: float | None = None) -> int:
+    """Print the rows whose rate moved from A to B.
+
+    Returns 1 if any count differs, a row is missing or a rate moved by more
+    than ``max_bits``, else 0.
+    """
     a, b = _load(path_a), _load(path_b)
     mismatches = [f"row {key} is only in {path_a}" for key in a.keys() - b.keys()]
     mismatches += [f"row {key} is only in {path_b}" for key in b.keys() - a.keys()]
@@ -82,6 +87,8 @@ def compare(path_a: str, path_b: str) -> int:
         if ra["sr_bits"] != rb["sr_bits"]:
             moved += 1
             print(f"{scale} {power_dbm:g} dBm seed {seed} {method}: sr_bits {change:+.3e} bit")
+        if max_bits is not None and not abs(change) <= max_bits:
+            mismatches.append(f"{key}: sr_bits moved {change:+.3e} bit, beyond {max_bits:g}")
     print(f"{moved} of {len(a.keys() & b.keys())} rows moved; largest |change| per method:")
     for method, change in largest.items():
         print(f"  {method}: {change:.3e} bit")
@@ -91,8 +98,11 @@ def compare(path_a: str, path_b: str) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        sys.exit(compare(sys.argv[2], sys.argv[3]))
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/output_rows.py OUT.json | --compare A.json B.json")
-    main(sys.argv[1])
+    args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--compare":
+        sys.exit(compare(args[1], args[2]))
+    if len(args) == 5 and args[0] == "--compare" and args[3] == "--max-bits":
+        sys.exit(compare(args[1], args[2], float(args[4])))
+    if len(args) != 1:
+        sys.exit("usage: python tests/output_rows.py OUT.json | --compare A.json B.json [--max-bits X]")
+    main(args[0])

@@ -293,7 +293,8 @@ class TestSdr:
         # to 1e-9, so a bare argmax picks among them by the last bits of phi
         cfg = desk_config(p_total=db_to_linear(30.0))
         v0 = np.ones(cfg.n_irs, dtype=complex)
-        qf = build_quadratic_forms(cfg, link_state(cfg, draw_channels(cfg, 0), v0)[3], HybridPrecoder.default_init(cfg))
+        wch = link_state(cfg, draw_channels(cfg, 0), v0)[3]
+        qf = build_quadratic_forms(cfg, wch, HybridPrecoder.default_init(cfg))
         ref = irs_sdr(qf, seed=0).v.v
         rng = np.random.default_rng(0)
         for _ in range(5):

@@ -34,7 +34,6 @@ from irs_ssm.model import (
     db_to_linear,
     default_analog_blocks,
     enumerate_hypotheses,
-    hypothesis_matrix,
     link_state,
 )
 from irs_ssm.precoder_opt import ScaSubproblem, asr_sca, build_precoder_quadratics, cor_ga
@@ -115,7 +114,7 @@ def test_rate_matches_dense_oracle_and_kappa_bounds(case):
     hyps = enumerate_hypotheses(cfg)
     k = cfg.n_hyp
     w_rx = (wch.h + wch.g @ (v[:, None] * wch.f), wch.q + wch.m @ (v[:, None] * wch.f))
-    got_rx = kappas(*w_rx, hypothesis_matrix(cfg), p, cfg.tau)
+    got_rx = kappas(cfg, *w_rx, p)
     assert got_rx == (rep.kappa_b, rep.kappa_e)
     for got, w_eff in zip(got_rx, w_rx):
         want = kappa_dense(w_eff, hyps, p, cfg.tau, cfg.n_rf, cfg.n_k)
@@ -161,7 +160,7 @@ def test_cor_ga_invariants(case):
     assert np.linalg.norm(res.p.p) <= cfg.n_rf + 1e-9
     fresh = build_precoder_quadratics(cfg, wch, v)
     assert float.hex(res.secrecy_rate) == float.hex(fresh.secrecy_rate(res.p))
-    stacked = rate_from_kappas(*kappas(pq.w_b, pq.w_e, pq.x_mat, res.p, cfg.tau))
+    stacked = rate_from_kappas(*kappas(cfg, pq.w_b, pq.w_e, res.p))
     assert float.hex(res.secrecy_rate) == float.hex(stacked)
 
 
@@ -201,13 +200,18 @@ def test_sca_invariants(case):
 
 
 @SOLVER_SETTINGS
-@given(link_cases())
-def test_irs_forms_match_direct_norms(case):
+@given(link_cases(), st.integers(0, 2**32 - 1))
+def test_irs_forms_match_direct_norms(case, seed):
     cfg, ch, v, p = case
     wch = link_state(cfg, ch, v)[3]
     qf = build_quadratic_forms(cfg, wch, p)
     direct = surrogate_direct(cfg, wch, p, v)
     assert abs(qf.surrogate_value(v) - direct) <= 1e-8 * max(1.0, abs(direct))
+    # away from the v the whitening was built at, where the forms are used
+    points = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (3, cfg.n_irs)))
+    for got, point in zip(qf.surrogate_values(points), points):
+        direct = surrogate_direct(cfg, wch, p, point)
+        assert abs(got - direct) <= 1e-8 * max(1.0, abs(direct))
     for phi in (qf.phi_b, qf.phi_e):
         assert np.linalg.norm(phi - phi.conj().T) < 1e-10 * max(1, np.linalg.norm(phi))
         assert np.linalg.eigvalsh(phi)[0] > -1e-10 * max(1, np.linalg.norm(phi))

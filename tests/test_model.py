@@ -30,8 +30,7 @@ from _instances import make_instance
 
 def _pair_distances(cfg: SystemConfig, w_eff: np.ndarray, p: np.ndarray) -> np.ndarray:
     """K x K distances ||W (X_m - X_n) p||^2, gathered from the factored kernel."""
-    x_mat = hypothesis_matrix(cfg)
-    return PrecoderQuadratics(tau=1.0, n_rf=cfg.n_rf, w_b=w_eff, w_e=w_eff, x_mat=x_mat).pair_values(p)[0]
+    return PrecoderQuadratics(tau=1.0, n_rf=cfg.n_rf, w_b=w_eff, w_e=w_eff, m_ary=cfg.m_ary).pair_values(p)[0]
 
 
 class TestConfig:

@@ -72,14 +72,16 @@ def moved_rows(old: dict[tuple, dict], rows: list[dict]) -> list[str]:
 
 
 def test_moved_rows_names_each_change_past_its_tolerance():
-    old = {("desk", 10.0, 0, m): {"sr_bits": 1.0, "iterations": 3, "flops": 5.0} for m in ("a", "b", "c")}
+    def row(scale, method, sr_bits=1.0, iterations=3):
+        return {"scale": scale, "power_dbm": 10.0 if scale == "desk" else 0.0, "seed": 0, "method": method,
+                "sr_bits": sr_bits, "iterations": iterations, "flops": 5.0}
+
+    old = {("desk", 10.0, 0, m): row("desk", m) for m in ("a", "b", "c")}
     rows = [
-        {"scale": "desk", "power_dbm": 10.0, "seed": 0, "method": "a", "sr_bits": 1.0 + 0.5 * SR_TOL,
-         "iterations": 3, "flops": 5.0},
-        {"scale": "desk", "power_dbm": 10.0, "seed": 0, "method": "b", "sr_bits": 1.0 + 4 * SR_TOL,
-         "iterations": 3, "flops": 5.0},
-        {"scale": "desk", "power_dbm": 10.0, "seed": 0, "method": "c", "sr_bits": 1.0, "iterations": 4, "flops": 5.0},
-        {"scale": "full", "power_dbm": 0.0, "seed": 0, "method": "a", "sr_bits": 1.0, "iterations": 3, "flops": 5.0},
+        row("desk", "a", sr_bits=1.0 + 0.5 * SR_TOL),
+        row("desk", "b", sr_bits=1.0 + 4 * SR_TOL),
+        row("desk", "c", iterations=4),
+        row("full", "a"),
     ]
     assert moved_rows(old, rows) == [
         f"('desk', 10.0, 0, 'b'): sr_bits 1.0 -> {1.0 + 4 * SR_TOL!r}",

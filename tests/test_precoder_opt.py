@@ -112,12 +112,13 @@ class _Uncached:
     """Duck-typed quadratics without the memo: the rate straight from ``rates``
     and each gradient from a new instance."""
 
-    def __init__(self, pq):
+    def __init__(self, pq, cfg):
         self.pq = pq
+        self.cfg = cfg
         self.n_rf = pq.n_rf
 
     def secrecy_rate(self, p):
-        return rates.rate_from_kappas(*rates.kappas(self.pq.w_b, self.pq.w_e, self.pq.x_mat, p, self.pq.tau))
+        return rates.rate_from_kappas(*rates.kappas(self.cfg, self.pq.w_b, self.pq.w_e, p))
 
     def gradient(self, p):
         return replace(self.pq).gradient(p)
@@ -163,7 +164,7 @@ class TestForwardMemo:
         same("gradient", p1.real.copy())
 
         pq.gradient(p2)
-        direct = rates.rate_from_kappas(*rates.kappas(pq.w_b, pq.w_e, pq.x_mat, p1, pq.tau))
+        direct = rates.rate_from_kappas(*rates.kappas(inst.cfg, pq.w_b, pq.w_e, p1))
         assert float.hex(pq.secrecy_rate(p1)) == float.hex(direct)
 
     def test_shared_arrays_are_read_only(self):
@@ -194,7 +195,7 @@ class TestForwardMemo:
         for seed in range(2):
             cfg, _, pq = _desk_quadratics(seed)
             p0 = HybridPrecoder.default_init(cfg)
-            cached, plain = cor_ga(pq, p0), cor_ga(_Uncached(replace(pq)), p0)
+            cached, plain = cor_ga(pq, p0), cor_ga(_Uncached(replace(pq), cfg), p0)
             assert cached.p.p.tobytes() == plain.p.p.tobytes()
             assert [float.hex(r) for r in cached.trace] == [float.hex(r) for r in plain.trace]
             assert cached.iterations == plain.iterations
@@ -204,7 +205,7 @@ class TestForwardMemo:
         cached = joint.joint_optimize(cfg, ch, "II", seed=1)
         monkeypatch.setattr(
             joint, "build_precoder_quadratics",
-            lambda *args: _Uncached(build_precoder_quadratics(*args)),
+            lambda *args: _Uncached(build_precoder_quadratics(*args), args[0]),
         )
         plain = joint.joint_optimize(cfg, ch, "II", seed=1)
         assert cached.p_star.p.tobytes() == plain.p_star.p.tobytes()

@@ -12,7 +12,6 @@ from irs_ssm.model import (
     WhitenedChannels,
     effective_channels,
     enumerate_hypotheses,
-    hypothesis_matrix,
     link_state,
 )
 from irs_ssm.rates import (
@@ -45,49 +44,45 @@ def _zero_wch(inst) -> WhitenedChannels:
     )
 
 
-def _kappa(w_eff: np.ndarray, x_mat: np.ndarray, p: np.ndarray, tau: float) -> float:
+def _kappa(w_eff: np.ndarray, cfg: SystemConfig, p: np.ndarray, tau: float) -> float:
     """kappa of one (n_r, n_tx) channel by the forward pass of the factored kernel."""
-    rot = psk_rotations(x_mat)
-    return float(subarray_pairs(subarray_channels(w_eff, len(x_mat) // len(rot)), rot, p, tau).kappa)
+    return float(subarray_pairs(subarray_channels(w_eff, cfg.n_rf), psk_rotations(cfg.m_ary), p, tau).kappa)
 
 
 class TestKappa:
     def test_zero_channel_hits_upper_bound(self):
         cfg = desk_config(n_rf=8, n_k=4, n_irs=4, m_ary=4)
-        x_mat = hypothesis_matrix(cfg)
         w_zero = np.zeros((cfg.n_b, cfg.n_tx), dtype=complex)
         p = HybridPrecoder.default_init(cfg)
-        assert _kappa(w_zero, x_mat, p.p, cfg.tau) == pytest.approx(1024.0)
+        assert _kappa(w_zero, cfg, p.p, cfg.tau) == pytest.approx(1024.0)
 
     def test_huge_tau_hits_lower_bound(self):
         inst = make_instance(0, n_rf=8, n_k=4, n_irs=4, m_ary=4, sigma_dbm=-80.0)
         w_b, _ = effective_channels(inst.wch, inst.v)
-        assert _kappa(w_b, hypothesis_matrix(inst.cfg), inst.p.p, 1e12) == pytest.approx(32.0)
+        assert _kappa(w_b, inst.cfg, inst.p.p, 1e12) == pytest.approx(32.0)
 
     def test_matches_dense_oracle(self):
         for seed in range(5):
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=5, m_ary=2, power_dbm=12.0)
             hyps = enumerate_hypotheses(inst.cfg)
             for w_eff in effective_channels(inst.wch, inst.v):
-                fast = _kappa(w_eff, hypothesis_matrix(inst.cfg), inst.p.p, inst.cfg.tau)
+                fast = _kappa(w_eff, inst.cfg, inst.p.p, inst.cfg.tau)
                 slow = kappa_dense(w_eff, hyps, inst.p.p, inst.cfg.tau, inst.cfg.n_rf, inst.cfg.n_k)
                 assert abs(fast - slow) < 1e-10 * slow
 
     def test_monotone_in_tau(self):
         inst = make_instance(1, power_dbm=15.0)
-        x_mat = hypothesis_matrix(inst.cfg)
         w_b, _ = effective_channels(inst.wch, inst.v)
-        values = [_kappa(w_b, x_mat, inst.p.p, t) for t in (0.0, 0.1, 1.0, 10.0, 1e3, 1e6)]
+        values = [_kappa(w_b, inst.cfg, inst.p.p, t) for t in (0.0, 0.1, 1.0, 10.0, 1e3, 1e6)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_bounds_always_hold(self):
         for seed in range(10):
             inst = make_instance(seed, power_dbm=25.0)
             k_hyp = inst.cfg.n_hyp
-            x_mat = hypothesis_matrix(inst.cfg)
             w_b, w_e = effective_channels(inst.wch, inst.v)
             for w in (w_b, w_e):
-                val = _kappa(w, x_mat, inst.p.p, inst.cfg.tau)
+                val = _kappa(w, inst.cfg, inst.p.p, inst.cfg.tau)
                 assert k_hyp - 1e-9 <= val <= k_hyp**2 + 1e-9
 
     def test_bounds_hold_when_gram_distances_cancel_below_zero(self):
@@ -96,8 +91,7 @@ class TestKappa:
         # is rounding noise of order 1e-4, negative for some draws; the kernel
         # must clamp it
         cfg = SystemConfig(n_rf=2, n_k=2, n_b=2, n_e=2, n_irs=2, m_ary=2, p_total=1e6)
-        x_mat = hypothesis_matrix(cfg)
-        rot = psk_rotations(x_mat)
+        rot = psk_rotations(cfg.m_ary)
         p = HybridPrecoder.default_init(cfg)
         k_hyp = cfg.n_hyp
         negative = 0
@@ -122,8 +116,8 @@ class TestKappa:
             terms = np.exp(-cfg.tau * subarray_distances(u, u_rot))
             assert np.all((terms >= 0.0) & (terms <= 1.0))
             for w_eff in (w_b, w_e):
-                assert k_hyp <= _kappa(w_eff, x_mat, p.p, cfg.tau) <= k_hyp**2
-            assert abs(rate_from_kappas(*kappas(w_b, w_e, x_mat, p, cfg.tau))) <= np.log2(k_hyp)
+                assert k_hyp <= _kappa(w_eff, cfg, p.p, cfg.tau) <= k_hyp**2
+            assert abs(rate_from_kappas(*kappas(cfg, w_b, w_e, p))) <= np.log2(k_hyp)
         assert negative > 0  # the cancellation the clamp guards against did occur
 
 
