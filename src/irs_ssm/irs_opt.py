@@ -81,6 +81,20 @@ class IrsPhaseVector:
         return cls.from_phases(rng.uniform(0.0, 2.0 * np.pi, size=n))
 
 
+def initial_phases(v0: IrsPhaseVector | np.ndarray | None, n_irs: int) -> np.ndarray:
+    """A fresh complex copy of v0, all ones when None, read through ``IrsPhaseVector``.
+
+    A v0 of the wrong length, off unit modulus or non-finite fails here,
+    naming the cause, before a solver spends any work on it.
+    """
+    if v0 is None:
+        return np.ones(n_irs, dtype=complex)
+    v = np.array(v0, dtype=complex)
+    if v.shape != (n_irs,):
+        raise ValueError(f"v0 has shape {v.shape}, expected (n_irs,) = ({n_irs},)")
+    return IrsPhaseVector(v).v
+
+
 @dataclass(frozen=True)
 class QuadraticForms:
     """Quadratic-form reduction of the secrecy objective in v, for a fixed p.
@@ -218,7 +232,7 @@ def irs_bca(
     """
     phi, delta = qf.phi, qf.delta
     n = qf.n_irs
-    v = np.array(v0) if v0 is not None else np.ones(n, dtype=complex)
+    v = initial_phases(v0, n)
     w = phi @ v
     value = qf.surrogate_value(v)
     trace = [value]
@@ -278,7 +292,7 @@ def irs_admm(
     starting point.
     """
     n = qf.n_irs
-    v = np.array(v0) if v0 is not None else np.ones(n, dtype=complex)
+    v = initial_phases(v0, n)
     rho = 2.0 * float(np.trace(qf.phi_e).real) / n + 1.0
     lin = 2.0 * np.conj(qf.delta)  # 2 D^H - 2 D'^H
     system_inv = np.linalg.inv(2.0 * qf.phi_e + rho * np.eye(n))

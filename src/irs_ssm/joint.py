@@ -29,6 +29,7 @@ from .irs_opt import (
     BeamformerResult,
     IrsPhaseVector,
     build_quadratic_forms,
+    initial_phases,
     irs_admm,
     irs_bca,
     irs_sdr,
@@ -145,7 +146,7 @@ def joint_optimize(
     """
     irs_method, pre_method = resolve_combination(combination)
     p = p0 if p0 is not None else HybridPrecoder.default_init(cfg)
-    v = np.array(v0) if v0 is not None else np.ones(cfg.n_irs, dtype=complex)
+    v = initial_phases(v0, cfg.n_irs)
     wch = link_state(cfg, ch, v)[3]
     objective = approx_secrecy_rate(cfg, wch, v, p).r_approx
 

@@ -20,8 +20,10 @@ Two maximizers over ||p|| <= n_rf live here: a successive convex approximation
 that pairs a concave lower bound on the Eve rate with a convex upper bound on
 the Bob rate (both tight at the expansion point, so outer steps ascend), and
 a direct gradient ascent on the cut-off-rate objective with backtracking.
-Both read their starting point through ``model.HybridPrecoder``, whose checks
-(1-D, finite, inside the power ball) are the only ones on p0.
+The SCA surrogate is built once per outer step as two explicit forms, Eve's
+n_tx x n_tx matrix Q and Bob's n_rf^2 M x n_tx matrix L (``ScaSubproblem``).
+Both maximizers read their starting point through ``model.HybridPrecoder``
+(1-D, finite, inside the power ball).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .model import LN2, HybridPrecoder, SystemConfig, WhitenedChannels, effective_channels
 from . import rates
-from .rates import receiver_stack, subarray_distances, subarray_stacks
+from .rates import receiver_stack
 
 # Solver settings no caller varies, read at call time.
 SCA_TOL = 0.01  # outer stop on ||p_k - p_{k-1}||
@@ -168,73 +170,55 @@ def project_ball(p: np.ndarray, radius: float) -> np.ndarray:
 
 
 class ScaSubproblem:
-    """Surrogate R_E^l - R_B^u expanded at a fixed point p0.
+    """Surrogate R_E^l - R_B^u expanded at p0, as two explicit forms in p.
 
-    R_E^l lower-bounds the Eve rate through exp(x) >= exp(x0)(1 + x - x0) per
-    pair; R_B^u upper-bounds the Bob rate by linearizing the convex quadratics
-    inside the exponents.  Both are tight at p0, R_E^l is concave, R_B^u is
-    convex, so the surrogate is concave and globally lower-bounds the true
-    objective.  Outside the (open) region where the Eve-bound sum stays
-    positive the value is -inf.  Both bounds sum over the factored
-    (i, delta, i') terms of ``rates.subarray_pairs``, each standing for M
-    ordered pairs.
+    D_t maps p to W_i p_i - c_delta W_i' p_i' for each factored term
+    t = (i, delta, i') of ``rates.subarray_pairs`` (M ordered pairs each),
+    and d0, chi0 are the distances and weights at p0.  R_E^l = log2 s(p),
+    s(p) = s0 - M tau p^H Q p with Q = sum_t chi_E0,t D_t^H D_t, follows from
+    exp(x) >= exp(x0)(1 + x - x0) per term; block (i, i') of Q is
+    2 (deg_i [i = i'] - sum_delta chi_E0[i, delta, i'] c_delta) W_i^H W_i'.
+    R_B^u = log2(M sum_t exp h_t), h(p) = tau d_B0 - 2 tau Re(L p) with row t
+    of L equal to (D_t p0)^H D_t, linearizes each convex distance inside the
+    exponent.  Both are tight at p0, R_E^l is concave and R_B^u convex, so the
+    surrogate is concave and globally lower-bounds the true objective; where
+    s(p) <= 0 the value is -inf.  Q and L are built once per expansion.
     """
 
     def __init__(self, pq: PrecoderQuadratics, p0: np.ndarray):
-        self.pq = pq
-        self.tau = pq.tau
-        self.m_ary = pq.m_ary
         fw = pq.forward(p0)  # a memo hit when p0 was just scored
-        self.u0_b, self.rot0_b = fw.u[0], fw.u_rot[0]  # Bob linearization point a and its rotations
-        self.c_eve = fw.chi[1]  # per-term weights exp(-tau d_E0), Eve expansion
-        # p-independent parts of the two bounds
-        self._eve_base = 1.0 + self.tau * fw.dist[1]
-        self._bob_base = self.tau * fw.dist[0]
-        # terms at the last evaluated point: the ascent asks for the value
-        # and then the gradient at the same p
-        self._key: bytes | None = None
-        self._terms: tuple[np.ndarray, np.ndarray, float, np.ndarray] | None = None
-
-    def _at(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """(Eve stacks u and u_rot, Eve-bound sum, Bob exponents) at p."""
-        key = p.tobytes()
-        if key != self._key:
-            u, u_rot = subarray_stacks(self.pq.w_blocks, self.pq.rot, p)
-            d_e = subarray_distances(u[1], u_rot[1])
-            s = self.m_ary * float((self.c_eve * (self._eve_base - self.tau * d_e)).sum())
-            self._key, self._terms = key, (u[1], u_rot[1], s, self._bob_exponents(u[0], u_rot[0]))
-        return self._terms
-
-    def _bob_exponents(self, u_b: np.ndarray, rot_b: np.ndarray) -> np.ndarray:
-        # Re{p0^H B_mn p} = Re<a_i, b_i> + Re<a_i', b_i'> - Re<a_i, c b_i'> - Re<b_i, c a_i'>
-        # with a = u_B(p0), b = u_B(p), from two real cross Grams of the stacks
-        n_rf = len(u_b)
-        cross_a = self.u0_b.view(float) @ rot_b.view(float).T
-        diag = np.diagonal(cross_a)  # the delta = 0 block, c_0 = 1: Re<a_i, b_i>
-        cross = cross_a + u_b.view(float) @ self.rot0_b.view(float).T
-        lin = diag[:, None, None] + diag[None, None, :] - cross.reshape(n_rf, -1, n_rf)
-        return self._bob_base - 2.0 * self.tau * lin
+        self.tau, self.m_ary = pq.tau, pq.m_ary
+        n_rf, n_tx = pq.n_rf, pq.w_b.shape[1]
+        eye = np.eye(n_rf)
+        chi_e = fw.chi[1]
+        coef = 2.0 * (eye * chi_e.sum(axis=(1, 2)) - np.einsum("idj,d->ij", chi_e, pq.rot))
+        self.q = np.kron(coef, np.ones((n_tx // n_rf, n_tx // n_rf))) * (pq.w_e.conj().T @ pq.w_e)
+        self.s0 = self.m_ary * float((chi_e * (1.0 + self.tau * fw.dist[1])).sum())
+        # D_t p0 = u_i - c_delta u_i' on Bob, and the blocks D_t touches: +1 on i, -c_delta on i'
+        diff0 = fw.u[0][:, None, None] - fw.u_rot[0].reshape(self.m_ary, n_rf, -1)
+        touch = eye[:, None, None, :] - pq.rot[:, None, None] * eye[None, None]
+        rows = (np.conj(diff0[..., : len(pq.w_b)]) @ pq.w_b).reshape(*touch.shape, -1)
+        self.l = (rows * touch[..., None]).reshape(-1, n_tx)
+        self.h0 = self.tau * fw.dist[0].ravel()
 
     def value(self, p: np.ndarray) -> float:
         return self.eve_lower(p) - self.bob_upper(p)
 
     def eve_lower(self, p: np.ndarray) -> float:
-        s = self._at(p)[2]
+        s = self.s0 - self.m_ary * self.tau * np.vdot(p, self.q @ p).real
         return float(np.log2(s)) if s > 0.0 else -np.inf
 
     def bob_upper(self, p: np.ndarray) -> float:
-        return (float(np.logaddexp.reduce(self._at(p)[3], axis=None)) + np.log(self.m_ary)) / LN2
+        h = self.h0 - 2.0 * self.tau * (self.l @ p).real
+        return (float(np.logaddexp.reduce(h)) + np.log(self.m_ary)) / LN2
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
-        u_e, rot_e, s, h = self._at(p)
+        qp = self.q @ p
+        s = self.s0 - self.m_ary * self.tau * np.vdot(p, qp).real
+        h = self.h0 - 2.0 * self.tau * (self.l @ p).real
         weights = np.exp(h - np.max(h))
-        weights /= weights.sum() * self.m_ary  # per ordered pair: each term stands for M of them
-        bob, eve = self.pq.pull_back(
-            np.stack((weights, self.c_eve)), np.stack((self.u0_b, u_e)), np.stack((self.rot0_b, rot_e))
-        )
-        g_eve = (-2.0 * self.tau / (s * LN2)) * eve
-        g_bob_upper = (-2.0 * self.tau / LN2) * bob
-        return g_eve - g_bob_upper
+        # d R_B^u = -2 tau/ln2 L^H w for softmax weights w; d R_E^l = -2 M tau/(s ln2) Q p
+        return (2.0 * self.tau / LN2) * (np.conj(weights @ self.l) / weights.sum() - (self.m_ary / s) * qp)
 
 
 def _projected_gradient_max(value_fn, grad_fn, p0: np.ndarray, radius: float) -> tuple[np.ndarray, float, int]:

@@ -25,14 +25,14 @@ delta = (j' - j) mod M (``psk_rotations``), so
     ||r_m - r_n||^2 = ||u_i - c_delta u_i'||^2
 
 and the K^2 = (n_rf M)^2 ordered pairs collapse to n_rf^2 M terms on the
-index (i, delta, i'), each standing for M pairs.  ``subarray_stacks`` builds
-u and the rotated stack c_delta u_i', ``subarray_distances`` the
-(n_rf, M, n_rf) distances from one real Gram of the two, and
-``subarray_pairs`` the weights exp(-tau d) and kappa = M sum exp(-tau d),
+index (i, delta, i'), each standing for M pairs.  ``subarray_pairs`` builds
+u and the rotated stack c_delta u_i', the (n_rf, M, n_rf) distances from one
+real Gram of the two, the weights exp(-tau d) and kappa = M sum exp(-tau d),
 so K <= kappa <= K^2 holds exactly; the precoder gradient pulls weights on
-the same index back through the same stacks, and the IRS forms' all-ones
-pair sums reduce to sums over u_i (see ``irs_opt``).  No K x K Gram is
-formed, and only the Monte Carlo oracle builds the K responses W X_m p.
+the same index back through the same stacks, the ASR-SCA surrogate is built
+from one pass at its expansion point, and the IRS forms' all-ones pair sums
+reduce to sums over u_i (see ``irs_opt``).  No K x K Gram is formed, and
+only the Monte Carlo oracle builds the K responses W X_m p.
 That oracle validates the rates; the optimizers never consume it because
 each estimate costs thousands of noise draws per channel.
 """
@@ -91,30 +91,9 @@ def subarray_channels(w_eff: np.ndarray, n_rf: int) -> np.ndarray:
 def subarray_responses(w_blocks: np.ndarray, p: np.ndarray) -> np.ndarray:
     """(..., n_rf, n_r) subarray responses u_i = W_i p_i of (..., n_rf, n_r, n_k) ``subarray_channels``."""
     n_rf, n_k = w_blocks.shape[-3], w_blocks.shape[-1]
+    if np.shape(p) != (n_rf * n_k,):  # every layer reads p through here
+        raise ValueError(f"precoder p has shape {np.shape(p)}, expected ({n_rf * n_k},): n_rf * n_k = {n_rf} * {n_k}")
     return (w_blocks @ p.reshape(n_rf, n_k, 1))[..., 0]
-
-
-def subarray_stacks(w_blocks: np.ndarray, rot: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, u_rot): the ``subarray_responses`` u and the (..., M n_rf, n_r)
-    rotated stack whose row delta n_rf + i' is c_delta u_i'."""
-    u = subarray_responses(w_blocks, p)
-    return u, (rot[:, None, None] * u[..., None, :, :]).reshape(*u.shape[:-2], -1, u.shape[-1])
-
-
-def subarray_distances(u: np.ndarray, u_rot: np.ndarray) -> np.ndarray:
-    """(..., n_rf, M, n_rf) squared distances ||u_i - c_delta u_i'||^2.
-
-    From the real Gram Re<u_i, c_delta u_i'> of the two stacks: the norms are
-    its delta = 0 diagonal (c_0 = 1), (i, 0, i) is set to exactly zero and
-    cancellation below zero is clamped, so d >= 0 everywhere.
-    """
-    n_rf = u.shape[-2]
-    gram = u.view(float) @ np.swapaxes(u_rot.view(float), -1, -2)  # (..., n_rf, M n_rf)
-    norms = np.diagonal(gram, axis1=-2, axis2=-1)
-    dist = norms[..., :, None, None] + norms[..., None, None, :] - 2.0 * gram.reshape(*gram.shape[:-1], -1, n_rf)
-    # dist is a fresh C-contiguous array, so this reshape is a view of it
-    dist.reshape(*dist.shape[:-3], -1)[..., :: gram.shape[-1] + 1] = 0.0
-    return np.maximum(dist, 0.0, out=dist)
 
 
 class SubarrayPairs(NamedTuple):
@@ -134,13 +113,23 @@ class SubarrayPairs(NamedTuple):
 def subarray_pairs(w_blocks: np.ndarray, rot: np.ndarray, p: np.ndarray, tau: float) -> SubarrayPairs:
     """Forward pass of the pair kernel on (..., n_rf, n_r, n_k) ``subarray_channels``.
 
-    Each (i, delta, i') term stands for the M ordered pairs
-    ((i, j), (i', j + delta)), so kappa = M sum chi.  Individual exp
+    The distances come from the real Gram Re<u_i, c_delta u_i'> of u and
+    the rotated stack: the norms are its delta = 0 diagonal (c_0 = 1),
+    (i, 0, i) is set to exactly zero and cancellation below zero is clamped,
+    so d >= 0 everywhere.  Each (i, delta, i') term stands for the M ordered
+    pairs ((i, j), (i', j + delta)), so kappa = M sum chi.  Individual exp
     underflows saturate to zero, which only sharpens kappa toward its lower
     bound K.
     """
-    u, u_rot = subarray_stacks(w_blocks, rot, p)
-    dist = subarray_distances(u, u_rot)
+    u = subarray_responses(w_blocks, p)
+    n_rf, n_r = u.shape[-2:]
+    u_rot = (rot[:, None, None] * u[..., None, :, :]).reshape(*u.shape[:-2], -1, n_r)
+    gram = u.view(float) @ np.swapaxes(u_rot.view(float), -1, -2)  # (..., n_rf, M n_rf)
+    norms = np.diagonal(gram, axis1=-2, axis2=-1)
+    dist = norms[..., :, None, None] + norms[..., None, None, :] - 2.0 * gram.reshape(*gram.shape[:-1], -1, n_rf)
+    # dist is a fresh C-contiguous array, so this reshape is a view of it
+    dist.reshape(*dist.shape[:-3], -1)[..., :: gram.shape[-1] + 1] = 0.0
+    np.maximum(dist, 0.0, out=dist)
     with np.errstate(under="ignore"):
         chi = np.exp(-tau * dist)
     return SubarrayPairs(u, u_rot, dist, chi, len(rot) * np.sum(chi, axis=(-3, -2, -1)))

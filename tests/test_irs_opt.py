@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from irs_ssm import irs_opt
+from irs_ssm import irs_opt, joint
 from irs_ssm.harness import ExperimentSpec, desk_config, draw_channels, run_experiment
 from irs_ssm.irs_opt import (
     IrsPhaseVector,
@@ -114,6 +114,47 @@ class TestQuadraticForms:
         for method in IRS_SOLVERS:
             with pytest.raises(ValueError, match="precoder p contains non-finite"):
                 irs_step(inst.cfg, method, inst.wch, inst.v, p, inst.ch, 0)
+
+    def test_wrong_length_precoder_is_named(self):
+        inst = make_instance(0)
+        p = np.full(2 * inst.cfg.n_tx, 0.5, dtype=complex)
+        with pytest.raises(ValueError, match=r"expected \(4,\): n_rf \* n_k = 2 \* 2"):
+            build_quadratic_forms(inst.cfg, inst.wch, p)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("solver work began before v0 was checked")
+
+
+@pytest.mark.parametrize(
+    "make_v0, cause",
+    [
+        (lambda n: np.full(n, 0.5 + 0j), "unit modulus"),
+        (lambda n: np.full(n, np.nan + 0j), "non-finite"),
+        (lambda n: np.ones(n + 1, dtype=complex), r"expected \(n_irs,\) = \(6,\)"),
+    ],
+    ids=["off-modulus", "non-finite", "wrong-length"],
+)
+def test_bad_v0_fails_before_any_work(monkeypatch, make_v0, cause):
+    inst = make_instance(1)
+    qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
+    monkeypatch.setattr(irs_opt.QuadraticForms, "surrogate_value", _no_work)
+    monkeypatch.setattr(joint, "link_state", _no_work)
+    v0 = make_v0(inst.cfg.n_irs)
+    for run in (irs_bca, irs_admm):
+        with pytest.raises(ValueError, match=cause):
+            run(qf, v0=v0)
+    with pytest.raises(ValueError, match=cause):
+        joint.joint_optimize(inst.cfg, inst.ch, "I", v0=v0)
+
+
+def test_v0_reads_as_a_phase_vector():
+    inst = make_instance(1)
+    qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
+    for run in (irs_bca, irs_admm):
+        got, want = run(qf, v0=IrsPhaseVector(inst.v)), run(qf, v0=inst.v)
+        assert got.v.v.tobytes() == want.v.v.tobytes()
+        assert got.trace == want.trace
 
 
 class TestBca:

@@ -10,7 +10,9 @@ points (the rate report, the IRS forms and the precoder quadratics) return
 the same float, that the IRS forms, assembled on the receiver stack, give
 the surrogate of the direct pair norms and Hermitian PSD aggregates, that
 the ASR-SCA surrogate is tight at its expansion point with the objective's
-gradient there and a gradient that matches central differences off it, and
+gradient there and a gradient that matches central differences off it, that
+its two forms match the dense pair matrices (Eve's Q Hermitian PSD with
+M Q = sum chi_E0 E_mn, Bob's Re(L p) the linearization Re(p0^H B_mn p)), and
 the solver invariants: for COR-GA and ASR-SCA a trace that never
 decreases, ||p|| <= n_rf and a reported rate equal to a fresh evaluation at
 the returned p; for BCA a trace that starts at the surrogate of v0 and
@@ -42,6 +44,7 @@ from irs_ssm.rates import approx_secrecy_rate, kappas, rate_from_kappas
 from _instances import subnormal_beta_config
 from _oracles import (
     an_covariances_elementwise,
+    dense_pair_matrices,
     kappa_dense,
     precoder_gradient_dense,
     secrecy_rate_dense,
@@ -185,6 +188,34 @@ def test_sca_surrogate_is_tight_at_p0_and_its_gradient_matches_differences(case,
     h = 1e-6 * np.linalg.norm(p0)
     fd = (sub.value(p + h * d) - sub.value(p - h * d)) / (2.0 * h)
     assert np.real(np.vdot(sub.gradient(p), d)) == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+@PROPERTY_SETTINGS
+@given(link_cases(), st.integers(0, 2**32 - 1))
+def test_sca_forms_match_the_dense_pair_matrices(case, seed):
+    cfg, ch, v, p0 = case
+    pq = build_precoder_quadratics(cfg, link_state(cfg, ch, v)[3], v)
+    sub = ScaSubproblem(pq, p0)
+    hyps = enumerate_hypotheses(cfg)
+    # Eve: Q is Hermitian PSD, and M Q = sum_mn chi_E0,mn E_mn over the ordered pairs
+    q = sub.q
+    size = np.linalg.norm(q)
+    assert np.linalg.norm(q - q.conj().T) <= 1e-12 * size
+    assert np.linalg.eigvalsh(0.5 * (q + q.conj().T))[0] >= -1e-12 * size
+    e_mn = dense_pair_matrices(pq.w_e, hyps, cfg.n_rf, cfg.n_k)
+    chi0 = np.exp(-cfg.tau * np.einsum("i,mnij,j->mn", p0.conj(), e_mn, p0).real)
+    want = np.einsum("mn,mnij->ij", chi0, e_mn)
+    assert np.linalg.norm(cfg.m_ary * q - want) <= 1e-9 * np.linalg.norm(want)
+    # Bob: Re(L p), gathered from the (i, delta, i') rows onto the ordered pairs
+    # ((i, j), (i', j + delta)), is the linearization Re(p0^H B_mn p)
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal(cfg.n_tx) + 1j * rng.standard_normal(cfg.n_tx)
+    i, j = np.divmod(np.arange(cfg.n_hyp), cfg.m_ary)
+    lin = (sub.l @ p).real.reshape(cfg.n_rf, cfg.m_ary, cfg.n_rf)
+    got = lin[i[:, None], (j[None, :] - j[:, None]) % cfg.m_ary, i[None, :]]
+    b_mn = dense_pair_matrices(pq.w_b, hyps, cfg.n_rf, cfg.n_k)
+    want = np.einsum("i,mnij,j->mn", p0.conj(), b_mn, p).real
+    assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
 
 @SCA_SETTINGS

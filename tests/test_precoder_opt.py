@@ -286,6 +286,14 @@ def test_non_finite_start_is_named(solver):
         solver(pq, p0)
 
 
+@pytest.mark.parametrize("solver", [asr_sca, cor_ga])
+def test_wrong_length_start_is_named(solver):
+    # length 2 n_tx passes the power check and the multiple-of-n_rf check
+    _, pq = _quadratics(0)
+    with pytest.raises(ValueError, match=r"expected \(4,\): n_rf \* n_k = 2 \* 2"):
+        solver(pq, np.full(8, 0.5, dtype=complex))
+
+
 class TestCorGa:
     def test_zero_start_is_stationary(self):
         inst, pq = _quadratics(1)

@@ -21,9 +21,7 @@ from irs_ssm.rates import (
     psk_rotations,
     rate_from_kappas,
     subarray_channels,
-    subarray_distances,
     subarray_pairs,
-    subarray_stacks,
 )
 
 from _oracles import kappa_dense
@@ -109,11 +107,11 @@ class TestKappa:
             )
             v = np.ones(cfg.n_irs, dtype=complex)
             w_b, w_e = effective_channels(wch, v)
-            u, u_rot = subarray_stacks(subarray_channels(w_e, cfg.n_rf), rot, p.p)
-            gram = np.conj(u) @ u.T
+            fw = subarray_pairs(subarray_channels(w_e, cfg.n_rf), rot, p.p, cfg.tau)
+            gram = np.conj(fw.u) @ fw.u.T
             norms = gram.diagonal().real
             negative += (norms[0] + norms[1] - 2.0 * gram[0, 1].real) < 0.0
-            terms = np.exp(-cfg.tau * subarray_distances(u, u_rot))
+            terms = fw.chi
             assert np.all((terms >= 0.0) & (terms <= 1.0))
             for w_eff in (w_b, w_e):
                 assert k_hyp <= _kappa(w_eff, cfg, p.p, cfg.tau) <= k_hyp**2
