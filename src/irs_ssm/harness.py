@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .irs_opt import SDP_TOL, IrsPhaseVector
-from .irs_opt import irs_bca  # noqa: F401  unused; perfbench's tests patch harness.irs_bca (ROADMAP item 2)
+from .irs_opt import irs_bca  # noqa: F401  unused; perfbench's tests patch harness.irs_bca (ROADMAP item 3)
 from .joint import IRS_SOLVERS, NAMED_COMBINATIONS, PRECODER_SOLVERS, irs_step, joint_optimize, precoder_step
 from .model import ChannelSet, Geometry, HybridPrecoder, SystemConfig, check_integer, db_to_linear, link_state
 from .rates import approx_secrecy_rate

@@ -374,29 +374,32 @@ def _bm_ascent(
 ) -> tuple[np.ndarray, float, float]:
     """Row-coordinate maximization of tr(Y^H psi Y) over unit-norm rows.
 
-    Fixing every row but k, the objective is 2 Re{y_k^H c_k} + const with
-    c_k = (psi Y)_k - psi_kk y_k, maximized by aligning y_k with c_k.  Each
-    sweep is monotone and costs O(K^2 r); the Riemannian gradient norm after
-    the last sweep (at least one runs) is the stationarity measure.
+    This is the low-rank "mixing method" (Burer & Monteiro 2003; Wang,
+    Chang & Kolter 2017).  Fixing every row but k, the objective is
+    2 Re{y_k^H c_k} + const with c_k = sum_{j != k} psi_kj y_j, maximized by
+    aligning y_k with c_k; a row with c_k = 0 is left as it is.  Each row
+    reads c_k from the current Y through psi with its diagonal zeroed, so no
+    copy of psi Y is carried through the sweep.  Each sweep is monotone and
+    costs O(K^2 r).  After it, G = psi Y is formed once, for the
+    stationarity measure, the Riemannian gradient norm
+    ||G - Re diag(Y^H G) Y|| (the diagonal taken row by row), and for the
+    value Re tr(Y^H G).  At least one sweep runs; Y is updated in place and
+    returned with the value and the norm at it.
     """
-    k_dim = psi.shape[0]
-    g = psi @ y
+    off = psi.copy()
+    np.fill_diagonal(off, 0.0)  # row k of off @ Y is c_k
     for _ in range(max_sweeps):
-        for k in range(k_dim):
-            c = g[k] - psi[k, k] * y[k]
-            nc = float(np.linalg.norm(c))
-            if nc == 0.0:
-                continue
-            new_row = c / nc
-            delta = new_row - y[k]
-            if np.any(delta):
-                g += np.outer(psi[:, k], delta)
-                y[k] = new_row
-        inner = np.real(np.sum(np.conj(y) * g, axis=1))
+        for k, off_k in enumerate(off):
+            c = off_k @ y
+            nc = math.sqrt(np.vdot(c, c).real)
+            if nc != 0.0:
+                y[k] = c / nc
+        g = psi @ y
+        inner = (y.conj() * g).real.sum(axis=1)
         rnorm = float(np.linalg.norm(g - inner[:, None] * y))
         if rnorm <= tol_abs:
             break
-    return y, float(np.sum(np.conj(y) * g).real), rnorm
+    return y, float(inner.sum()), rnorm
 
 
 def sdp_unit_diag(psi: np.ndarray) -> SdpSolution:

@@ -7,7 +7,9 @@ No B or E is built, and no K x K array either: values are the factored
 distances ||u_i - c_delta u_i'||^2 of ``rates.subarray_pairs``
 (u_i = W_i p_i, c_delta the M-PSK rotation, one term per (i, delta, i')
 standing for M ordered pairs), and a weighted sum of pair gradients is
-2M W_i^H (deg_i u_i - sum w c_delta u_i') on block i (``pull_back``).
+2M W_i^H (deg_i u_i - sum w c_delta u_i') on block i (``pull_back``): one
+real product of the weights with the rotated stack, then one product with
+adjoint blocks that carry the factor 2M.
 Both receivers share one stacked forward pass per point: W_B and W_E sit on
 the leading axis of ``rates.receiver_stack`` (the smaller receiver
 zero-padded to max(n_b, n_e) rows), split into subarray blocks once per
@@ -16,6 +18,9 @@ per-hypothesis matrix is built.  The pass is memoized on the quadratics:
 the rate (``rates.rate_from_kappas`` of its kappas), the gradient (one
 batched pull-back over the receiver axis) and the SCA expansion at that
 point all read it, so an accepted ascent step costs no second evaluation.
+The arrays are tiny, so each step is written for few numpy calls: a GA step
+is one forward pass at the candidate, its read-only flags set once per pass,
+and one pull-back once the candidate is accepted.
 Two maximizers over ||p|| <= n_rf live here: a successive convex approximation
 that pairs a concave lower bound on the Eve rate with a convex upper bound on
 the Bob rate (both tight at the expansion point, so outer steps ascend), and
@@ -28,6 +33,7 @@ Both maximizers read their starting point through ``model.HybridPrecoder``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,13 +79,18 @@ class PrecoderQuadratics:
     rot: np.ndarray = field(init=False, repr=False, compare=False)
     # [key, stacked forward pass] at the last point evaluated
     _memo: list = field(init=False, repr=False, compare=False)
+    # tau/ln2 * _RECEIVER_SIGNS, formed once
+    _receiver_scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w_blocks = rates.subarray_channels(receiver_stack(self.w_b, self.w_e), self.n_rf)
         object.__setattr__(self, "w_blocks", np.ascontiguousarray(w_blocks))
-        object.__setattr__(self, "w_blocks_h", np.ascontiguousarray(np.conj(np.swapaxes(w_blocks, -1, -2))))
+        # 2M is a power of two, so folding it into the adjoint blocks is exact
+        w_blocks_h = (2.0 * self.m_ary) * np.conj(w_blocks.swapaxes(-1, -2))
+        object.__setattr__(self, "w_blocks_h", np.ascontiguousarray(w_blocks_h))
         object.__setattr__(self, "rot", rates.psk_rotations(self.m_ary))
         object.__setattr__(self, "_memo", [None, None])
+        object.__setattr__(self, "_receiver_scale", (self.tau / LN2) * _RECEIVER_SIGNS)
 
     def forward(self, p: HybridPrecoder | np.ndarray) -> rates.SubarrayPairs:
         """``rates.subarray_pairs`` of both receivers at p, computed once per point.
@@ -96,7 +107,7 @@ class PrecoderQuadratics:
         if key != self._memo[0]:
             fw = rates.subarray_pairs(self.w_blocks, self.rot, pvec, self.tau)
             for a in fw:
-                a.flags.writeable = False
+                a.setflags(write=False)
             self._memo[:] = key, fw
         return self._memo[1]
 
@@ -109,12 +120,14 @@ class PrecoderQuadratics:
         then stands for M ordered pairs, each counted from both ends, so block
         i of the sum is 2M W_i^H (deg_i u_i - sum_{delta, i'} w[i, delta, i'] c_delta u_i'),
         deg_i the weight of row i: one real product of the weights with the
-        rotated stack.  ``u`` and ``u_rot`` are stacked like ``w_blocks``, and
+        rotated stack, then one product with the adjoint blocks, which carry
+        the factor 2M.  ``u`` and ``u_rot`` are stacked like ``w_blocks``, and
         the zero-padded rows contribute nothing.
         """
         w = weights.reshape(2, self.n_rf, -1)
-        g = (w.sum(axis=-1)[..., None] * u.view(float) - w @ u_rot.view(float)).view(complex)
-        return (2.0 * self.m_ary) * (self.w_blocks_h @ g[..., None]).reshape(2, -1)
+        g = np.add.reduce(w, axis=-1)[..., None] * u.view(float)
+        g -= w @ u_rot.view(float)
+        return (self.w_blocks_h @ g.view(complex)[..., None]).reshape(2, -1)
 
     def pair_values(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs, gathered from ``forward(p).dist``."""
@@ -130,12 +143,13 @@ class PrecoderQuadratics:
         """Gradient of the secrecy objective with respect to p.
 
         tau/ln2 * [sum chi_B (B + B^H) p / kappa_B - sum chi_E (E + E^H) p / kappa_E],
-        with chi the per-pair exponentials.  Real directional derivative along
-        a direction d is Re{g^H d}.  Exactly zero at p = 0.
+        with chi the per-pair exponentials: the two receivers' pull-backs,
+        each scaled by its sign tau/ln2 / kappa and summed in one product.
+        Real directional derivative along a direction d is Re{g^H d}.
+        Exactly zero at p = 0.
         """
         fw = self.forward(p)
-        terms = (_RECEIVER_SIGNS / fw.kappa)[:, None] * self.pull_back(fw.chi, fw.u, fw.u_rot)
-        return (self.tau / LN2) * (terms[0] + terms[1])
+        return (self._receiver_scale / fw.kappa) @ self.pull_back(fw.chi, fw.u, fw.u_rot)
 
 
 def build_precoder_quadratics(
@@ -165,8 +179,15 @@ class PrecoderResult:
 
 
 def project_ball(p: np.ndarray, radius: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(p))
+    """p scaled radially onto ||p|| <= radius; a p inside the ball is returned as is."""
+    re, im = p.real, p.imag
+    nrm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's sum, without its dispatch
     return p if nrm <= radius else p * (radius / nrm)
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite: ||x||^2 is, unless it overflowed, which the entrywise test settles."""
+    return math.isfinite(np.vdot(x, x).real) or bool(np.isfinite(x).all())
 
 
 class ScaSubproblem:
@@ -305,14 +326,16 @@ def cor_ga(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> PrecoderR
     mu0 = 0.1 n_rf / ||grad(p0)||.  Stops when an accepted step improves the
     objective by at most GA_TOL (converged), when mu falls below 1e-14 mu0
     without an accepted step (``extras["stalled"]``, not converged), or
-    after GA_MAX_ITERS steps.
+    after GA_MAX_ITERS steps.  A non-finite gradient raises
+    FloatingPointError, saying whether it came at the start or during the
+    ascent.
     """
     radius = float(pq.n_rf)
     pvec = HybridPrecoder(np.array(p0, dtype=complex), pq.n_rf).p  # rejects a non-finite or over-budget p0
     rate = pq.secrecy_rate(pvec)
     trace = [rate]
     g = pq.gradient(pvec)
-    if not np.all(np.isfinite(g)):
+    if not _all_finite(g):
         raise FloatingPointError("non-finite gradient at the starting point")
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
@@ -344,7 +367,7 @@ def cor_ga(pq: PrecoderQuadratics, p0: HybridPrecoder | np.ndarray) -> PrecoderR
                 converged = True
                 break
             g = pq.gradient(pvec)
-            if not np.all(np.isfinite(g)):
+            if not _all_finite(g):
                 raise FloatingPointError("non-finite gradient during ascent")
         else:
             mu *= 0.5

@@ -26,13 +26,16 @@ delta = (j' - j) mod M (``psk_rotations``), so
 
 and the K^2 = (n_rf M)^2 ordered pairs collapse to n_rf^2 M terms on the
 index (i, delta, i'), each standing for M pairs.  ``subarray_pairs`` builds
-u and the rotated stack c_delta u_i', the (n_rf, M, n_rf) distances from one
-real Gram of the two, the weights exp(-tau d) and kappa = M sum exp(-tau d),
-so K <= kappa <= K^2 holds exactly; the precoder gradient pulls weights on
-the same index back through the same stacks, the ASR-SCA surrogate is built
-from one pass at its expansion point, and the IRS forms' all-ones pair sums
-reduce to sums over u_i (see ``irs_opt``).  No K x K Gram is formed, and
-only the Monte Carlo oracle builds the K responses W X_m p.
+u and the rotated stack c_delta u_i', forms the (n_rf, M, n_rf) distances in
+place in the buffer of one real Gram of the two, then the weights
+exp(-tau d) and kappa = M sum exp(-tau d), so K <= kappa <= K^2 holds
+exactly.  The arrays are tiny (2 x 8 x 2 responses at full scale), so the
+pass is written for few numpy calls rather than few FLOPs.  The precoder
+gradient pulls weights on the same index back with one product with the
+rotated stack, the ASR-SCA surrogate is built from one pass at its
+expansion point, and the IRS forms' all-ones pair sums reduce to sums over
+u_i (see ``irs_opt``).  No K x K Gram is formed, and only the Monte Carlo
+oracle builds the K responses W X_m p.
 That oracle validates the rates; the optimizers never consume it because
 each estimate costs thousands of noise draws per channel.
 """
@@ -100,39 +103,46 @@ class SubarrayPairs(NamedTuple):
     """The forward pass at p: everything the rate and its gradient read.
 
     With a ``receiver_stack`` every field carries a leading receiver axis,
-    Bob first, and kappa is a (2,) array.
+    Bob first, and kappa is a (2,) array.  The pair index (i, delta, i') of
+    ``dist`` and ``chi`` is the row index of the rotated stack on its last
+    two axes, so a weighted sum over pairs is one product with ``u_rot``.
     """
 
     u: np.ndarray  # (..., n_rf, n_r) subarray responses u_i = W_i p_i
-    u_rot: np.ndarray  # (..., M n_rf, n_r) rotated stack c_delta u_i'
-    dist: np.ndarray  # (..., n_rf, M, n_rf) distances ||u_i - c_delta u_i'||^2
-    chi: np.ndarray  # (..., n_rf, M, n_rf) pair weights exp(-tau d)
+    u_rot: np.ndarray  # (..., M n_rf, n_r) rotated stack c_delta u_i', row delta n_rf + i'
+    dist: np.ndarray  # (..., n_rf, M, n_rf) distances ||u_i - c_delta u_i'||^2, all >= 0
+    chi: np.ndarray  # (..., n_rf, M, n_rf) pair weights exp(-tau d), all in [0, 1]
     kappa: np.ndarray  # M sum chi, each in [K, K^2]
 
 
 def subarray_pairs(w_blocks: np.ndarray, rot: np.ndarray, p: np.ndarray, tau: float) -> SubarrayPairs:
     """Forward pass of the pair kernel on (..., n_rf, n_r, n_k) ``subarray_channels``.
 
-    The distances come from the real Gram Re<u_i, c_delta u_i'> of u and
-    the rotated stack: the norms are its delta = 0 diagonal (c_0 = 1),
-    (i, 0, i) is set to exactly zero and cancellation below zero is clamped,
-    so d >= 0 everywhere.  Each (i, delta, i') term stands for the M ordered
-    pairs ((i, j), (i', j + delta)), so kappa = M sum chi.  Individual exp
+    One real product of u with the rotated stack gives the Gram
+    Re<u_i, c_delta u_i'>, whose delta = 0 diagonal holds the norms (c_0 = 1).
+    The distances ||u_i||^2 + ||u_i'||^2 - 2 Re<u_i, c_delta u_i'> are then
+    formed in place in the Gram's buffer.  The norms are read from the very
+    entries they cancel, so (i, 0, i) comes out exactly zero, and
+    cancellation below zero elsewhere is clamped, so d >= 0 everywhere.  Each
+    (i, delta, i') term stands for the M ordered pairs
+    ((i, j), (i', j + delta)), so kappa = M sum chi.  Individual exp
     underflows saturate to zero, which only sharpens kappa toward its lower
-    bound K.
+    bound K; they are not reported, whatever the caller's ``np.errstate``.
     """
     u = subarray_responses(w_blocks, p)
-    n_rf, n_r = u.shape[-2:]
-    u_rot = (rot[:, None, None] * u[..., None, :, :]).reshape(*u.shape[:-2], -1, n_r)
-    gram = u.view(float) @ np.swapaxes(u_rot.view(float), -1, -2)  # (..., n_rf, M n_rf)
-    norms = np.diagonal(gram, axis1=-2, axis2=-1)
-    dist = norms[..., :, None, None] + norms[..., None, None, :] - 2.0 * gram.reshape(*gram.shape[:-1], -1, n_rf)
-    # dist is a fresh C-contiguous array, so this reshape is a view of it
-    dist.reshape(*dist.shape[:-3], -1)[..., :: gram.shape[-1] + 1] = 0.0
+    *lead, n_rf, n_r = u.shape
+    m = len(rot)
+    u_rot = (rot[:, None] * u.reshape(*lead, 1, n_rf * n_r)).reshape(*lead, m * n_rf, n_r)
+    dist = (u.view(float) @ u_rot.view(float).swapaxes(-1, -2)).reshape(*lead, n_rf, m, n_rf)
+    norms = dist.reshape(*lead, -1)[..., :: m * n_rf + 1]  # the (i, 0, i) entries
+    rim = norms[..., :, None] + norms[..., None, :]  # ||u_i||^2 + ||u_i'||^2
+    dist *= -2.0
+    dist += rim[..., :, None, :]  # (i, 0, i) is now 2 n_i - 2 n_i, exactly zero
     np.maximum(dist, 0.0, out=dist)
+    chi = dist * -tau
     with np.errstate(under="ignore"):
-        chi = np.exp(-tau * dist)
-    return SubarrayPairs(u, u_rot, dist, chi, len(rot) * np.sum(chi, axis=(-3, -2, -1)))
+        np.exp(chi, out=chi)
+    return SubarrayPairs(u, u_rot, dist, chi, np.add.reduce(chi, axis=(-3, -2, -1)) * m)
 
 
 def kappas(

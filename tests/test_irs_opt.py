@@ -1,13 +1,14 @@
 """Quadratic forms in v and the three IRS beamformers."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 from irs_ssm import irs_opt, joint
-from irs_ssm.harness import ExperimentSpec, desk_config, draw_channels, run_experiment
+from irs_ssm.harness import ExperimentSpec, desk_config, draw_channels, full_scale_config, run_experiment
 from irs_ssm.irs_opt import (
     IrsPhaseVector,
     SdpNonConvergence,
@@ -35,6 +36,39 @@ def _zero_forms(n_irs: int = 4):
         m=np.zeros_like(inst.wch.m),
     )
     return build_quadratic_forms(inst.cfg, wch, inst.p)
+
+
+def _random_hermitian(rng: np.random.Generator, k: int) -> np.ndarray:
+    a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    return 0.5 * (a + a.conj().T)
+
+
+def _pinned_draw_forms() -> list:
+    """The IRS forms at v = 1 and the default precoder on the draws ``test_pinned_outputs`` pins."""
+    forms = []
+    for make, power_dbm, seed in ((desk_config, 10.0, 0), (desk_config, 10.0, 1), (desk_config, 30.0, 0),
+                                  (desk_config, 30.0, 1), (full_scale_config, 0.0, 0)):
+        cfg = make(p_total=db_to_linear(power_dbm))
+        v = np.ones(cfg.n_irs, dtype=complex)
+        wch = link_state(cfg, draw_channels(cfg, seed), v)[3]
+        forms.append(build_quadratic_forms(cfg, wch, HybridPrecoder.default_init(cfg)))
+    return forms
+
+
+def _sdr_lifts(monkeypatch, forms: list) -> list:
+    """(psi, solution) for each unit-diagonal SDP that ``irs_sdr`` solves on ``forms``."""
+    seen = []
+    solve = irs_opt.sdp_unit_diag
+
+    def spy(psi):
+        seen.append((psi, solve(psi)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(irs_opt, "sdp_unit_diag", spy)
+    for seed, qf in enumerate(forms):
+        irs_sdr(qf, seed=seed)
+    monkeypatch.setattr(irs_opt, "sdp_unit_diag", solve)
+    return seen
 
 
 class TestIrsPhaseVector:
@@ -294,6 +328,63 @@ class TestSdpUnitDiag:
         assert [f["method"] for f in summary["failures"]] == ["irs_sdr"]
         assert summary["failures"][0]["error"].startswith("SdpNonConvergence: stationarity residual ")
         assert summary["failure_fraction"] == 0.5
+
+    def test_certifies_the_instances_the_suite_solves(self, monkeypatch):
+        # the matrices of the tests above and the SDR lifts of the pinned draws:
+        # each restart loop ends on a dual certificate of global optimality
+        rng12, rng5 = np.random.default_rng(12), np.random.default_rng(5)
+        matrices = [np.eye(5, dtype=complex)]
+        matrices += [np.diag(np.array(pattern, dtype=complex)) for pattern in ([1, 1, 1, 1], [1, -1, 1, -1])]
+        matrices += [_random_hermitian(rng12, 4) for _ in range(3)] + [_random_hermitian(rng5, 8)]
+        for psi in matrices:
+            assert sdp_unit_diag(psi).certified
+        lifts = _sdr_lifts(monkeypatch, _pinned_draw_forms())
+        assert len(lifts) == 5
+        for psi, sol in lifts:
+            assert sol.certified and sol.restarts_used == 1
+            assert sol.residual <= irs_opt.SDP_TOL * max(1.0, float(np.linalg.norm(psi, "fro")))
+
+
+class TestBmAscent:
+    """The row sweep of the SDP core, ``irs_opt._bm_ascent``."""
+
+    @staticmethod
+    def _instances(monkeypatch) -> list:
+        forms = _pinned_draw_forms()
+        lifts = [psi for psi, _ in _sdr_lifts(monkeypatch, [forms[2], forms[4]])]  # desk 30 dBm, full 0 dBm
+        rng = np.random.default_rng(5)
+        return [_random_hermitian(rng, 8), _random_hermitian(rng, 17)] + lifts
+
+    @staticmethod
+    def _start(psi: np.ndarray) -> np.ndarray:
+        k = len(psi)
+        rank = math.ceil(math.sqrt(2 * k))
+        rng = np.random.default_rng(k)
+        return irs_opt._row_normalize(rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank)))
+
+    def test_the_objective_never_decreases_from_sweep_to_sweep(self, monkeypatch):
+        for psi in self._instances(monkeypatch):
+            y0 = self._start(psi)
+            # with tol_abs = 0 every call runs exactly its sweep cap from the same start
+            values = [float(np.trace(y0.conj().T @ psi @ y0).real)]
+            values += [irs_opt._bm_ascent(psi, y0.copy(), 0.0, sweeps)[1] for sweeps in range(1, 9)]
+            slack = 1e-12 * max(1.0, float(np.linalg.norm(psi, "fro")))
+            assert all(b >= a - slack for a, b in zip(values, values[1:]))
+            assert values[-1] > values[0]
+
+    def test_returns_the_value_and_residual_of_its_factor(self, monkeypatch):
+        for psi in self._instances(monkeypatch):
+            scale = max(1.0, float(np.linalg.norm(psi, "fro")))
+            tol_abs = irs_opt.SDP_TOL * scale
+            for sweeps in (1, 2, irs_opt.SDP_MAX_SWEEPS):
+                y, value, residual = irs_opt._bm_ascent(psi, self._start(psi), tol_abs, sweeps)
+                assert np.allclose(np.linalg.norm(y, axis=1), 1.0, rtol=0.0, atol=1e-12)
+                g = psi @ y
+                assert value == pytest.approx(float(np.trace(y.conj().T @ g).real), rel=0.0, abs=1e-12 * scale)
+                inner = np.real(np.einsum("kr,kr->k", y.conj(), g))  # Re diag(Y^H psi Y)
+                riemannian = float(np.linalg.norm(g - inner[:, None] * y))
+                assert residual == pytest.approx(riemannian, rel=1e-9, abs=1e-12 * scale)
+            assert residual <= tol_abs  # the uncapped call stops at the tolerance
 
 
 class TestSdr:

@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irs_ssm import joint, rates
-from irs_ssm.harness import desk_config, draw_channels
-from irs_ssm.model import HybridPrecoder, enumerate_hypotheses, link_state
+from irs_ssm import joint, precoder_opt, rates
+from irs_ssm.harness import desk_config, draw_channels, full_scale_config
+from irs_ssm.model import HybridPrecoder, db_to_linear, enumerate_hypotheses, link_state
 from irs_ssm.precoder_opt import (
     ScaSubproblem,
     asr_sca,
@@ -345,6 +345,79 @@ class TestCorGa:
         assert res.extras["mu_final"] < 1e-14 * 0.1 * pq.n_rf / np.linalg.norm(pq.gradient(p0.p))
         assert res.trace == [start]
         assert np.array_equal(res.p.p, p0.p)
+
+
+    def test_non_finite_gradient_is_named(self):
+        inst, pq = _quadratics(2)
+        p0 = HybridPrecoder.default_init(inst.cfg)
+
+        class BadGradient:
+            # the true rate; the gradient turns non-finite at the point given
+            n_rf = pq.n_rf
+            secrecy_rate = staticmethod(pq.secrecy_rate)
+
+            def __init__(self, bad_at_start):
+                self.bad_at_start = bad_at_start
+
+            def gradient(self, p):
+                g = pq.gradient(p)
+                if self.bad_at_start == np.array_equal(np.asarray(p), p0.p):
+                    g[-1] = np.inf if self.bad_at_start else np.nan
+                return g
+
+        with pytest.raises(FloatingPointError, match="at the starting point"):
+            cor_ga(BadGradient(True), p0)
+        with pytest.raises(FloatingPointError, match="during ascent"):
+            cor_ga(BadGradient(False), p0)
+
+    def test_finiteness_check_survives_an_overflowing_norm(self):
+        # ||x||^2 overflows for entries near 1e200; the entrywise test settles it
+        big = np.array([1e200 + 1e200j, -1e200j, 1.0])
+        assert precoder_opt._all_finite(big)
+        for bad in (np.inf, -np.inf, np.nan, complex(np.nan, 0.0), complex(0.0, np.inf)):
+            assert not precoder_opt._all_finite(np.append(big, bad))
+            assert not precoder_opt._all_finite(np.array([1.0 + 0j, bad]))
+
+
+class TestUnderflowContract:
+    """exp(-tau d) below the smallest normal float saturates to zero and raises nothing,
+    whatever the caller's ``np.errstate``."""
+
+    @staticmethod
+    def _case(name: str):
+        if name == "saturated":
+            # -150 dBm noise at 30 dBm: every off-diagonal Bob term underflows
+            cfg = full_scale_config(p_total=db_to_linear(30.0), sigma_b2=db_to_linear(-150.0),
+                                    sigma_e2=db_to_linear(-150.0))
+            kernel_cfg = cfg
+        else:
+            cfg = full_scale_config(p_total=db_to_linear(0.0))
+            kernel_cfg = replace(cfg, p_total=4e12 / cfg.beta)  # tau = 1e12 on the same links
+        v = np.ones(cfg.n_irs, dtype=complex)
+        wch = link_state(cfg, draw_channels(cfg, 0), v)[3]
+        return kernel_cfg, build_precoder_quadratics(kernel_cfg, wch, v)
+
+    @pytest.mark.parametrize("name", ["saturated", "huge_tau"])
+    def test_kernel_rate_gradient_and_ga_raise_nothing(self, name):
+        cfg, pq = self._case(name)
+        p0 = HybridPrecoder.default_init(cfg)
+        k = cfg.n_hyp
+        with np.errstate(all="raise"):
+            kb, ke = rates.kappas(cfg, pq.w_b, pq.w_e, p0)
+            rate = pq.secrecy_rate(p0)
+            g = pq.gradient(p0)
+            res = cor_ga(replace(pq), p0)
+        # the draw does reach the regime: some exponent is below exp's normal range
+        assert -pq.tau * pq.forward(p0).dist.max() < np.log(np.finfo(float).tiny)
+        assert kb == k
+        assert float.hex(rate) == float.hex(rates.rate_from_kappas(kb, ke))
+        assert np.all(np.isfinite(g))
+        assert np.isfinite(res.secrecy_rate) and abs(res.secrecy_rate) <= np.log2(k)
+        if name == "huge_tau":
+            # every off-diagonal term is exactly zero and the diagonal ones cancel
+            assert ke == k and rate == 0.0
+            assert not np.any(g)
+            assert res.iterations == 0 and res.secrecy_rate == 0.0
 
 
 class TestFactorizeHybrid:
