@@ -4,23 +4,23 @@ With the reflection vector fixed, every pairwise exponent is a Hermitian
 quadratic p^H B p (Bob) or p^H E p (Eve) in the stacked precoder, and the
 secrecy objective is a difference of log-sum-exp terms over those quadratics.
 No B or E is built, and no K x K array either: values are the factored
-distances ||u_i - c_delta u_i'||^2 of ``rates.subarray_pairs``
+distances ||u_i - c_delta u_i'||^2 of the pair kernel ``rates.PairKernel``
 (u_i = W_i p_i, c_delta the M-PSK rotation, one term per (i, delta, i')
 standing for M ordered pairs), and a weighted sum of pair gradients is
-2M W_i^H (deg_i u_i - sum w c_delta u_i') on block i (``pull_back``): one
-real product of the weights with the rotated stack, then one product with
-adjoint blocks that carry the factor 2M.
+2M W_i^H (deg_i u_i - sum w c_delta u_i') on block i (its ``pull_back``):
+one real product of the weights with the rotated stack, then one product
+with adjoint blocks that carry the factor 2M.
 Both receivers share one stacked forward pass per point: W_B and W_E sit on
 the leading axis of ``rates.receiver_stack`` (the smaller receiver
 zero-padded to max(n_b, n_e) rows), split into subarray blocks once per
 quadratics; n_rf and the PSK order M fix the hypothesis set, so no
-per-hypothesis matrix is built.  The pass is memoized on the quadratics:
-the rate (``rates.rate_from_kappas`` of its kappas), the gradient (one
-batched pull-back over the receiver axis) and the SCA expansion at that
-point all read it, so an accepted ascent step costs no second evaluation.
-The arrays are tiny, so each step is written for few numpy calls: a GA step
-is one forward pass at the candidate, its read-only flags set once per pass,
-and one pull-back once the candidate is accepted.
+per-hypothesis matrix is built.  Each quadratics holds one kernel, whose
+buffers are allocated once and hold the pass at the last point evaluated:
+the rate (``rates.rate_from_kappas`` of its kappas) and the gradient (one
+batched pull-back over the receiver axis) read them in place, so an
+accepted ascent step costs no second evaluation and a GA step allocates
+nothing in the kernel.  ``forward`` hands out read-only copies for the SCA
+expansion and the tests, which the next pass cannot overwrite.
 Two maximizers over ||p|| <= n_rf live here: a successive convex approximation
 that pairs a concave lower bound on the Eve rate with a convex upper bound on
 the Bob rate (both tight at the expansion point, so outer steps ascend), and
@@ -61,9 +61,10 @@ class PrecoderQuadratics:
 
     Held in factored form: the whitened effective channels, n_rf and the
     PSK order M, which fix the hypothesis set.  Values and gradients go
-    through the subarray stacks and the factored pair kernel of ``rates``,
-    one memoized forward pass for both receivers per point (see
-    ``forward``).  The channels must not change after construction.
+    through one ``rates.PairKernel`` on the subarray blocks of the
+    ``rates.receiver_stack`` of (W_B, W_E), which keeps the stacked pass at
+    the last point evaluated.  The channels must not change after
+    construction.
     """
 
     tau: float
@@ -71,73 +72,38 @@ class PrecoderQuadratics:
     w_b: np.ndarray  # whitened effective Bob channel (n_b, n_tx)
     w_e: np.ndarray  # whitened effective Eve channel (n_e, n_tx)
     m_ary: int  # PSK order M
-    # p-independent parts of the kernel: the (2, n_rf, n_r, n_k) subarray
-    # blocks of the ``rates.receiver_stack`` of (W_B, W_E), their conjugate
-    # transposes for the pull-back, and the (M,) PSK rotations c_delta
-    w_blocks: np.ndarray = field(init=False, repr=False, compare=False)
-    w_blocks_h: np.ndarray = field(init=False, repr=False, compare=False)
-    rot: np.ndarray = field(init=False, repr=False, compare=False)
-    # [key, stacked forward pass] at the last point evaluated
-    _memo: list = field(init=False, repr=False, compare=False)
+    # the buffered pair kernel on the (2, n_rf, n_r, n_k) subarray blocks
+    kernel: rates.PairKernel = field(init=False, repr=False, compare=False)
     # tau/ln2 * _RECEIVER_SIGNS, formed once
     _receiver_scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w_blocks = rates.subarray_channels(receiver_stack(self.w_b, self.w_e), self.n_rf)
-        object.__setattr__(self, "w_blocks", np.ascontiguousarray(w_blocks))
-        # 2M is a power of two, so folding it into the adjoint blocks is exact
-        w_blocks_h = (2.0 * self.m_ary) * np.conj(w_blocks.swapaxes(-1, -2))
-        object.__setattr__(self, "w_blocks_h", np.ascontiguousarray(w_blocks_h))
-        object.__setattr__(self, "rot", rates.psk_rotations(self.m_ary))
-        object.__setattr__(self, "_memo", [None, None])
+        w_blocks = np.ascontiguousarray(rates.subarray_channels(receiver_stack(self.w_b, self.w_e), self.n_rf))
+        object.__setattr__(self, "kernel", rates.PairKernel(w_blocks, rates.psk_rotations(self.m_ary), self.tau))
         object.__setattr__(self, "_receiver_scale", (self.tau / LN2) * _RECEIVER_SIGNS)
 
     def forward(self, p: HybridPrecoder | np.ndarray) -> rates.SubarrayPairs:
-        """``rates.subarray_pairs`` of both receivers at p, computed once per point.
+        """``rates.subarray_pairs`` of both receivers at p, as read-only copies of the kernel's pass.
 
-        Every field carries the receiver axis, Bob first.  The GA scores a
-        point and then asks for its gradient there, and the SCA expands at
-        the point it just scored, so the last pass is kept.  The key is the
-        complex128 bytes and shape of p, so a real-valued copy, an in-place
-        edit or a reshape never reads stale terms.  The arrays are shared by
-        every caller and therefore read-only.
+        Every field carries the receiver axis, Bob first.  The kernel runs
+        only if p is not the point it holds, so the SCA's expansion at the
+        point it just scored costs no second pass.  The copies stay valid
+        after later passes overwrite the kernel's buffers.
         """
-        pvec = np.asarray(p, dtype=complex)
-        key = (pvec.shape, pvec.tobytes())
-        if key != self._memo[0]:
-            fw = rates.subarray_pairs(self.w_blocks, self.rot, pvec, self.tau)
-            for a in fw:
-                a.setflags(write=False)
-            self._memo[:] = key, fw
-        return self._memo[1]
-
-    def pull_back(self, weights: np.ndarray, u: np.ndarray, u_rot: np.ndarray) -> np.ndarray:
-        """(2, n_tx) ordered-pair sums sum_{m,n} w_mn (X_m - X_n)^H W^H (r_m - r_n), one per receiver.
-
-        ``weights`` (2, n_rf, M, n_rf) give w_mn = weights[i_m, (j_n - j_m) mod M, i_n]
-        and must be symmetric under (i, delta, i') <-> (i', -delta, i), as
-        exp(-tau d) and the SCA's Bob weights are.  Each (i, delta, i') term
-        then stands for M ordered pairs, each counted from both ends, so block
-        i of the sum is 2M W_i^H (deg_i u_i - sum_{delta, i'} w[i, delta, i'] c_delta u_i'),
-        deg_i the weight of row i: one real product of the weights with the
-        rotated stack, then one product with the adjoint blocks, which carry
-        the factor 2M.  ``u`` and ``u_rot`` are stacked like ``w_blocks``, and
-        the zero-padded rows contribute nothing.
-        """
-        w = weights.reshape(2, self.n_rf, -1)
-        g = np.add.reduce(w, axis=-1)[..., None] * u.view(float)
-        g -= w @ u_rot.view(float)
-        return (self.w_blocks_h @ g.view(complex)[..., None]).reshape(2, -1)
+        fw = rates.SubarrayPairs(*(a.copy() for a in self.kernel.at(p).pairs()))
+        for a in fw:
+            a.setflags(write=False)
+        return fw
 
     def pair_values(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs, gathered from ``forward(p).dist``."""
+        """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs, gathered from the pass's distances."""
         i, j = np.divmod(np.arange(self.n_rf * self.m_ary), self.m_ary)
-        bob, eve = self.forward(p).dist[:, i[:, None], (j[None, :] - j[:, None]) % self.m_ary, i[None, :]]
+        bob, eve = self.kernel.at(p).dist[:, i[:, None], (j[None, :] - j[:, None]) % self.m_ary, i[None, :]]
         return bob, eve
 
     def secrecy_rate(self, p: HybridPrecoder | np.ndarray) -> float:
-        """log2 kappa_E - log2 kappa_B at p, by ``rates.rate_from_kappas`` on ``forward(p).kappa``."""
-        return rates.rate_from_kappas(*self.forward(p).kappa.tolist())
+        """log2 kappa_E - log2 kappa_B at p, by ``rates.rate_from_kappas`` on the pass's kappas."""
+        return rates.rate_from_kappas(*self.kernel.at(p).kappa.tolist())
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         """Gradient of the secrecy objective with respect to p.
@@ -148,8 +114,8 @@ class PrecoderQuadratics:
         Real directional derivative along a direction d is Re{g^H d}.
         Exactly zero at p = 0.
         """
-        fw = self.forward(p)
-        return (self._receiver_scale / fw.kappa) @ self.pull_back(fw.chi, fw.u, fw.u_rot)
+        k = self.kernel.at(p)
+        return (self._receiver_scale / k.kappa) @ k.pull_back(k.chi)
 
 
 def build_precoder_quadratics(
@@ -194,7 +160,7 @@ class ScaSubproblem:
     """Surrogate R_E^l - R_B^u expanded at p0, as two explicit forms in p.
 
     D_t maps p to W_i p_i - c_delta W_i' p_i' for each factored term
-    t = (i, delta, i') of ``rates.subarray_pairs`` (M ordered pairs each),
+    t = (i, delta, i') of ``rates.PairKernel`` (M ordered pairs each),
     and d0, chi0 are the distances and weights at p0.  R_E^l = log2 s(p),
     s(p) = s0 - M tau p^H Q p with Q = sum_t chi_E0,t D_t^H D_t, follows from
     exp(x) >= exp(x0)(1 + x - x0) per term; block (i, i') of Q is
@@ -207,17 +173,17 @@ class ScaSubproblem:
     """
 
     def __init__(self, pq: PrecoderQuadratics, p0: np.ndarray):
-        fw = pq.forward(p0)  # a memo hit when p0 was just scored
+        fw = pq.forward(p0)  # no second pass when p0 was just scored
         self.tau, self.m_ary = pq.tau, pq.m_ary
         n_rf, n_tx = pq.n_rf, pq.w_b.shape[1]
         eye = np.eye(n_rf)
         chi_e = fw.chi[1]
-        coef = 2.0 * (eye * chi_e.sum(axis=(1, 2)) - np.einsum("idj,d->ij", chi_e, pq.rot))
+        coef = 2.0 * (eye * chi_e.sum(axis=(1, 2)) - np.einsum("idj,d->ij", chi_e, pq.kernel.rot))
         self.q = np.kron(coef, np.ones((n_tx // n_rf, n_tx // n_rf))) * (pq.w_e.conj().T @ pq.w_e)
         self.s0 = self.m_ary * float((chi_e * (1.0 + self.tau * fw.dist[1])).sum())
         # D_t p0 = u_i - c_delta u_i' on Bob, and the blocks D_t touches: +1 on i, -c_delta on i'
         diff0 = fw.u[0][:, None, None] - fw.u_rot[0].reshape(self.m_ary, n_rf, -1)
-        touch = eye[:, None, None, :] - pq.rot[:, None, None] * eye[None, None]
+        touch = eye[:, None, None, :] - pq.kernel.rot[:, None, None] * eye[None, None]
         rows = (np.conj(diff0[..., : len(pq.w_b)]) @ pq.w_b).reshape(*touch.shape, -1)
         self.l = (rows * touch[..., None]).reshape(-1, n_tx)
         self.h0 = self.tau * fw.dist[0].ravel()

@@ -9,12 +9,13 @@ with W the whitened effective channel H~ + G~ V F (Bob) or Q~ + M~ V F (Eve),
 given by ``model.effective_channels`` on the whitened channels that
 ``model.link_state`` returns (they depend on v alone).  The approximate
 secrecy rate log2(kappa_E) - log2(kappa_B) is computed one way:
-``subarray_pairs`` is the one forward pass at p and ``rate_from_kappas`` the
-one log ratio.  ``kappas`` runs that pass on the ``receiver_stack`` (W_B and
-W_E on a leading axis, Bob first, the smaller zero-padded, which leaves its
-distances unchanged up to the rounding of the Gram sums); the IRS layer and
+``PairKernel`` holds the one forward pass at p and ``rate_from_kappas`` is the
+one log ratio.  ``kappas`` runs that pass once (``subarray_pairs``, the
+kernel's one-shot form) on the ``receiver_stack`` (W_B and W_E on a leading
+axis, Bob first, the smaller zero-padded, which leaves its distances
+unchanged up to the rounding of the Gram sums); the IRS layer and
 ``approx_secrecy_rate`` apply ``rate_from_kappas`` to it, and the precoder
-layer memoizes the same pass per point, so all three return one float.
+layer keeps one kernel per quadratics, so all three return one float.
 
 The pair kernel is factored by subarray.  Hypothesis m = (i, j) sends
 M-PSK symbol s_j on subarray i, so r_m = s_j u_i with u_i = W_i p_i
@@ -25,17 +26,20 @@ delta = (j' - j) mod M (``psk_rotations``), so
     ||r_m - r_n||^2 = ||u_i - c_delta u_i'||^2
 
 and the K^2 = (n_rf M)^2 ordered pairs collapse to n_rf^2 M terms on the
-index (i, delta, i'), each standing for M pairs.  ``subarray_pairs`` builds
-u and the rotated stack c_delta u_i', forms the (n_rf, M, n_rf) distances in
-place in the buffer of one real Gram of the two, then the weights
-exp(-tau d) and kappa = M sum exp(-tau d), so K <= kappa <= K^2 holds
-exactly.  The arrays are tiny (2 x 8 x 2 responses at full scale), so the
-pass is written for few numpy calls rather than few FLOPs.  The precoder
-gradient pulls weights on the same index back with one product with the
-rotated stack, the ASR-SCA surrogate is built from one pass at its
-expansion point, and the IRS forms' all-ones pair sums reduce to sums over
-u_i (see ``irs_opt``).  No K x K Gram is formed, and only the Monte Carlo
-oracle builds the K responses W X_m p.
+index (i, delta, i'), each standing for M pairs.  A pass builds u and the
+rotated stack c_delta u_i', forms the (n_rf, M, n_rf) distances in place in
+the buffer of one real Gram of the two, then the weights exp(-tau d) and
+kappa = M sum exp(-tau d), so K <= kappa <= K^2 holds exactly.  The arrays
+are tiny (2 x 8 x 2 responses at full scale), so the cost of a pass is
+numpy call overhead, not FLOPs: ``PairKernel`` allocates its outputs and the
+views over them once, and each pass writes into them with ``out=``, keyed
+on the bytes of the point they hold, so the GA's 500 steps allocate
+nothing in the kernel.  Its pull-back maps weights on the same index back
+to p with one product with the rotated stack (the precoder gradient), the
+ASR-SCA surrogate is built from a copy of the pass at its expansion point,
+and the IRS forms' all-ones pair sums reduce to sums over u_i (see
+``irs_opt``).  No K x K Gram is formed, and only the Monte Carlo oracle
+builds the K responses W X_m p.
 That oracle validates the rates; the optimizers never consume it because
 each estimate costs thousands of noise draws per channel.
 """
@@ -91,12 +95,15 @@ def subarray_channels(w_eff: np.ndarray, n_rf: int) -> np.ndarray:
     return w.reshape(*w.shape[:-1], n_rf, -1).swapaxes(-2, -3)
 
 
-def subarray_responses(w_blocks: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(..., n_rf, n_r) subarray responses u_i = W_i p_i of (..., n_rf, n_r, n_k) ``subarray_channels``."""
+def subarray_responses(w_blocks: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(..., n_rf, n_r) subarray responses u_i = W_i p_i of (..., n_rf, n_r, n_k) ``subarray_channels``.
+
+    ``out``, if given, is the (..., n_rf, n_r, 1) array the product is written to.
+    """
     n_rf, n_k = w_blocks.shape[-3], w_blocks.shape[-1]
     if np.shape(p) != (n_rf * n_k,):  # every layer reads p through here
         raise ValueError(f"precoder p has shape {np.shape(p)}, expected ({n_rf * n_k},): n_rf * n_k = {n_rf} * {n_k}")
-    return (w_blocks @ p.reshape(n_rf, n_k, 1))[..., 0]
+    return np.matmul(w_blocks, p.reshape(n_rf, n_k, 1), out=out)[..., 0]
 
 
 class SubarrayPairs(NamedTuple):
@@ -115,34 +122,128 @@ class SubarrayPairs(NamedTuple):
     kappa: np.ndarray  # M sum chi, each in [K, K^2]
 
 
-def subarray_pairs(w_blocks: np.ndarray, rot: np.ndarray, p: np.ndarray, tau: float) -> SubarrayPairs:
-    """Forward pass of the pair kernel on (..., n_rf, n_r, n_k) ``subarray_channels``.
+class PairKernel:
+    """The pair kernel on (..., n_rf, n_r, n_k) ``subarray_channels``: forward pass and pull-back.
 
-    One real product of u with the rotated stack gives the Gram
-    Re<u_i, c_delta u_i'>, whose delta = 0 diagonal holds the norms (c_0 = 1).
-    The distances ||u_i||^2 + ||u_i'||^2 - 2 Re<u_i, c_delta u_i'> are then
-    formed in place in the Gram's buffer.  The norms are read from the very
-    entries they cancel, so (i, 0, i) comes out exactly zero, and
-    cancellation below zero elsewhere is clamped, so d >= 0 everywhere.  Each
-    (i, delta, i') term stands for the M ordered pairs
-    ((i, j), (i', j + delta)), so kappa = M sum chi.  Individual exp
-    underflows saturate to zero, which only sharpens kappa toward its lower
-    bound K; they are not reported, whatever the caller's ``np.errstate``.
+    Every output array, and every view the pass writes through, is allocated
+    once here; each pass writes into them with ``out=``.  The attributes
+    ``u``, ``u_rot``, ``dist``, ``chi`` and ``kappa`` are the fields of
+    ``SubarrayPairs`` at the point the kernel holds, and the next pass at
+    another point overwrites them, so a caller that keeps one copies it.
+    ``at(p)`` runs a pass only when p's complex128 bytes differ from those
+    of the point held, so a rate and then a gradient at one point cost one
+    pass.  The channel blocks must not change after construction.
     """
-    u = subarray_responses(w_blocks, p)
-    *lead, n_rf, n_r = u.shape
-    m = len(rot)
-    u_rot = (rot[:, None] * u.reshape(*lead, 1, n_rf * n_r)).reshape(*lead, m * n_rf, n_r)
-    dist = (u.view(float) @ u_rot.view(float).swapaxes(-1, -2)).reshape(*lead, n_rf, m, n_rf)
-    norms = dist.reshape(*lead, -1)[..., :: m * n_rf + 1]  # the (i, 0, i) entries
-    rim = norms[..., :, None] + norms[..., None, :]  # ||u_i||^2 + ||u_i'||^2
-    dist *= -2.0
-    dist += rim[..., :, None, :]  # (i, 0, i) is now 2 n_i - 2 n_i, exactly zero
-    np.maximum(dist, 0.0, out=dist)
-    chi = dist * -tau
-    with np.errstate(under="ignore"):
-        np.exp(chi, out=chi)
-    return SubarrayPairs(u, u_rot, dist, chi, np.add.reduce(chi, axis=(-3, -2, -1)) * m)
+
+    def __init__(self, w_blocks: np.ndarray, rot: np.ndarray, tau: float):
+        *lead, n_rf, n_r, n_k = w_blocks.shape
+        lead, m = tuple(lead), len(rot)
+        self.w_blocks, self.rot, self.tau = w_blocks, rot, tau
+        self._u_col = np.empty((*lead, n_rf, n_r, 1), dtype=complex)
+        self.u = self._u_col[..., 0]
+        self.u_rot = np.empty((*lead, m * n_rf, n_r), dtype=complex)
+        self.dist = np.empty((*lead, n_rf, m, n_rf))
+        self.chi = np.empty_like(self.dist)
+        self.kappa = np.empty(lead)
+        self._key = None  # complex128 bytes of the point the buffers hold
+        # views the forward pass reads and writes through
+        self._rot_col = rot[:, None]
+        self._u_row = self.u.reshape(*lead, 1, n_rf * n_r)
+        self._u_rot_rows = self.u_rot.reshape(*lead, m, n_rf * n_r)
+        self._u_re = self.u.view(float)
+        self._u_rot_re = self.u_rot.view(float)
+        self._u_rot_re_t = self._u_rot_re.swapaxes(-1, -2)
+        self._gram = self.dist.reshape(*lead, n_rf, m * n_rf)
+        norms = self.dist.reshape(*lead, -1)[..., :: m * n_rf + 1]  # the (i, 0, i) entries
+        self._norms_col, self._norms_row = norms[..., :, None], norms[..., None, :]
+        self._rim = np.empty((*lead, n_rf, n_rf))  # ||u_i||^2 + ||u_i'||^2
+        self._rim_pairs = self._rim[..., :, None, :]
+        # pull-back: adjoint blocks carrying the factor 2M, which is a power
+        # of two, so folding it in is exact; then its buffers and their views
+        w_blocks_h = (2.0 * m) * np.conj(w_blocks.swapaxes(-1, -2))
+        self._w_blocks_h = np.ascontiguousarray(w_blocks_h)
+        self._deg = np.empty((*lead, n_rf, 1))
+        self._g = np.empty((*lead, n_rf, 2 * n_r))
+        self._g_col = self._g.view(complex)[..., None]
+        self._wu = np.empty_like(self._g)
+        self._back = np.empty((*lead, n_rf * n_k), dtype=complex)
+        self._back_col = self._back.reshape(*lead, n_rf, n_k, 1)
+        self._weight_rows = (*lead, n_rf, m * n_rf)
+
+    def __reduce__(self):
+        # a copy or an unpickled kernel builds its own buffers and the views over them
+        return PairKernel, (self.w_blocks, self.rot, self.tau)
+
+    def at(self, p: np.ndarray) -> PairKernel:
+        """The kernel holding the pass at p, run only if p is not the point held."""
+        pvec = np.asarray(p, dtype=complex)
+        # equal bytes on one axis are the held (n_tx,) point; any other shape
+        # goes on to the pass, which rejects it
+        if pvec.ndim != 1 or pvec.tobytes() != self._key:
+            self.run(pvec)
+        return self
+
+    def run(self, p: np.ndarray) -> PairKernel:
+        """Forward pass at p into the kernel's buffers.
+
+        One real product of u with the rotated stack gives the Gram
+        Re<u_i, c_delta u_i'>, whose delta = 0 diagonal holds the norms
+        (c_0 = 1).  The distances ||u_i||^2 + ||u_i'||^2 - 2 Re<u_i, c_delta u_i'>
+        are then formed in place in the Gram's buffer.  The norms are read
+        from the very entries they cancel, so (i, 0, i) comes out exactly
+        zero, and cancellation below zero elsewhere is clamped, so d >= 0
+        everywhere.  Each (i, delta, i') term stands for the M ordered pairs
+        ((i, j), (i', j + delta)), so kappa = M sum chi.  Individual exp
+        underflows saturate to zero, which only sharpens kappa toward its
+        lower bound K; they are not reported, whatever the caller's
+        ``np.errstate``.
+        """
+        pvec = np.asarray(p, dtype=complex)
+        self._key = None  # the buffers hold no whole pass until this one ends
+        subarray_responses(self.w_blocks, pvec, out=self._u_col)
+        np.multiply(self._rot_col, self._u_row, out=self._u_rot_rows)
+        dist = self.dist
+        np.matmul(self._u_re, self._u_rot_re_t, out=self._gram)
+        np.add(self._norms_col, self._norms_row, out=self._rim)  # before the norms are overwritten
+        np.multiply(dist, -2.0, out=dist)
+        np.add(dist, self._rim_pairs, out=dist)  # (i, 0, i) is now 2 n_i - 2 n_i, exactly zero
+        np.maximum(dist, 0.0, out=dist)
+        chi = np.multiply(dist, -self.tau, out=self.chi)
+        with np.errstate(under="ignore"):
+            np.exp(chi, out=chi)
+        kappa = np.add.reduce(chi, axis=(-3, -2, -1), out=self.kappa)
+        np.multiply(kappa, len(self.rot), out=kappa)
+        self._key = pvec.tobytes()
+        return self
+
+    def pairs(self) -> SubarrayPairs:
+        """The buffers of the pass held, as ``SubarrayPairs`` (not copies)."""
+        return SubarrayPairs(self.u, self.u_rot, self.dist, self.chi, self.kappa)
+
+    def pull_back(self, weights: np.ndarray) -> np.ndarray:
+        """(..., n_tx) ordered-pair sums sum_{m,n} w_mn (X_m - X_n)^H W^H (r_m - r_n) at the point held.
+
+        ``weights`` (..., n_rf, M, n_rf) give w_mn = weights[i_m, (j_n - j_m) mod M, i_n]
+        and must be symmetric under (i, delta, i') <-> (i', -delta, i), as
+        exp(-tau d) is.  Each (i, delta, i') term then stands for M ordered
+        pairs, each counted from both ends, so block i of the sum is
+        2M W_i^H (deg_i u_i - sum_{delta, i'} w[i, delta, i'] c_delta u_i'),
+        deg_i the weight of row i: one real product of the weights with the
+        rotated stack, then one product with the adjoint blocks, which carry
+        the factor 2M.  Zero-padded receiver rows contribute nothing.  The
+        result is the kernel's buffer, overwritten by the next pull-back.
+        """
+        w = weights.reshape(self._weight_rows)
+        np.add.reduce(w, axis=-1, keepdims=True, out=self._deg)
+        g = np.multiply(self._deg, self._u_re, out=self._g)
+        np.subtract(g, np.matmul(w, self._u_rot_re, out=self._wu), out=g)
+        np.matmul(self._w_blocks_h, self._g_col, out=self._back_col)
+        return self._back
+
+
+def subarray_pairs(w_blocks: np.ndarray, rot: np.ndarray, p: np.ndarray, tau: float) -> SubarrayPairs:
+    """Forward pass of the pair kernel at p, one-shot: ``PairKernel.run`` on a new kernel."""
+    return PairKernel(w_blocks, rot, tau).run(p).pairs()
 
 
 def kappas(

@@ -147,7 +147,7 @@ def test_precoder_gradient_matches_dense_oracle(case):
     assert np.linalg.norm(pq.gradient(p) - want) <= 1e-9 * np.linalg.norm(want)
     # each receiver's d log2 kappa = -2 tau / (ln2 kappa) * pull-back, Bob first
     fw = pq.forward(p)
-    got_rx = (-2.0 * cfg.tau / LN2) * pq.pull_back(fw.chi, fw.u, fw.u_rot) / fw.kappa[:, None]
+    got_rx = (-2.0 * cfg.tau / LN2) * pq.kernel.at(p).pull_back(fw.chi) / fw.kappa[:, None]
     for got, want_r in zip(got_rx, want_rx):
         assert np.linalg.norm(got - want_r) <= 1e-9 * np.linalg.norm(want_r)
 

@@ -174,16 +174,27 @@ class TestForwardMemo:
             with pytest.raises(ValueError):
                 a.reshape(-1)[0] = 0.0
 
+    def test_forward_copies_survive_later_passes(self):
+        _, pq = _quadratics(2)
+        rng = np.random.default_rng(5)
+        p1, p2 = (project_ball(rng.standard_normal(4) + 1j * rng.standard_normal(4), 2.0) for _ in range(2))
+        fw, g1 = pq.forward(p1), pq.gradient(p1)
+        held = [a.copy() for a in fw] + [g1.copy()]
+        pq.secrecy_rate(p2)
+        pq.gradient(p2)
+        assert not np.array_equal(pq.forward(p2).chi, fw.chi)  # the kernel's buffers did move
+        assert all(np.array_equal(a, b) for a, b in zip([*fw, g1], held))
+
     def test_cor_ga_runs_one_forward_pass_per_scored_point(self, monkeypatch):
         cfg, _, pq = _desk_quadratics(0)
         calls = []
-        forward = rates.subarray_pairs
+        run = rates.PairKernel.run
 
-        def counted(w_blocks, *args):
-            calls.append(w_blocks.shape)
-            return forward(w_blocks, *args)
+        def counted(kernel, p):
+            calls.append(kernel.w_blocks.shape)
+            return run(kernel, p)
 
-        monkeypatch.setattr(rates, "subarray_pairs", counted)
+        monkeypatch.setattr(rates.PairKernel, "run", counted)
         res = cor_ga(pq, HybridPrecoder.default_init(cfg))
         accepted = len(res.trace) - 1
         assert accepted > 0 and res.iterations > 0
@@ -199,6 +210,18 @@ class TestForwardMemo:
             assert cached.p.p.tobytes() == plain.p.p.tobytes()
             assert [float.hex(r) for r in cached.trace] == [float.hex(r) for r in plain.trace]
             assert cached.iterations == plain.iterations
+
+    def test_cor_ga_matches_uncached_quadratics_at_full_scale(self):
+        # full scale at 0 dBm runs to the step cap, so the n_rf = 8 buffers
+        # are reused for every one of its steps
+        cfg = full_scale_config(p_total=db_to_linear(0.0))
+        v = np.ones(cfg.n_irs, dtype=complex)
+        pq = build_precoder_quadratics(cfg, link_state(cfg, draw_channels(cfg, 0), v)[3], v)
+        p0 = HybridPrecoder.default_init(cfg)
+        cached, plain = cor_ga(pq, p0), cor_ga(_Uncached(replace(pq), cfg), p0)
+        assert cached.iterations == plain.iterations == precoder_opt.GA_MAX_ITERS
+        assert cached.p.p.tobytes() == plain.p.p.tobytes()
+        assert [float.hex(r) for r in cached.trace] == [float.hex(r) for r in plain.trace]
 
     def test_joint_ii_matches_uncached_quadratics(self, monkeypatch):
         cfg, ch, _ = _desk_quadratics(1)

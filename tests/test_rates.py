@@ -1,5 +1,7 @@
 """Cut-off rates, secrecy-rate report, and the Monte Carlo MI oracle."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -15,16 +17,18 @@ from irs_ssm.model import (
     link_state,
 )
 from irs_ssm.rates import (
+    PairKernel,
     approx_secrecy_rate,
     kappas,
     mc_mutual_information,
     psk_rotations,
     rate_from_kappas,
+    receiver_stack,
     subarray_channels,
     subarray_pairs,
 )
 
-from _oracles import kappa_dense
+from _oracles import dense_pair_matrices, kappa_dense, precoder_gradient_dense
 from _instances import make_instance
 
 # frozen full-scale regression anchor: seed-7 channels, seed-7 random phases,
@@ -117,6 +121,81 @@ class TestKappa:
                 assert k_hyp <= _kappa(w_eff, cfg, p.p, cfg.tau) <= k_hyp**2
             assert abs(rate_from_kappas(*kappas(cfg, w_b, w_e, p))) <= np.log2(k_hyp)
         assert negative > 0  # the cancellation the clamp guards against did occur
+
+
+# (make_instance overrides, whether the kernel runs on the receiver stack)
+KERNEL_SHAPES = {
+    "single receiver, no leading axis": (dict(n_rf=2, n_k=2, m_ary=4), False),
+    "stack with n_b != n_e": (dict(n_rf=2, n_k=2, m_ary=4, n_b=2, n_e=3), True),
+    "n_rf = 1": (dict(n_rf=1, n_k=3, m_ary=4, n_b=3, n_e=2), True),
+    "M = 2": (dict(n_rf=3, n_k=2, m_ary=2), True),
+}
+
+
+def _kernel_case(name: str, seed: int = 0):
+    overrides, stacked = KERNEL_SHAPES[name]
+    inst = make_instance(seed, n_irs=4, power_dbm=12.0, **overrides)
+    cfg = inst.cfg
+    receivers = effective_channels(inst.wch, inst.v)
+    if not stacked:
+        receivers = receivers[:1]
+    w_eff = receiver_stack(*receivers) if stacked else receivers[0]
+    rng = np.random.default_rng(seed)
+    points = [rng.standard_normal(cfg.n_tx) + 1j * rng.standard_normal(cfg.n_tx) for _ in range(2)]
+    return cfg, receivers, subarray_channels(w_eff, cfg.n_rf), points
+
+
+def _kernel_bytes(kernel: PairKernel) -> list[bytes]:
+    return [a.tobytes() for a in kernel.pairs()] + [kernel.pull_back(kernel.chi).tobytes()]
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("name", list(KERNEL_SHAPES))
+    def test_matches_dense_oracle(self, name):
+        cfg, receivers, w_blocks, points = _kernel_case(name)
+        hyps = enumerate_hypotheses(cfg)
+        i, j = np.divmod(np.arange(cfg.n_hyp), cfg.m_ary)
+        kernel = PairKernel(w_blocks, psk_rotations(cfg.m_ary), cfg.tau)
+        for p in points:
+            kernel.at(p)
+            kappa = np.atleast_1d(kernel.kappa)
+            dist = kernel.dist.reshape(-1, cfg.n_rf, cfg.m_ary, cfg.n_rf)
+            back = kernel.pull_back(kernel.chi).reshape(-1, cfg.n_tx)
+            for r, w_eff in enumerate(receivers):
+                want = kappa_dense(w_eff, hyps, p, cfg.tau, cfg.n_rf, cfg.n_k)
+                assert abs(kappa[r] - want) <= 1e-10 * want
+                pairs = dense_pair_matrices(w_eff, hyps, cfg.n_rf, cfg.n_k)
+                dense = np.einsum("a,mnab,b->mn", p.conj(), pairs, p).real
+                got = dist[r][i[:, None], (j[None, :] - j[:, None]) % cfg.m_ary, i[None, :]]
+                assert np.allclose(got, dense, rtol=0.0, atol=1e-10 * dense.max())
+                # d log2 kappa = -2 tau / (ln2 kappa) * pull-back of chi
+                grad = precoder_gradient_dense(w_eff, w_eff, hyps, p, cfg.tau, cfg.n_rf, cfg.n_k)[0]
+                got_grad = (-2.0 * cfg.tau / np.log(2.0)) * back[r] / kappa[r]
+                assert np.linalg.norm(got_grad - grad) <= 1e-9 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("name", list(KERNEL_SHAPES))
+    def test_alternating_points_match_fresh_kernels(self, name):
+        # a buffer read after the pass overwrote it (the norms under the
+        # distances, say) would make a reused kernel differ from a fresh one
+        cfg, _, w_blocks, (p1, p2) = _kernel_case(name, seed=1)
+        rot = psk_rotations(cfg.m_ary)
+        kernel = PairKernel(w_blocks, rot, cfg.tau)
+        for p in (p1, p2, p1, p2, p2):
+            assert _kernel_bytes(kernel.at(p)) == _kernel_bytes(PairKernel(w_blocks, rot, cfg.tau).run(p))
+
+    def test_copies_build_their_own_buffers(self):
+        cfg, _, w_blocks, (p1, p2) = _kernel_case("M = 2")
+        kernel = PairKernel(w_blocks, psk_rotations(cfg.m_ary), cfg.tau).run(p1)
+        for twin in (copy.deepcopy(kernel), pickle.loads(pickle.dumps(kernel))):
+            assert _kernel_bytes(twin.run(p2)) == _kernel_bytes(kernel.run(p2))
+            kernel.run(p1)
+            assert not np.array_equal(twin.chi, kernel.chi)
+
+    def test_rejects_a_point_of_the_held_bytes_in_another_shape(self):
+        cfg, _, w_blocks, (p, _) = _kernel_case("M = 2")
+        kernel = PairKernel(w_blocks, psk_rotations(cfg.m_ary), cfg.tau).run(p)
+        with pytest.raises(ValueError, match="precoder p has shape"):
+            kernel.at(p.reshape(-1, 1))
 
 
 class TestApproxSecrecyRate:
