@@ -34,7 +34,9 @@ import numpy as np
 from .irs_opt import SDP_TOL, IrsPhaseVector
 from .irs_opt import irs_bca  # noqa: F401  unused; perfbench's tests patch harness.irs_bca (ROADMAP item 3)
 from .joint import IRS_SOLVERS, NAMED_COMBINATIONS, PRECODER_SOLVERS, irs_step, joint_optimize, precoder_step
-from .model import ChannelSet, Geometry, HybridPrecoder, SystemConfig, check_integer, db_to_linear, link_state
+from .model import (
+    ChannelSet, Geometry, HybridPrecoder, SystemConfig, check_integer, check_real, db_to_linear, link_state,
+)
 from .rates import approx_secrecy_rate
 
 EXPERIMENT_KINDS = ("sr_vs_power", "cdf", "convergence", "sr_vs_elements", "position_sweep")
@@ -208,6 +210,8 @@ class ExperimentSpec:
             check_integer(name, getattr(self, name))
         for name in ("n_irs_values", "n_e_values"):
             check_integer(name, *getattr(self, name))
+        for name in ("powers_dbm", "irs_y_values"):
+            check_real(name, *getattr(self, name))
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.n_channel_trials < 1:
@@ -219,10 +223,6 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {m!r}; choose from {ALL_METHODS}")
         if not self.combinations:
             raise ValueError("combinations must be non-empty")
-        for name in ("powers_dbm", "irs_y_values"):
-            values = getattr(self, name)
-            if not all(math.isfinite(x) for x in values):
-                raise ValueError(f"{name} must be finite, got {values}")
         for gp in self.grid_points():
             self.config_at(gp)  # SystemConfig's own checks, at load rather than mid-campaign
 
@@ -501,7 +501,8 @@ def system_config_from_dict(raw: dict) -> SystemConfig:
     for lin_key in ("p_total", "sigma_b2", "sigma_e2"):
         dbm_key = f"{lin_key}_dbm"
         if dbm_key in data:
-            data[lin_key] = db_to_linear(float(data.pop(dbm_key)))
+            check_real(dbm_key, data[dbm_key])
+            data[lin_key] = db_to_linear(data.pop(dbm_key))
     if "geometry" in data:
         data["geometry"] = _geometry_from_dict(data["geometry"])
     defaults = SystemConfig()

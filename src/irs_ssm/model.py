@@ -9,10 +9,10 @@ elements.  This module holds the configuration and channel containers, the
 transmit hypotheses, AN projection, interference-plus-noise whitening, and
 ML detection.  The hypotheses are a function of the config alone: the M-PSK
 set of ``m_ary`` on each of the ``n_rf`` subarrays, as the labelled list
-``enumerate_hypotheses(cfg)`` or the (K, n_tx) stack ``hypothesis_matrix(cfg)``
-that ML detection and the Monte Carlo oracle read; the rates and optimizers
-need only (n_rf, m_ary).  ``link_state`` is the one map from a
-reflection vector v to the whitened link; the whitened channels are a
+``enumerate_hypotheses(cfg)``, whose stacked ``x_vec`` rows ML detection and
+the Monte Carlo oracle read; the rates and optimizers need only (n_rf, m_ary).
+``link_state`` is the one map from a reflection vector v to the whitened
+link; the whitened channels are a
 ``ChannelSet``, so ``effective_channels`` gives H + GVF and Q + MVF for raw
 and whitened sets alike.  Everything downstream (cut-off rates, the IRS and
 precoder optimizers, the experiment harness) is built on these pieces.
@@ -23,7 +23,7 @@ All powers are linear milliwatts; dB/dBm conversions happen at config load.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +37,17 @@ def db_to_linear(x_db: float) -> float:
 
 
 def check_integer(name: str, *values) -> None:
-    """Raise a ValueError naming ``name`` unless every value is an integer (Python or numpy)."""
+    """Raise a ValueError naming ``name`` unless every value is an integer (Python or numpy), not a bool."""
     for value in values:
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, *values) -> None:
+    """Raise a ValueError naming ``name`` unless every value is a finite real number (Python or numpy), not a bool."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,8 @@ class SystemConfig:
     def __post_init__(self) -> None:
         for name in ("n_rf", "n_k", "n_b", "n_e", "n_irs", "m_ary"):
             check_integer(name, getattr(self, name))
+        for name in ("p_total", "beta", "sigma_b2", "sigma_e2", "alpha_ai", "alpha_ab", "alpha_ib", "pl0_db"):
+            check_real(name, getattr(self, name))
         if self.n_rf < 1 or self.n_k < 1 or self.n_irs < 1:
             raise ValueError("n_rf, n_k and n_irs must all be >= 1")
         if self.n_b < 1 or self.n_e < 1:
@@ -105,8 +112,8 @@ class SystemConfig:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         for name in ("p_total", "sigma_b2", "sigma_e2"):
             x = getattr(self, name)
-            if not (math.isfinite(x) and x > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {x}")
+            if not x > 0.0:
+                raise ValueError(f"{name} must be positive, got {x}")
 
     @property
     def n_tx(self) -> int:
@@ -198,19 +205,6 @@ def enumerate_hypotheses(cfg: SystemConfig) -> list[TransmitHypothesis]:
             x[lo : lo + cfg.n_k] = b
             hyps.append(TransmitHypothesis(i, j, b, x))
     return hyps
-
-
-def hypothesis_matrix(cfg: SystemConfig) -> np.ndarray:
-    """(n_hyp, n_tx) stack of the x_vec rows of ``enumerate_hypotheses(cfg)``, built directly.
-
-    Row (i - 1) * m_ary + (j - 1) holds M-PSK symbol j on the entries of
-    subarray i and zeros elsewhere.
-    """
-    x = np.zeros((cfg.n_rf, cfg.m_ary, cfg.n_rf, cfg.n_k), dtype=complex)
-    symbols = Constellation.psk(cfg.m_ary).symbols
-    for i in range(cfg.n_rf):
-        x[i, :, i, :] = symbols[:, None]
-    return x.reshape(cfg.n_hyp, cfg.n_tx)
 
 
 @dataclass(frozen=True)
@@ -399,11 +393,16 @@ def ml_detect(
     """Maximum-likelihood detection of (subarray, symbol) from a Bob observation.
 
     Both labels are 1-based.  Ties resolve to the smallest (i, j) in
-    lexicographic order.
+    lexicographic order.  y must be a finite (n_b,) vector.
     """
+    y = np.asarray(y)
+    if y.shape != (cfg.n_b,):
+        raise ValueError(f"observation y has shape {y.shape}, expected (n_b,) = ({cfg.n_b},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation y contains non-finite entries")
     pvec = np.asarray(p)
     eff_b, _ = effective_channels(ch, v)
-    xp = hypothesis_matrix(cfg) * pvec[None, :]
+    xp = np.stack([h.x_vec for h in enumerate_hypotheses(cfg)]) * pvec[None, :]
     signals = np.sqrt(cfg.beta * cfg.p_total) * (xp @ eff_b.T)  # (n_hyp, n_b)
     dists = np.sum(np.abs(y[None, :] - signals) ** 2, axis=1)
     k = int(np.argmin(dists))  # first minimum = smallest (i, j)

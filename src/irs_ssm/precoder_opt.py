@@ -19,8 +19,8 @@ buffers are allocated once and hold the pass at the last point evaluated:
 the rate (``rates.rate_from_kappas`` of its kappas) and the gradient (one
 batched pull-back over the receiver axis) read them in place, so an
 accepted ascent step costs no second evaluation and a GA step allocates
-nothing in the kernel.  ``forward`` hands out read-only copies for the SCA
-expansion and the tests, which the next pass cannot overwrite.
+nothing in the kernel.  The SCA expansion reads the same buffers in place
+and turns them into new arrays before any other pass runs.
 Two maximizers over ||p|| <= n_rf live here: a successive convex approximation
 that pairs a concave lower bound on the Eve rate with a convex upper bound on
 the Bob rate (both tight at the expansion point, so outer steps ascend), and
@@ -82,21 +82,11 @@ class PrecoderQuadratics:
         object.__setattr__(self, "kernel", rates.PairKernel(w_blocks, rates.psk_rotations(self.m_ary), self.tau))
         object.__setattr__(self, "_receiver_scale", (self.tau / LN2) * _RECEIVER_SIGNS)
 
-    def forward(self, p: HybridPrecoder | np.ndarray) -> rates.SubarrayPairs:
-        """``rates.subarray_pairs`` of both receivers at p, as read-only copies of the kernel's pass.
-
-        Every field carries the receiver axis, Bob first.  The kernel runs
-        only if p is not the point it holds, so the SCA's expansion at the
-        point it just scored costs no second pass.  The copies stay valid
-        after later passes overwrite the kernel's buffers.
-        """
-        fw = rates.SubarrayPairs(*(a.copy() for a in self.kernel.at(p).pairs()))
-        for a in fw:
-            a.setflags(write=False)
-        return fw
-
     def pair_values(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs, gathered from the pass's distances."""
+        """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs, gathered from the pass's distances.
+
+        No solver reads it; it stays as the benchmark's per-layer span of the pass.
+        """
         i, j = np.divmod(np.arange(self.n_rf * self.m_ary), self.m_ary)
         bob, eve = self.kernel.at(p).dist[:, i[:, None], (j[None, :] - j[:, None]) % self.m_ary, i[None, :]]
         return bob, eve
@@ -173,20 +163,22 @@ class ScaSubproblem:
     """
 
     def __init__(self, pq: PrecoderQuadratics, p0: np.ndarray):
-        fw = pq.forward(p0)  # no second pass when p0 was just scored
+        # read in place, with no second pass when p0 was just scored: every array
+        # built from the buffers below is new, and no other pass runs before then
+        k = pq.kernel.at(p0)
         self.tau, self.m_ary = pq.tau, pq.m_ary
         n_rf, n_tx = pq.n_rf, pq.w_b.shape[1]
         eye = np.eye(n_rf)
-        chi_e = fw.chi[1]
-        coef = 2.0 * (eye * chi_e.sum(axis=(1, 2)) - np.einsum("idj,d->ij", chi_e, pq.kernel.rot))
+        chi_e = k.chi[1]
+        coef = 2.0 * (eye * chi_e.sum(axis=(1, 2)) - np.einsum("idj,d->ij", chi_e, k.rot))
         self.q = np.kron(coef, np.ones((n_tx // n_rf, n_tx // n_rf))) * (pq.w_e.conj().T @ pq.w_e)
-        self.s0 = self.m_ary * float((chi_e * (1.0 + self.tau * fw.dist[1])).sum())
+        self.s0 = self.m_ary * float((chi_e * (1.0 + self.tau * k.dist[1])).sum())
         # D_t p0 = u_i - c_delta u_i' on Bob, and the blocks D_t touches: +1 on i, -c_delta on i'
-        diff0 = fw.u[0][:, None, None] - fw.u_rot[0].reshape(self.m_ary, n_rf, -1)
-        touch = eye[:, None, None, :] - pq.kernel.rot[:, None, None] * eye[None, None]
+        diff0 = k.u[0][:, None, None] - k.u_rot[0].reshape(self.m_ary, n_rf, -1)
+        touch = eye[:, None, None, :] - k.rot[:, None, None] * eye[None, None]
         rows = (np.conj(diff0[..., : len(pq.w_b)]) @ pq.w_b).reshape(*touch.shape, -1)
         self.l = (rows * touch[..., None]).reshape(-1, n_tx)
-        self.h0 = self.tau * fw.dist[0].ravel()
+        self.h0 = self.tau * k.dist[0].ravel()
 
     def value(self, p: np.ndarray) -> float:
         return self.eve_lower(p) - self.bob_upper(p)

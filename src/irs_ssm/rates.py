@@ -10,10 +10,10 @@ given by ``model.effective_channels`` on the whitened channels that
 ``model.link_state`` returns (they depend on v alone).  The approximate
 secrecy rate log2(kappa_E) - log2(kappa_B) is computed one way:
 ``PairKernel`` holds the one forward pass at p and ``rate_from_kappas`` is the
-one log ratio.  ``kappas`` runs that pass once (``subarray_pairs``, the
-kernel's one-shot form) on the ``receiver_stack`` (W_B and W_E on a leading
-axis, Bob first, the smaller zero-padded, which leaves its distances
-unchanged up to the rounding of the Gram sums); the IRS layer and
+one log ratio.  ``kappas`` runs that pass once, on a new kernel over the
+``receiver_stack`` (W_B and W_E on a leading axis, Bob first, the smaller
+zero-padded, which leaves its distances unchanged up to the rounding of the
+Gram sums); the IRS layer and
 ``approx_secrecy_rate`` apply ``rate_from_kappas`` to it, and the precoder
 layer keeps one kernel per quadratics, so all three return one float.
 
@@ -36,18 +36,19 @@ views over them once, and each pass writes into them with ``out=``, keyed
 on the bytes of the point they hold, so the GA's 500 steps allocate
 nothing in the kernel.  Its pull-back maps weights on the same index back
 to p with one product with the rotated stack (the precoder gradient), the
-ASR-SCA surrogate is built from a copy of the pass at its expansion point,
-and the IRS forms' all-ones pair sums reduce to sums over u_i (see
-``irs_opt``).  No K x K Gram is formed, and only the Monte Carlo oracle
-builds the K responses W X_m p.
-That oracle validates the rates; the optimizers never consume it because
-each estimate costs thousands of noise draws per channel.
+ASR-SCA surrogate is built from the pass at its expansion point, read in
+place, and the IRS forms' all-ones pair sums reduce to sums over u_i (see
+``irs_opt``).  No K x K Gram is formed.  Only ``model.ml_detect`` and the
+Monte Carlo oracle build the K responses W X_m p, from the ``x_vec`` rows
+of ``model.enumerate_hypotheses``; the oracle is kept off the factored
+kernel because it is the check on that factoring.  It validates the rates;
+the optimizers never consume it because each estimate costs thousands of
+noise draws per channel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .model import (
     SystemConfig,
     WhitenedChannels,
     effective_channels,
-    hypothesis_matrix,
+    enumerate_hypotheses,
 )
 
 MC_CHUNK = 256  # noise draws per block of the Monte Carlo MI oracle
@@ -106,30 +107,23 @@ def subarray_responses(w_blocks: np.ndarray, p: np.ndarray, out: np.ndarray | No
     return np.matmul(w_blocks, p.reshape(n_rf, n_k, 1), out=out)[..., 0]
 
 
-class SubarrayPairs(NamedTuple):
-    """The forward pass at p: everything the rate and its gradient read.
-
-    With a ``receiver_stack`` every field carries a leading receiver axis,
-    Bob first, and kappa is a (2,) array.  The pair index (i, delta, i') of
-    ``dist`` and ``chi`` is the row index of the rotated stack on its last
-    two axes, so a weighted sum over pairs is one product with ``u_rot``.
-    """
-
-    u: np.ndarray  # (..., n_rf, n_r) subarray responses u_i = W_i p_i
-    u_rot: np.ndarray  # (..., M n_rf, n_r) rotated stack c_delta u_i', row delta n_rf + i'
-    dist: np.ndarray  # (..., n_rf, M, n_rf) distances ||u_i - c_delta u_i'||^2, all >= 0
-    chi: np.ndarray  # (..., n_rf, M, n_rf) pair weights exp(-tau d), all in [0, 1]
-    kappa: np.ndarray  # M sum chi, each in [K, K^2]
-
-
 class PairKernel:
     """The pair kernel on (..., n_rf, n_r, n_k) ``subarray_channels``: forward pass and pull-back.
 
+    The pass at the point the kernel holds is read from its attributes:
+
+    - ``u`` (..., n_rf, n_r): subarray responses u_i = W_i p_i;
+    - ``u_rot`` (..., M n_rf, n_r): rotated stack c_delta u_i', row delta n_rf + i';
+    - ``dist`` (..., n_rf, M, n_rf): distances ||u_i - c_delta u_i'||^2, all >= 0;
+    - ``chi`` (same shape): pair weights exp(-tau d), all in [0, 1];
+    - ``kappa`` (...): M sum chi, each in [K, K^2].
+
+    With a ``receiver_stack`` each carries a leading receiver axis, Bob
+    first.  The pair index (i, delta, i') of ``dist`` and ``chi`` is the row
+    index of ``u_rot``, so a weighted sum over pairs is one product with it.
     Every output array, and every view the pass writes through, is allocated
-    once here; each pass writes into them with ``out=``.  The attributes
-    ``u``, ``u_rot``, ``dist``, ``chi`` and ``kappa`` are the fields of
-    ``SubarrayPairs`` at the point the kernel holds, and the next pass at
-    another point overwrites them, so a caller that keeps one copies it.
+    once here; each pass writes into them with ``out=``, so the next pass at
+    another point overwrites them and a caller that keeps one copies it.
     ``at(p)`` runs a pass only when p's complex128 bytes differ from those
     of the point held, so a rate and then a gradient at one point cost one
     pass.  The channel blocks must not change after construction.
@@ -216,10 +210,6 @@ class PairKernel:
         self._key = pvec.tobytes()
         return self
 
-    def pairs(self) -> SubarrayPairs:
-        """The buffers of the pass held, as ``SubarrayPairs`` (not copies)."""
-        return SubarrayPairs(self.u, self.u_rot, self.dist, self.chi, self.kappa)
-
     def pull_back(self, weights: np.ndarray) -> np.ndarray:
         """(..., n_tx) ordered-pair sums sum_{m,n} w_mn (X_m - X_n)^H W^H (r_m - r_n) at the point held.
 
@@ -241,17 +231,12 @@ class PairKernel:
         return self._back
 
 
-def subarray_pairs(w_blocks: np.ndarray, rot: np.ndarray, p: np.ndarray, tau: float) -> SubarrayPairs:
-    """Forward pass of the pair kernel at p, one-shot: ``PairKernel.run`` on a new kernel."""
-    return PairKernel(w_blocks, rot, tau).run(p).pairs()
-
-
 def kappas(
     cfg: SystemConfig, w_b: np.ndarray, w_e: np.ndarray, p: HybridPrecoder | np.ndarray
 ) -> tuple[float, float]:
     """(kappa_B, kappa_E) from one forward pass on the ``receiver_stack``."""
     w_blocks = subarray_channels(receiver_stack(w_b, w_e), cfg.n_rf)
-    kb, ke = subarray_pairs(w_blocks, psk_rotations(cfg.m_ary), np.asarray(p), cfg.tau).kappa.tolist()
+    kb, ke = PairKernel(w_blocks, psk_rotations(cfg.m_ary), cfg.tau).run(np.asarray(p)).kappa.tolist()
     return kb, ke
 
 
@@ -331,7 +316,7 @@ def mc_mutual_information(
     """
     if n_noise_samples < 100:
         raise ValueError("n_noise_samples must be >= 100")
-    signals = hypothesis_matrix(cfg) * np.asarray(p)[None, :]  # rows X_m p
+    signals = np.stack([h.x_vec for h in enumerate_hypotheses(cfg)]) * np.asarray(p)[None, :]  # rows X_m p
     scale = np.sqrt(cfg.beta * cfg.p_total)
     ss = np.random.SeedSequence(entropy=seed)
     stream_b, stream_e = ss.spawn(2)

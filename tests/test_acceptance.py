@@ -23,10 +23,9 @@ from irs_ssm.harness import (
 )
 from irs_ssm.irs_opt import build_quadratic_forms, irs_admm, irs_bca, irs_sdr
 from irs_ssm.joint import joint_optimize
-from irs_ssm.model import HybridPrecoder, db_to_linear, effective_channels, enumerate_hypotheses, link_state
+from irs_ssm.model import HybridPrecoder, db_to_linear, effective_channels, enumerate_hypotheses
 from irs_ssm.precoder_opt import (
     ScaSubproblem,
-    asr_sca,
     build_precoder_quadratics,
     cor_ga,
     project_ball,
@@ -199,7 +198,7 @@ def test_criterion_6_sca_bounds():
             inst.cfg.n_rf,
         )
         sub = ScaSubproblem(pq, p0)
-        kb0, ke0 = pq.forward(p0).kappa
+        kb0, ke0 = pq.kernel.at(p0).kappa
         worst_tight = max(
             worst_tight,
             abs(sub.eve_lower(p0) - np.log2(ke0)),
@@ -208,7 +207,7 @@ def test_criterion_6_sca_bounds():
         for _ in range(100):
             step = rng.standard_normal(inst.cfg.n_tx) + 1j * rng.standard_normal(inst.cfg.n_tx)
             p = p0 + 0.2 * step / np.linalg.norm(step)
-            kb, ke = pq.forward(p).kappa
+            kb, ke = pq.kernel.at(p).kappa
             violations += sub.eve_lower(p) > np.log2(ke) + 1e-9
             violations += sub.bob_upper(p) < np.log2(kb) - 1e-9
     report("6", worst_tight <= 1e-10 and violations == 0,

@@ -362,6 +362,16 @@ experiment:
         ("", "threads: 1.5", "threads must be an integer"),
         ("", "n_irs_values: [16.7]", "n_irs_values must be an integer"),
         ("", "base_seed: -1", "base_seed must be >= 0"),
+        ("", "powers_dbm: [a]", "powers_dbm must be a finite real number, got 'a'"),
+        ("", "powers_dbm: [null]", "powers_dbm must be a finite real number, got None"),
+        ("", "irs_y_values: [45, .inf]", "irs_y_values must be a finite real number, got inf"),
+        ("", "n_channel_trials: true", "n_channel_trials must be an integer, got True"),
+        ("beta: '0.3'", "", "beta must be a finite real number, got '0.3'"),
+        ("beta: true", "", "beta must be a finite real number, got True"),
+        ("p_total_dbm: null", "", "p_total_dbm must be a finite real number, got None"),
+        ("sigma_e2_dbm: x", "", "sigma_e2_dbm must be a finite real number, got 'x'"),
+        ("alpha_ab: .nan", "", "alpha_ab must be a finite real number, got nan"),
+        ("pl0_db: x", "", "pl0_db must be a finite real number, got 'x'"),
     ])
     def test_bad_value_is_named_at_load(self, tmp_path, system, experiment, named):
         path = tmp_path / "campaign.yaml"

@@ -146,8 +146,8 @@ def test_precoder_gradient_matches_dense_oracle(case):
     want = want_rx[1] - want_rx[0]
     assert np.linalg.norm(pq.gradient(p) - want) <= 1e-9 * np.linalg.norm(want)
     # each receiver's d log2 kappa = -2 tau / (ln2 kappa) * pull-back, Bob first
-    fw = pq.forward(p)
-    got_rx = (-2.0 * cfg.tau / LN2) * pq.kernel.at(p).pull_back(fw.chi) / fw.kappa[:, None]
+    k = pq.kernel.at(p)
+    got_rx = (-2.0 * cfg.tau / LN2) * k.pull_back(k.chi) / k.kappa[:, None]
     for got, want_r in zip(got_rx, want_rx):
         assert np.linalg.norm(got - want_r) <= 1e-9 * np.linalg.norm(want_r)
 
@@ -173,7 +173,7 @@ def test_sca_surrogate_is_tight_at_p0_and_its_gradient_matches_differences(case,
     cfg, ch, v, p0 = case
     pq = build_precoder_quadratics(cfg, link_state(cfg, ch, v)[3], v)
     sub = ScaSubproblem(pq, p0)
-    kb, ke = pq.forward(p0).kappa
+    kb, ke = pq.kernel.at(p0).kappa
     assert abs(sub.eve_lower(p0) - np.log2(ke)) <= 1e-10
     assert abs(sub.bob_upper(p0) - np.log2(kb)) <= 1e-10
     assert abs(sub.value(p0) - pq.secrecy_rate(p0)) <= 1e-10

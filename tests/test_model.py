@@ -11,11 +11,9 @@ from irs_ssm.model import (
     SystemConfig,
     assemble_analog_matrix,
     build_an_projection,
-    db_to_linear,
     default_analog_blocks,
     effective_channels,
     enumerate_hypotheses,
-    hypothesis_matrix,
     interference_covariances,
     inv_sqrt_hermitian,
     link_state,
@@ -93,15 +91,6 @@ class TestHypotheses:
             support = np.nonzero(h.x_vec)[0]
             assert support.tolist() == list(range(lo, lo + cfg.n_k))
             assert np.allclose(h.x_vec[support], h.symbol)
-        # the directly built stack is the labelled list, row for row and bit for bit
-        for m_ary in (2, 4, 16):
-            for n_k in (1, 4):
-                cfg = desk_config(n_rf=3, n_k=n_k, m_ary=m_ary)
-                want = np.array([h.x_vec for h in enumerate_hypotheses(cfg)])
-                got = hypothesis_matrix(cfg)
-                assert got.shape == want.shape == (cfg.n_hyp, cfg.n_tx)
-                assert np.array_equal(got, want)
-                assert got.tobytes() == want.tobytes()
 
     def test_bpsk_single_subarray(self):
         cfg = desk_config(n_rf=1, n_k=3, m_ary=2)
@@ -281,7 +270,7 @@ class TestCovariancesAndWhitening:
 class TestMlDetection:
     def _signals(self, inst):
         eff_b, _ = effective_channels(inst.ch, inst.v)
-        xp = hypothesis_matrix(inst.cfg) * inst.p.p[None, :]
+        xp = np.stack([h.x_vec for h in enumerate_hypotheses(inst.cfg)]) * inst.p.p[None, :]
         return np.sqrt(inst.cfg.beta * inst.cfg.p_total) * (xp @ eff_b.T)
 
     def test_noiseless_recovery(self):
@@ -324,3 +313,16 @@ class TestMlDetection:
             got = ml_detect(inst.cfg, inst.ch, inst.v, inst.p, signals[k] + w)
             errors += got != (hyps[k].subarray, hyps[k].symbol_index)
         assert errors / 1000.0 < 0.01
+
+    @pytest.mark.parametrize("y, named", [
+        ([1.0], r"observation y has shape \(1,\), expected \(n_b,\) = \(2,\)"),
+        (np.ones((3, 1)), r"observation y has shape \(3, 1\)"),
+        (np.ones((2, 1)), r"observation y has shape \(2, 1\)"),
+        ([np.nan, 1.0], "observation y contains non-finite entries"),
+        ([1.0, np.inf * 1j], "observation y contains non-finite entries"),
+    ])
+    def test_bad_observation_is_named(self, y, named):
+        inst = make_instance(2, n_rf=2, n_k=2, m_ary=4)
+        assert inst.cfg.n_b == 2
+        with pytest.raises(ValueError, match=named):
+            ml_detect(inst.cfg, inst.ch, inst.v, inst.p, y)

@@ -167,23 +167,27 @@ class TestForwardMemo:
         direct = rates.rate_from_kappas(*rates.kappas(inst.cfg, pq.w_b, pq.w_e, p1))
         assert float.hex(pq.secrecy_rate(p1)) == float.hex(direct)
 
-    def test_shared_arrays_are_read_only(self):
-        _, pq = _quadratics(1)
-        fw = pq.forward(np.ones(4, dtype=complex))
-        for a in fw:
-            with pytest.raises(ValueError):
-                a.reshape(-1)[0] = 0.0
-
-    def test_forward_copies_survive_later_passes(self):
+    def test_gradient_survives_later_passes(self):
         _, pq = _quadratics(2)
         rng = np.random.default_rng(5)
         p1, p2 = (project_ball(rng.standard_normal(4) + 1j * rng.standard_normal(4), 2.0) for _ in range(2))
-        fw, g1 = pq.forward(p1), pq.gradient(p1)
-        held = [a.copy() for a in fw] + [g1.copy()]
+        g1 = pq.gradient(p1)
+        held = g1.copy()
         pq.secrecy_rate(p2)
-        pq.gradient(p2)
-        assert not np.array_equal(pq.forward(p2).chi, fw.chi)  # the kernel's buffers did move
-        assert all(np.array_equal(a, b) for a, b in zip([*fw, g1], held))
+        assert not np.array_equal(pq.gradient(p2), held)  # the kernel's buffers did move
+        assert np.array_equal(g1, held)
+
+    def test_sca_expansion_reads_the_kernel_in_place(self):
+        inst, pq = _quadratics(3)
+        rng = np.random.default_rng(6)
+        p0, other = (project_ball(rng.standard_normal(4) + 1j * rng.standard_normal(4), 2.0) for _ in range(2))
+        pq.gradient(other)  # the kernel holds another point
+        sub = ScaSubproblem(pq, p0)
+        pq.gradient(other)  # a later pass leaves the built forms as they are
+        want = ScaSubproblem(build_precoder_quadratics(inst.cfg, inst.wch, inst.v), p0)
+        for name in ("q", "l", "h0"):
+            assert getattr(sub, name).tobytes() == getattr(want, name).tobytes(), name
+        assert float.hex(sub.s0) == float.hex(want.s0)
 
     def test_cor_ga_runs_one_forward_pass_per_scored_point(self, monkeypatch):
         cfg, _, pq = _desk_quadratics(0)
@@ -244,7 +248,7 @@ class TestScaBounds:
             _, pq = _quadratics(seed, power_dbm=12.0)
             p0 = np.full(4, 1.0, dtype=complex)
             sub = ScaSubproblem(pq, p0)
-            kb0, ke0 = pq.forward(p0).kappa
+            kb0, ke0 = pq.kernel.at(p0).kappa
             assert sub.eve_lower(p0) == pytest.approx(np.log2(ke0), abs=1e-10)
             assert sub.bob_upper(p0) == pytest.approx(np.log2(kb0), abs=1e-10)
             assert sub.value(p0) == pytest.approx(pq.secrecy_rate(p0), abs=1e-10)
@@ -258,7 +262,7 @@ class TestScaBounds:
             for _ in range(100):
                 step = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 p = p0 + 0.2 * step / np.linalg.norm(step)
-                kb, ke = pq.forward(p).kappa
+                kb, ke = pq.kernel.at(p).kappa
                 assert sub.eve_lower(p) <= np.log2(ke) + 1e-9
                 assert sub.bob_upper(p) >= np.log2(kb) - 1e-9
 
@@ -431,7 +435,7 @@ class TestUnderflowContract:
             g = pq.gradient(p0)
             res = cor_ga(replace(pq), p0)
         # the draw does reach the regime: some exponent is below exp's normal range
-        assert -pq.tau * pq.forward(p0).dist.max() < np.log(np.finfo(float).tiny)
+        assert -pq.tau * pq.kernel.at(p0).dist.max() < np.log(np.finfo(float).tiny)
         assert kb == k
         assert float.hex(rate) == float.hex(rates.rate_from_kappas(kb, ke))
         assert np.all(np.isfinite(g))

@@ -25,7 +25,6 @@ from irs_ssm.rates import (
     rate_from_kappas,
     receiver_stack,
     subarray_channels,
-    subarray_pairs,
 )
 
 from _oracles import dense_pair_matrices, kappa_dense, precoder_gradient_dense
@@ -48,7 +47,7 @@ def _zero_wch(inst) -> WhitenedChannels:
 
 def _kappa(w_eff: np.ndarray, cfg: SystemConfig, p: np.ndarray, tau: float) -> float:
     """kappa of one (n_r, n_tx) channel by the forward pass of the factored kernel."""
-    return float(subarray_pairs(subarray_channels(w_eff, cfg.n_rf), psk_rotations(cfg.m_ary), p, tau).kappa)
+    return float(PairKernel(subarray_channels(w_eff, cfg.n_rf), psk_rotations(cfg.m_ary), tau).run(p).kappa)
 
 
 class TestKappa:
@@ -111,7 +110,7 @@ class TestKappa:
             )
             v = np.ones(cfg.n_irs, dtype=complex)
             w_b, w_e = effective_channels(wch, v)
-            fw = subarray_pairs(subarray_channels(w_e, cfg.n_rf), rot, p.p, cfg.tau)
+            fw = PairKernel(subarray_channels(w_e, cfg.n_rf), rot, cfg.tau).run(p.p)
             gram = np.conj(fw.u) @ fw.u.T
             norms = gram.diagonal().real
             negative += (norms[0] + norms[1] - 2.0 * gram[0, 1].real) < 0.0
@@ -146,7 +145,8 @@ def _kernel_case(name: str, seed: int = 0):
 
 
 def _kernel_bytes(kernel: PairKernel) -> list[bytes]:
-    return [a.tobytes() for a in kernel.pairs()] + [kernel.pull_back(kernel.chi).tobytes()]
+    held = (kernel.u, kernel.u_rot, kernel.dist, kernel.chi, kernel.kappa, kernel.pull_back(kernel.chi))
+    return [a.tobytes() for a in held]
 
 
 class TestPairKernel:
