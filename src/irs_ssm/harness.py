@@ -37,6 +37,7 @@ from .joint import IRS_SOLVERS, NAMED_COMBINATIONS, PRECODER_SOLVERS, irs_step, 
 from .model import (
     ChannelSet, Geometry, HybridPrecoder, SystemConfig, check_integer, check_real, db_to_linear, link_state,
 )
+from .precoder_opt import build_precoder_quadratics
 from .rates import approx_secrecy_rate
 
 EXPERIMENT_KINDS = ("sr_vs_power", "cdf", "convergence", "sr_vs_elements", "position_sweep")
@@ -244,7 +245,7 @@ class ExperimentSpec:
         geo = self.system.geometry
         return replace(
             self.system,
-            p_total=db_to_linear(gp["power_dbm"]),
+            p_total=_dbm_to_linear("powers_dbm", gp["power_dbm"]),
             n_irs=gp["n_irs"],
             n_e=gp["n_e"],
             geometry=replace(geo, irs=(geo.irs[0], gp["irs_y"], geo.irs[2])),
@@ -295,7 +296,7 @@ def run_method(method: str, cfg: SystemConfig, ch: ChannelSet, seed: int) -> Met
         if method in IRS_SOLVERS:
             sr = approx_secrecy_rate(cfg, wch, res.v.v, p0).r_approx
         else:
-            res, sr = precoder_step(cfg, method, wch, res.v.v, p0)
+            res, sr = precoder_step(method, build_precoder_quadratics(cfg, wch, res.v.v), p0)
         out = MethodOutcome(sr, res.iterations, 0.0,
                             flop_estimates(cfg, method, iterations=res.iterations).count)
     elif method in JOINT_METHODS:
@@ -491,6 +492,15 @@ def _geometry_from_dict(geo) -> Geometry:
     return Geometry(**coords)
 
 
+def _dbm_to_linear(name: str, value) -> float:
+    """The linear value of a dBm config entry, with a ValueError naming ``name`` when either is not finite."""
+    check_real(name, value)
+    try:
+        return db_to_linear(value)
+    except OverflowError:
+        raise ValueError(f"{name} = {value!r} dBm is out of range: its linear value overflows a float") from None
+
+
 def system_config_from_dict(raw: dict) -> SystemConfig:
     """Build a SystemConfig from a config-file section.
 
@@ -501,8 +511,7 @@ def system_config_from_dict(raw: dict) -> SystemConfig:
     for lin_key in ("p_total", "sigma_b2", "sigma_e2"):
         dbm_key = f"{lin_key}_dbm"
         if dbm_key in data:
-            check_real(dbm_key, data[dbm_key])
-            data[lin_key] = db_to_linear(data.pop(dbm_key))
+            data[lin_key] = _dbm_to_linear(dbm_key, data.pop(dbm_key))
     if "geometry" in data:
         data["geometry"] = _geometry_from_dict(data["geometry"])
     defaults = SystemConfig()

@@ -3,13 +3,14 @@
 ``irs_step`` runs the named IRS beamformer on the forms built at the current
 whitened link and precoder, then refreshes the link through
 ``model.link_state`` at the new v; ``precoder_step`` runs the named precoder
-optimizer on the quadratics built at the link and v, and re-scores its p.
-Which solver a method name runs is decided here alone: ``harness.run_method``
-composes the two steps, and ``joint_optimize`` alternates them, keeping a new
+optimizer on the quadratics it is given, and re-scores its p.  Which solver
+a method name runs is decided in these two steps alone: ``harness.run_method``
+composes them, and ``joint_optimize`` alternates them, keeping a new
 reflection vector only if the true secrecy objective did not drop (the
 whitening covariances move with v, so a surrogate gain can be a
-true-objective loss).  Every objective the loop compares is
-``rates.approx_secrecy_rate`` on the refreshed link.  ``link_state`` is a
+true-objective loss).  The loop scores each v by the ``secrecy_rate`` of the
+quadratics built on the link refreshed at v, and the next precoder step
+ascends on those of the v it keeps.  ``link_state`` is a
 pure function of v: AN rides on the zero-phase analog subarrays, and its
 shaping matrix is the null-space projector of the effective Bob channel
 (n_rf > n_b) or the identity, the only choice needed since every unitary
@@ -35,8 +36,7 @@ from .irs_opt import (
     irs_sdr,
 )
 from .model import ChannelSet, HybridPrecoder, SystemConfig, WhitenedChannels, link_state
-from .precoder_opt import PrecoderResult, asr_sca, build_precoder_quadratics, cor_ga
-from .rates import approx_secrecy_rate
+from .precoder_opt import PrecoderQuadratics, PrecoderResult, asr_sca, build_precoder_quadratics, cor_ga
 
 # The single solvers by their harness method names.
 IRS_SOLVERS = ("irs_bca", "irs_admm", "irs_sdr")
@@ -62,7 +62,6 @@ def resolve_combination(combination: str) -> tuple[str, str]:
 class TraceEntry:
     """One outer iteration of the alternation."""
 
-    iteration: int
     objective: float
     irs_accepted: bool
     irs_iterations: int
@@ -78,20 +77,6 @@ class JointResult:
     converged: bool
     objective: float
     extras: dict = field(default_factory=dict)
-
-
-def _run_irs(method: str, qf, v: np.ndarray, seed: int, admm_settings: dict | None) -> BeamformerResult:
-    if method == "irs_bca":
-        return irs_bca(qf, v0=v)
-    if method == "irs_admm":
-        return irs_admm(qf, v0=v, **(admm_settings or {}))
-    return irs_sdr(qf, seed=seed)
-
-
-def _run_precoder(method: str, pq, p: HybridPrecoder) -> PrecoderResult:
-    if method == "asr_sca":
-        return asr_sca(pq, p)
-    return cor_ga(pq, p)
 
 
 def irs_step(
@@ -111,20 +96,23 @@ def irs_step(
     ``admm_settings`` (keyword arguments of ``irs_admm``: tol, max_iters,
     inner_max) reach ``irs_admm`` alone.
     """
-    res = _run_irs(method, build_quadratic_forms(cfg, wch, p), v, seed, admm_settings)
+    qf = build_quadratic_forms(cfg, wch, p)
+    if method == "irs_bca":
+        res = irs_bca(qf, v0=v)
+    elif method == "irs_admm":
+        res = irs_admm(qf, v0=v, **(admm_settings or {}))
+    else:
+        res = irs_sdr(qf, seed=seed)
     return res, link_state(cfg, ch, res.v.v)[3]
 
 
-def precoder_step(
-    cfg: SystemConfig, method: str, wch: WhitenedChannels, v: np.ndarray, p: HybridPrecoder
-) -> tuple[PrecoderResult, float]:
-    """Run the named precoder optimizer from p on the quadratics built at (wch, v).
+def precoder_step(method: str, pq: PrecoderQuadratics, p: HybridPrecoder) -> tuple[PrecoderResult, float]:
+    """Run the named precoder optimizer from p on the quadratics ``pq`` of a link point.
 
     Returns the result and the secrecy rate of its p on those quadratics,
     scored independently of what the optimizer reports.
     """
-    pq = build_precoder_quadratics(cfg, wch, v)
-    res = _run_precoder(method, pq, p)
+    res = asr_sca(pq, p) if method == "asr_sca" else cor_ga(pq, p)
     return res, pq.secrecy_rate(res.p.p)
 
 
@@ -148,7 +136,8 @@ def joint_optimize(
     p = p0 if p0 is not None else HybridPrecoder.default_init(cfg)
     v = initial_phases(v0, cfg.n_irs)
     wch = link_state(cfg, ch, v)[3]
-    objective = approx_secrecy_rate(cfg, wch, v, p).r_approx
+    pq = build_precoder_quadratics(cfg, wch, v)
+    objective = pq.secrecy_rate(p)
 
     trace: list[TraceEntry] = []
     converged = False
@@ -159,21 +148,21 @@ def joint_optimize(
 
         res_v, wch_cand = irs_step(cfg, irs_method, wch, v, p, ch, seed + k)
         v_cand = res_v.v.v
-        obj_cand = approx_secrecy_rate(cfg, wch_cand, v_cand, p).r_approx
+        pq_cand = build_precoder_quadratics(cfg, wch_cand, v_cand)
+        obj_cand = pq_cand.secrecy_rate(p)
         if obj_cand < objective:
-            accepted = False  # revert: keep v and wch
+            accepted = False  # revert: keep v, wch and their quadratics
         else:
             accepted = True
-            v, wch, objective = v_cand, wch_cand, obj_cand
+            v, wch, pq, objective = v_cand, wch_cand, pq_cand, obj_cand
 
-        res_p, obj_after = precoder_step(cfg, pre_method, wch, v, p)
+        res_p, obj_after = precoder_step(pre_method, pq, p)
         if obj_after < objective - 1e-9:
             precoder_rejected += 1  # revert: keep p and the objective
         else:
             p, objective = res_p.p, obj_after
 
         trace.append(TraceEntry(
-            iteration=k,
             objective=float(objective),
             irs_accepted=accepted,
             irs_iterations=res_v.iterations,

@@ -10,12 +10,12 @@ standing for M ordered pairs), and a weighted sum of pair gradients is
 2M W_i^H (deg_i u_i - sum w c_delta u_i') on block i (its ``pull_back``):
 one real product of the weights with the rotated stack, then one product
 with adjoint blocks that carry the factor 2M.
-Both receivers share one stacked forward pass per point: W_B and W_E sit on
-the leading axis of ``rates.receiver_stack`` (the smaller receiver
-zero-padded to max(n_b, n_e) rows), split into subarray blocks once per
-quadratics; n_rf and the PSK order M fix the hypothesis set, so no
-per-hypothesis matrix is built.  Each quadratics holds one kernel, whose
-buffers are allocated once and hold the pass at the last point evaluated:
+Both receivers share one stacked forward pass per point: each quadratics
+holds the ``rates.link_kernel`` of its link point (W_B and W_E on the
+leading axis, the smaller receiver zero-padded to max(n_b, n_e) rows);
+n_rf and the PSK order M fix the hypothesis set, so no per-hypothesis
+matrix is built.  The kernel's buffers are allocated once and hold the
+pass at the last point evaluated:
 the rate (``rates.rate_from_kappas`` of its kappas) and the gradient (one
 batched pull-back over the receiver axis) read them in place, so an
 accepted ascent step costs no second evaluation and a GA step allocates
@@ -40,7 +40,6 @@ import numpy as np
 
 from .model import LN2, HybridPrecoder, SystemConfig, WhitenedChannels, effective_channels
 from . import rates
-from .rates import receiver_stack
 
 # Solver settings no caller varies, read at call time.
 SCA_TOL = 0.01  # outer stop on ||p_k - p_{k-1}||
@@ -61,10 +60,8 @@ class PrecoderQuadratics:
 
     Held in factored form: the whitened effective channels, n_rf and the
     PSK order M, which fix the hypothesis set.  Values and gradients go
-    through one ``rates.PairKernel`` on the subarray blocks of the
-    ``rates.receiver_stack`` of (W_B, W_E), which keeps the stacked pass at
-    the last point evaluated.  The channels must not change after
-    construction.
+    through their ``rates.link_kernel``, which keeps the stacked pass at the
+    last point evaluated.  The channels must not change after construction.
     """
 
     tau: float
@@ -78,8 +75,7 @@ class PrecoderQuadratics:
     _receiver_scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w_blocks = np.ascontiguousarray(rates.subarray_channels(receiver_stack(self.w_b, self.w_e), self.n_rf))
-        object.__setattr__(self, "kernel", rates.PairKernel(w_blocks, rates.psk_rotations(self.m_ary), self.tau))
+        object.__setattr__(self, "kernel", rates.link_kernel(self.w_b, self.w_e, self.n_rf, self.m_ary, self.tau))
         object.__setattr__(self, "_receiver_scale", (self.tau / LN2) * _RECEIVER_SIGNS)
 
     def pair_values(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

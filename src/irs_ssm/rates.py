@@ -9,13 +9,13 @@ with W the whitened effective channel H~ + G~ V F (Bob) or Q~ + M~ V F (Eve),
 given by ``model.effective_channels`` on the whitened channels that
 ``model.link_state`` returns (they depend on v alone).  The approximate
 secrecy rate log2(kappa_E) - log2(kappa_B) is computed one way:
-``PairKernel`` holds the one forward pass at p and ``rate_from_kappas`` is the
-one log ratio.  ``kappas`` runs that pass once, on a new kernel over the
+``link_kernel`` builds the ``PairKernel`` of a link point over the
 ``receiver_stack`` (W_B and W_E on a leading axis, Bob first, the smaller
 zero-padded, which leaves its distances unchanged up to the rounding of the
-Gram sums); the IRS layer and
-``approx_secrecy_rate`` apply ``rate_from_kappas`` to it, and the precoder
-layer keeps one kernel per quadratics, so all three return one float.
+Gram sums), its pass at p holds both kappas, and ``rate_from_kappas`` is the
+one log ratio.  ``approx_secrecy_rate`` runs one pass on a new kernel (the
+IRS forms score a candidate v through it), and the precoder quadratics keep
+theirs, so every layer returns one float.
 
 The pair kernel is factored by subarray.  Hypothesis m = (i, j) sends
 M-PSK symbol s_j on subarray i, so r_m = s_j u_i with u_i = W_i p_i
@@ -231,13 +231,13 @@ class PairKernel:
         return self._back
 
 
-def kappas(
-    cfg: SystemConfig, w_b: np.ndarray, w_e: np.ndarray, p: HybridPrecoder | np.ndarray
-) -> tuple[float, float]:
-    """(kappa_B, kappa_E) from one forward pass on the ``receiver_stack``."""
-    w_blocks = subarray_channels(receiver_stack(w_b, w_e), cfg.n_rf)
-    kb, ke = PairKernel(w_blocks, psk_rotations(cfg.m_ary), cfg.tau).run(np.asarray(p)).kappa.tolist()
-    return kb, ke
+def link_kernel(w_b: np.ndarray, w_e: np.ndarray, n_rf: int, m_ary: int, tau: float) -> PairKernel:
+    """The ``PairKernel`` of one link point: contiguous subarray blocks of the ``receiver_stack``.
+
+    Its pass at p holds (kappa_B, kappa_E) on the leading receiver axis.
+    """
+    w_blocks = np.ascontiguousarray(subarray_channels(receiver_stack(w_b, w_e), n_rf))
+    return PairKernel(w_blocks, psk_rotations(m_ary), tau)
 
 
 def rate_from_kappas(kappa_b: float, kappa_e: float) -> float:
@@ -253,11 +253,11 @@ def approx_secrecy_rate(
 ) -> RateReport:
     """Cut-off rates for Bob and Eve and their difference.
 
-    ``r_approx`` is ``rate_from_kappas`` of ``kappas`` on the effective
-    channels at v, and may be negative when Eve holds the better link; no
-    clamping is applied.
+    ``r_approx`` is ``rate_from_kappas`` of one pass of the ``link_kernel``
+    of the effective channels at v, and may be negative when Eve holds the
+    better link; no clamping is applied.
     """
-    kb, ke = kappas(cfg, *effective_channels(wch, v), p)
+    kb, ke = link_kernel(*effective_channels(wch, v), cfg.n_rf, cfg.m_ary, cfg.tau).run(p).kappa.tolist()
     log2k = np.log2(cfg.n_hyp)
     return RateReport(
         i0_bob=float(2.0 * log2k - np.log2(kb)),

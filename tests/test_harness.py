@@ -370,6 +370,10 @@ experiment:
         ("beta: true", "", "beta must be a finite real number, got True"),
         ("p_total_dbm: null", "", "p_total_dbm must be a finite real number, got None"),
         ("sigma_e2_dbm: x", "", "sigma_e2_dbm must be a finite real number, got 'x'"),
+        ("p_total_dbm: 4000", "", "p_total_dbm = 4000 dBm is out of range"),
+        ("sigma_b2_dbm: 4000", "", "sigma_b2_dbm = 4000 dBm is out of range"),
+        ("sigma_e2_dbm: 4000", "", "sigma_e2_dbm = 4000 dBm is out of range"),
+        ("", "powers_dbm: [30, 4000]", "powers_dbm = 4000.0 dBm is out of range"),
         ("alpha_ab: .nan", "", "alpha_ab must be a finite real number, got nan"),
         ("pl0_db: x", "", "pl0_db must be a finite real number, got 'x'"),
     ])
@@ -459,13 +463,16 @@ _THREAD_RUNS = """
 from irs_ssm import harness
 from irs_ssm.model import db_to_linear
 draws = [("desk", power, seed) for power in (10.0, 30.0) for seed in (0, 1)] + [("full", 0.0, 0)]
-for scale, power, seed in draws:
+on_all_draws = ("irs_sdr", "irs_admm", "joint_II")
+runs = [(draw, method) for draw in draws for method in on_all_draws]
+# every other method on one desk draw
+runs += [(("desk", 30.0, 0), method) for method in harness.ALL_METHODS if method not in on_all_draws]
+for (scale, power, seed), method in runs:
     make = harness.desk_config if scale == "desk" else harness.full_scale_config
     cfg = make(p_total=db_to_linear(power))
     ch = harness.draw_channels(cfg, seed)
-    for method in ("irs_sdr", "irs_admm", "joint_II"):
-        out = harness.run_method(method, cfg, ch, seed)
-        print(scale, power, seed, method, float.hex(out.sr_bits), out.iterations)
+    out = harness.run_method(method, cfg, ch, seed)
+    print(scale, power, seed, method, float.hex(out.sr_bits), out.iterations)
 """
 
 
@@ -483,5 +490,5 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
     # irs_sdr picks its argmax among near-equal randomization candidates, so
     # rounding noise from a different BLAS blocking could move its output
     one, two = _run_with_blas_threads(1), _run_with_blas_threads(2)
-    assert len(one) == 15
+    assert len(one) == 5 * 3 + 6  # three methods on five draws, the other six on one
     assert one == two

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irs_ssm import joint
+from irs_ssm import joint, rates
 from irs_ssm.harness import desk_config, draw_channels
 from irs_ssm.joint import joint_optimize, resolve_combination
 from irs_ssm.model import ChannelSet, HybridPrecoder, db_to_linear
@@ -71,14 +71,14 @@ class TestJointOptimize:
         p0 = HybridPrecoder.default_init(cfg)
         calls = []
 
-        def worse_then_stationary(method, pq, p):
+        def worse_then_stationary(pq, p):
             calls.append(p)
             # zero power gives a secrecy rate of exactly 0, below the start
             zero = HybridPrecoder(p=np.zeros(cfg.n_tx, dtype=complex), n_rf=cfg.n_rf)
             p_out = zero if len(calls) == 1 else p
             return PrecoderResult(p=p_out, converged=True, iterations=1, secrecy_rate=0.0, trace=[0.0])
 
-        monkeypatch.setattr(joint, "_run_precoder", worse_then_stationary)
+        monkeypatch.setattr(joint, "cor_ga", worse_then_stationary)
         res = joint_optimize(cfg, ch, "II", p0=p0, seed=0)
         objs = [t.objective for t in res.trace]
         assert objs[0] > 0.0
@@ -86,6 +86,24 @@ class TestJointOptimize:
         assert np.array_equal(res.p_star.p, p0.p)
         assert all(p is p0 for p in calls)
         assert res.extras["precoder_rejected"] == 1
+
+    @pytest.mark.parametrize("combination", ["I", "II"])
+    def test_builds_one_pair_kernel_per_link_point(self, combination, monkeypatch):
+        cfg = desk_config(p_total=db_to_linear(20.0))
+        ch = draw_channels(cfg, 50)
+        built = []
+        init = rates.PairKernel.__init__
+
+        def counted(kernel, *args):
+            built.append(kernel)
+            init(kernel, *args)
+
+        monkeypatch.setattr(rates.PairKernel, "__init__", counted)
+        res = joint_optimize(cfg, ch, combination, seed=0)
+        assert len(res.trace) > 1
+        # one at the start point and one per candidate v; the precoder step
+        # ascends on the quadratics the candidate was scored on
+        assert len(built) == 1 + len(res.trace)
 
     def test_idempotent_at_fixed_point(self):
         cfg = desk_config(p_total=db_to_linear(20.0))

@@ -39,7 +39,7 @@ from irs_ssm.model import (
     link_state,
 )
 from irs_ssm.precoder_opt import ScaSubproblem, asr_sca, build_precoder_quadratics, cor_ga
-from irs_ssm.rates import approx_secrecy_rate, kappas, rate_from_kappas
+from irs_ssm.rates import approx_secrecy_rate, link_kernel, rate_from_kappas
 
 from _instances import subnormal_beta_config
 from _oracles import (
@@ -117,8 +117,8 @@ def test_rate_matches_dense_oracle_and_kappa_bounds(case):
     hyps = enumerate_hypotheses(cfg)
     k = cfg.n_hyp
     w_rx = (wch.h + wch.g @ (v[:, None] * wch.f), wch.q + wch.m @ (v[:, None] * wch.f))
-    got_rx = kappas(cfg, *w_rx, p)
-    assert got_rx == (rep.kappa_b, rep.kappa_e)
+    got_rx = link_kernel(*w_rx, cfg.n_rf, cfg.m_ary, cfg.tau).run(p).kappa.tolist()
+    assert got_rx == [rep.kappa_b, rep.kappa_e]
     for got, w_eff in zip(got_rx, w_rx):
         want = kappa_dense(w_eff, hyps, p, cfg.tau, cfg.n_rf, cfg.n_k)
         assert abs(got - want) <= 1e-9 * want
@@ -163,7 +163,7 @@ def test_cor_ga_invariants(case):
     assert np.linalg.norm(res.p.p) <= cfg.n_rf + 1e-9
     fresh = build_precoder_quadratics(cfg, wch, v)
     assert float.hex(res.secrecy_rate) == float.hex(fresh.secrecy_rate(res.p))
-    stacked = rate_from_kappas(*kappas(cfg, pq.w_b, pq.w_e, res.p))
+    stacked = rate_from_kappas(*link_kernel(pq.w_b, pq.w_e, cfg.n_rf, cfg.m_ary, cfg.tau).run(res.p).kappa.tolist())
     assert float.hex(res.secrecy_rate) == float.hex(stacked)
 
 

@@ -108,17 +108,21 @@ class TestPrecoderQuadratics:
         assert np.all(g == 0)
 
 
+def _link_kappas(pq, p):
+    """(kappa_B, kappa_E) at p from one pass of a new ``rates.link_kernel`` on pq's channels."""
+    return rates.link_kernel(pq.w_b, pq.w_e, pq.n_rf, pq.m_ary, pq.tau).run(p).kappa.tolist()
+
+
 class _Uncached:
-    """Duck-typed quadratics without the memo: the rate straight from ``rates``
+    """Duck-typed quadratics without the memo: each rate from a new ``rates.link_kernel``
     and each gradient from a new instance."""
 
-    def __init__(self, pq, cfg):
+    def __init__(self, pq):
         self.pq = pq
-        self.cfg = cfg
         self.n_rf = pq.n_rf
 
     def secrecy_rate(self, p):
-        return rates.rate_from_kappas(*rates.kappas(self.cfg, self.pq.w_b, self.pq.w_e, p))
+        return rates.rate_from_kappas(*_link_kappas(self.pq, p))
 
     def gradient(self, p):
         return replace(self.pq).gradient(p)
@@ -164,7 +168,7 @@ class TestForwardMemo:
         same("gradient", p1.real.copy())
 
         pq.gradient(p2)
-        direct = rates.rate_from_kappas(*rates.kappas(inst.cfg, pq.w_b, pq.w_e, p1))
+        direct = rates.rate_from_kappas(*_link_kappas(pq, p1))
         assert float.hex(pq.secrecy_rate(p1)) == float.hex(direct)
 
     def test_gradient_survives_later_passes(self):
@@ -210,7 +214,7 @@ class TestForwardMemo:
         for seed in range(2):
             cfg, _, pq = _desk_quadratics(seed)
             p0 = HybridPrecoder.default_init(cfg)
-            cached, plain = cor_ga(pq, p0), cor_ga(_Uncached(replace(pq), cfg), p0)
+            cached, plain = cor_ga(pq, p0), cor_ga(_Uncached(replace(pq)), p0)
             assert cached.p.p.tobytes() == plain.p.p.tobytes()
             assert [float.hex(r) for r in cached.trace] == [float.hex(r) for r in plain.trace]
             assert cached.iterations == plain.iterations
@@ -222,7 +226,7 @@ class TestForwardMemo:
         v = np.ones(cfg.n_irs, dtype=complex)
         pq = build_precoder_quadratics(cfg, link_state(cfg, draw_channels(cfg, 0), v)[3], v)
         p0 = HybridPrecoder.default_init(cfg)
-        cached, plain = cor_ga(pq, p0), cor_ga(_Uncached(replace(pq), cfg), p0)
+        cached, plain = cor_ga(pq, p0), cor_ga(_Uncached(replace(pq)), p0)
         assert cached.iterations == plain.iterations == precoder_opt.GA_MAX_ITERS
         assert cached.p.p.tobytes() == plain.p.p.tobytes()
         assert [float.hex(r) for r in cached.trace] == [float.hex(r) for r in plain.trace]
@@ -232,7 +236,7 @@ class TestForwardMemo:
         cached = joint.joint_optimize(cfg, ch, "II", seed=1)
         monkeypatch.setattr(
             joint, "build_precoder_quadratics",
-            lambda *args: _Uncached(build_precoder_quadratics(*args), args[0]),
+            lambda *args: _Uncached(build_precoder_quadratics(*args)),
         )
         plain = joint.joint_optimize(cfg, ch, "II", seed=1)
         assert cached.p_star.p.tobytes() == plain.p_star.p.tobytes()
@@ -430,7 +434,7 @@ class TestUnderflowContract:
         p0 = HybridPrecoder.default_init(cfg)
         k = cfg.n_hyp
         with np.errstate(all="raise"):
-            kb, ke = rates.kappas(cfg, pq.w_b, pq.w_e, p0)
+            kb, ke = _link_kappas(pq, p0)
             rate = pq.secrecy_rate(p0)
             g = pq.gradient(p0)
             res = cor_ga(replace(pq), p0)

@@ -19,7 +19,7 @@ from irs_ssm.model import (
 from irs_ssm.rates import (
     PairKernel,
     approx_secrecy_rate,
-    kappas,
+    link_kernel,
     mc_mutual_information,
     psk_rotations,
     rate_from_kappas,
@@ -118,7 +118,8 @@ class TestKappa:
             assert np.all((terms >= 0.0) & (terms <= 1.0))
             for w_eff in (w_b, w_e):
                 assert k_hyp <= _kappa(w_eff, cfg, p.p, cfg.tau) <= k_hyp**2
-            assert abs(rate_from_kappas(*kappas(cfg, w_b, w_e, p))) <= np.log2(k_hyp)
+            kernel = link_kernel(w_b, w_e, cfg.n_rf, cfg.m_ary, cfg.tau).run(p)
+            assert abs(rate_from_kappas(*kernel.kappa.tolist())) <= np.log2(k_hyp)
         assert negative > 0  # the cancellation the clamp guards against did occur
 
 
