@@ -78,8 +78,26 @@ def path_loss_db(d: float, alpha: float, pl0_db: float = -30.0, d0: float = 1.0)
 
 
 def _link_std(cfg: SystemConfig, a: str, b: str, alpha: float) -> float:
-    pl_lin = db_to_linear(path_loss_db(cfg.geometry.distance(a, b), alpha, cfg.pl0_db))
-    return math.sqrt(pl_lin / 2.0)  # per real dimension
+    """The a-b link's entry std per real dimension; a ValueError names the link when it has none."""
+    try:
+        pl_db = path_loss_db(cfg.geometry.distance(a, b), alpha, cfg.pl0_db)
+        return math.sqrt(db_to_linear(pl_db) / 2.0)
+    except ValueError as exc:
+        raise ValueError(f"{a}-{b} link: {exc}") from None
+    except OverflowError:
+        raise ValueError(f"{a}-{b} link: path loss {pl_db:g} dB (pl0_db = {cfg.pl0_db!r}) is out of range: "
+                         "its linear value overflows a float") from None
+
+
+def _links(cfg: SystemConfig) -> dict[str, tuple[int, int, float]]:
+    """Each channel's (rows, cols, entry std), in draw order."""
+    return {
+        "h": (cfg.n_b, cfg.n_tx, _link_std(cfg, "alice", "bob", cfg.alpha_ab)),
+        "q": (cfg.n_e, cfg.n_tx, _link_std(cfg, "alice", "eve", cfg.alpha_ab)),
+        "f": (cfg.n_irs, cfg.n_tx, _link_std(cfg, "alice", "irs", cfg.alpha_ai)),
+        "g": (cfg.n_b, cfg.n_irs, _link_std(cfg, "irs", "bob", cfg.alpha_ib)),
+        "m": (cfg.n_e, cfg.n_irs, _link_std(cfg, "irs", "eve", cfg.alpha_ib)),
+    }
 
 
 def draw_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
@@ -93,14 +111,7 @@ def draw_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     def draw(rows: int, cols: int, std: float) -> np.ndarray:
         return std * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
 
-    links = {
-        "h": (cfg.n_b, cfg.n_tx, _link_std(cfg, "alice", "bob", cfg.alpha_ab)),
-        "q": (cfg.n_e, cfg.n_tx, _link_std(cfg, "alice", "eve", cfg.alpha_ab)),
-        "f": (cfg.n_irs, cfg.n_tx, _link_std(cfg, "alice", "irs", cfg.alpha_ai)),
-        "g": (cfg.n_b, cfg.n_irs, _link_std(cfg, "irs", "bob", cfg.alpha_ib)),
-        "m": (cfg.n_e, cfg.n_irs, _link_std(cfg, "irs", "eve", cfg.alpha_ib)),
-    }
-    ch = ChannelSet(**{name: draw(*args) for name, args in links.items()})
+    ch = ChannelSet(**{name: draw(*args) for name, args in _links(cfg).items()})
     ch.validate(cfg)
     return ch
 
@@ -179,9 +190,10 @@ class ExperimentSpec:
     """One campaign: an experiment kind, its parameter grid, and bookkeeping.
 
     Empty grid axes fall back to the corresponding ``system`` value, so every
-    kind runs through the same cartesian-product machinery.  The config of
-    every grid point is built at construction, so a grid value its
-    ``SystemConfig`` rejects fails here, with that config's error.
+    kind runs through the same cartesian-product machinery.  The config and
+    the five link variances of every grid point are built at construction,
+    so a grid value its ``SystemConfig`` rejects, or one that puts a link
+    below the path-loss reference distance, fails here with a named error.
     """
 
     kind: str
@@ -225,7 +237,7 @@ class ExperimentSpec:
         if not self.combinations:
             raise ValueError("combinations must be non-empty")
         for gp in self.grid_points():
-            self.config_at(gp)  # SystemConfig's own checks, at load rather than mid-campaign
+            _links(self.config_at(gp))  # the config's and each link's checks, at load rather than mid-campaign
 
     def grid_points(self) -> list[dict]:
         cfg = self.system

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from irs_ssm.model import (
-    ChannelSet,
-    SystemConfig,
-    TransmitHypothesis,
-    WhitenedChannels,
-    assemble_analog_matrix,
-)
+from irs_ssm.model import ChannelSet, SystemConfig, TransmitHypothesis, WhitenedChannels
+
+
+def dense_analog_matrix(fa_blocks: np.ndarray) -> np.ndarray:
+    """F_A filled entry by entry: antenna t of subarray t // n_k feeds RF chain t // n_k."""
+    n_rf, n_k = fa_blocks.shape
+    fa = np.zeros((n_rf * n_k, n_rf), dtype=complex)
+    for t in range(n_rf * n_k):
+        fa[t, t // n_k] = fa_blocks[t // n_k, t % n_k]
+    return fa
 
 
 def dense_selection_matrix(hyp: TransmitHypothesis, n_rf: int, n_k: int) -> np.ndarray:
@@ -109,7 +112,7 @@ def an_covariances_elementwise(
     t_an: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Omega matrices rebuilt entry by entry from explicit sums."""
-    fa = assemble_analog_matrix(fa_blocks)
+    fa = dense_analog_matrix(fa_blocks)
     vmat = np.diag(v)
     eff_b = ch.h + ch.g @ vmat @ ch.f
     eff_e = ch.q + ch.m @ vmat @ ch.f

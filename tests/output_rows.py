@@ -1,15 +1,16 @@
-"""Write every method's `run_method` output on fixed draws, one JSON row per line.
+"""The pinned `run_method` outputs: the fixed draws, the row builder and the row comparator.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/output_rows.py OUT.json
 
-Runs every ``harness.ALL_METHODS`` method on desk seeds 0-3 and full-scale
-seeds 0-1, at 10 and 30 dBm (108 rows).  Each row holds the scale, power,
-seed and method, the secrecy rate as a hex float, the iteration count, the
-FLOP estimate and, for the joint methods, the objective trace as hex floats.
-Hex floats make any change of bits visible, so running the script once with
-one tree's ``src`` on PYTHONPATH and once with another's, then ``diff``-ing
-the two files, names the rows a change moves.  The package is imported from
-PYTHONPATH, so the same script serves both trees.
+writes one JSON row per line for every draw in ``DRAWS`` (111 rows): every
+``harness.ALL_METHODS`` method on desk seeds 0-3 and full-scale seeds 0-1 at
+10 and 30 dBm, then ``cor_ga``, ``joint_II`` and ``joint_III`` on full-scale
+seed 0 at 0 dBm.  Each row holds the scale, power, seed and method, the
+secrecy rate as a hex float, the iteration count, the FLOP estimate and, for
+the joint methods, the objective trace as hex floats.  Hex floats make any
+change of bits visible.  The package is imported from PYTHONPATH, so the same
+script serves any tree.  ``tests/pinned_outputs.json`` is this script's
+output, and ``test_pinned_outputs.py`` recomputes each of its rows.
 
     python tests/output_rows.py --compare A.json B.json [--max-bits X]
 
@@ -22,47 +23,64 @@ with ``--max-bits``, any row's ``sr_bits`` moved by more than X bits.
 import json
 import sys
 
-SCALES = (("desk", "desk_config", (0, 1, 2, 3)), ("full", "full_scale_config", (0, 1)))
-POWERS_DBM = (10.0, 30.0)
+# (scale, transmit power in dBm, channel seed, methods); None runs every method
+DRAWS = [(scale, power_dbm, seed, None)
+         for scale, seeds in (("desk", (0, 1, 2, 3)), ("full", (0, 1)))
+         for power_dbm in (10.0, 30.0)
+         for seed in seeds]
+DRAWS.append(("full", 0.0, 0, ("cor_ga", "joint_II", "joint_III")))
 
 
-def rows():
-    # imported here, so --compare runs without the package on PYTHONPATH
+def cases() -> list[tuple]:
+    """The (scale, power_dbm, seed, method) of every row, in file order."""
+    from irs_ssm.harness import ALL_METHODS  # imported here, so --compare runs without the package
+
+    return [(scale, power_dbm, seed, method)
+            for scale, power_dbm, seed, methods in DRAWS for method in methods or ALL_METHODS]
+
+
+def row(scale: str, power_dbm: float, seed: int, method: str) -> dict:
+    """One method's `run_method` output on one draw."""
     from irs_ssm import harness
     from irs_ssm.model import db_to_linear
 
-    for scale, config_name, seeds in SCALES:
-        make = getattr(harness, config_name)
-        for power_dbm in POWERS_DBM:
-            cfg = make(p_total=db_to_linear(power_dbm))
-            for seed in seeds:
-                ch = harness.draw_channels(cfg, seed)
-                for method in harness.ALL_METHODS:
-                    out = harness.run_method(method, cfg, ch, seed)
-                    yield {
-                        "scale": scale,
-                        "power_dbm": power_dbm,
-                        "seed": seed,
-                        "method": method,
-                        "sr_bits": float.hex(float(out.sr_bits)),
-                        "iterations": out.iterations,
-                        "flops": out.flops,
-                        "trace": None if out.trace is None else [float.hex(float(t)) for t in out.trace],
-                    }
+    make = harness.desk_config if scale == "desk" else harness.full_scale_config
+    cfg = make(p_total=db_to_linear(power_dbm))
+    out = harness.run_method(method, cfg, harness.draw_channels(cfg, seed), seed)
+    return {
+        "scale": scale,
+        "power_dbm": power_dbm,
+        "seed": seed,
+        "method": method,
+        "sr_bits": float.hex(float(out.sr_bits)),
+        "iterations": out.iterations,
+        "flops": out.flops,
+        "trace": None if out.trace is None else [float.hex(float(t)) for t in out.trace],
+    }
 
 
 def main(path: str) -> None:
-    count = 0
+    todo = cases()
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows():
-            fh.write(json.dumps(row) + "\n")
-            count += 1
-    print(f"wrote {count} rows to {path}")
+        for case in todo:
+            fh.write(json.dumps(row(*case)) + "\n")
+    print(f"wrote {len(todo)} rows to {path}")
 
 
-def _load(path: str) -> dict[tuple, dict]:
+def load(path) -> dict[tuple, dict]:
+    """The rows of a file, keyed by (scale, power_dbm, seed, method), in file order."""
     with open(path, encoding="utf-8") as fh:
         return {(r["scale"], r["power_dbm"], r["seed"], r["method"]): r for r in map(json.loads, fh)}
+
+
+def mismatches(ra: dict, rb: dict, max_bits: float | None = None) -> list[str]:
+    """How row B differs from row A: any change of iterations or flops, and a rate moved past ``max_bits``."""
+    key = (ra["scale"], ra["power_dbm"], ra["seed"], ra["method"])
+    lines = [f"{key}: {name} {ra[name]} -> {rb[name]}" for name in ("iterations", "flops") if ra[name] != rb[name]]
+    change = float.fromhex(rb["sr_bits"]) - float.fromhex(ra["sr_bits"])
+    if max_bits is not None and not abs(change) <= max_bits:
+        lines.append(f"{key}: sr_bits moved {change:+.3e} bit, beyond {max_bits:g}")
+    return lines
 
 
 def compare(path_a: str, path_b: str, max_bits: float | None = None) -> int:
@@ -71,30 +89,26 @@ def compare(path_a: str, path_b: str, max_bits: float | None = None) -> int:
     Returns 1 if any count differs, a row is missing or a rate moved by more
     than ``max_bits``, else 0.
     """
-    a, b = _load(path_a), _load(path_b)
-    mismatches = [f"row {key} is only in {path_a}" for key in a.keys() - b.keys()]
-    mismatches += [f"row {key} is only in {path_b}" for key in b.keys() - a.keys()]
+    a, b = load(path_a), load(path_b)
+    lines = [f"row {key} is only in {path_a}" for key in a.keys() - b.keys()]
+    lines += [f"row {key} is only in {path_b}" for key in b.keys() - a.keys()]
     largest: dict[str, float] = {}
     moved = 0
     for key in (k for k in a if k in b):
         scale, power_dbm, seed, method = key
         ra, rb = a[key], b[key]
-        for name in ("iterations", "flops"):
-            if ra[name] != rb[name]:
-                mismatches.append(f"{key}: {name} {ra[name]} -> {rb[name]}")
+        lines += mismatches(ra, rb, max_bits)
         change = float.fromhex(rb["sr_bits"]) - float.fromhex(ra["sr_bits"])
         largest[method] = max(largest.get(method, 0.0), abs(change))
         if ra["sr_bits"] != rb["sr_bits"]:
             moved += 1
             print(f"{scale} {power_dbm:g} dBm seed {seed} {method}: sr_bits {change:+.3e} bit")
-        if max_bits is not None and not abs(change) <= max_bits:
-            mismatches.append(f"{key}: sr_bits moved {change:+.3e} bit, beyond {max_bits:g}")
     print(f"{moved} of {len(a.keys() & b.keys())} rows moved; largest |change| per method:")
     for method, change in largest.items():
         print(f"  {method}: {change:.3e} bit")
-    for line in mismatches:
+    for line in lines:
         print(f"MISMATCH {line}")
-    return 1 if mismatches else 0
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

@@ -376,6 +376,9 @@ experiment:
         ("", "powers_dbm: [30, 4000]", "powers_dbm = 4000.0 dBm is out of range"),
         ("alpha_ab: .nan", "", "alpha_ab must be a finite real number, got nan"),
         ("pl0_db: x", "", "pl0_db must be a finite real number, got 'x'"),
+        ("pl0_db: 4000", "", r"alice-bob link: path loss 3955.35 dB \(pl0_db = 4000\) is out of range"),
+        ("geometry: {alice: [0, 0, 2]}", "irs_y_values: [20, 0.5]",
+         "alice-irs link: distance 0.5 m is below the reference distance 1.0 m"),
     ])
     def test_bad_value_is_named_at_load(self, tmp_path, system, experiment, named):
         path = tmp_path / "campaign.yaml"

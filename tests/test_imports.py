@@ -1,4 +1,4 @@
-"""No module of the package or of the tests imports a name it never reads.
+"""No module of the package, the tests or the demos imports a name it never reads.
 
 A stdlib ``ast`` check, so it runs wherever the tests do.  An import line
 marked ``noqa`` is exempt (one that is kept for another module to patch).
@@ -11,7 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for p in (ROOT / "src" / "irs_ssm").glob("*.py") if p.name != "__init__.py")
-FILES += sorted((ROOT / "tests").glob("*.py"))
+FILES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

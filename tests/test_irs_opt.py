@@ -8,7 +8,9 @@ import pytest
 from scipy.stats import spearmanr
 
 from irs_ssm import irs_opt, joint
-from irs_ssm.harness import ExperimentSpec, desk_config, draw_channels, full_scale_config, run_experiment
+from irs_ssm.harness import (
+    CAMPAIGN_ADMM, ExperimentSpec, desk_config, draw_channels, full_scale_config, run_experiment,
+)
 from irs_ssm.irs_opt import (
     IrsPhaseVector,
     SdpNonConvergence,
@@ -44,7 +46,7 @@ def _random_hermitian(rng: np.random.Generator, k: int) -> np.ndarray:
 
 
 def _pinned_draw_forms() -> list:
-    """The IRS forms at v = 1 and the default precoder on the draws ``test_pinned_outputs`` pins."""
+    """The IRS forms at v = 1 and the default precoder on five of the draws ``output_rows.DRAWS`` pins."""
     forms = []
     for make, power_dbm, seed in ((desk_config, 10.0, 0), (desk_config, 10.0, 1), (desk_config, 30.0, 0),
                                   (desk_config, 30.0, 1), (full_scale_config, 0.0, 0)):
@@ -264,7 +266,7 @@ class TestAdmm:
             inst = make_instance(seed, n_rf=2, n_k=2, n_irs=3, m_ary=2, power_dbm=15.0)
             qf = build_quadratic_forms(inst.cfg, inst.wch, inst.p)
             opt, _ = grid_search_phases(qf.surrogate_values, 3, n_points=180)
-            res = irs_admm(qf, tol=1e-6, max_iters=200, inner_max=300)
+            res = irs_admm(qf, **CAMPAIGN_ADMM)
             assert res.surrogate_value >= opt - 0.02 * abs(opt)
 
 

@@ -22,7 +22,7 @@ from irs_ssm.model import (
 )
 from irs_ssm.precoder_opt import PrecoderQuadratics
 
-from _oracles import an_covariances_elementwise, dense_selection_matrix
+from _oracles import an_covariances_elementwise, dense_analog_matrix, dense_selection_matrix
 from _instances import make_instance
 
 
@@ -129,6 +129,10 @@ class TestHypotheses:
 
 
 class TestAnProjection:
+    def test_analog_matrix_matches_the_dense_oracle(self):
+        blocks = np.exp(1j * np.arange(8.0)).reshape(4, 2)
+        assert np.array_equal(assemble_analog_matrix(blocks), dense_analog_matrix(blocks))
+
     def test_null_space_property(self):
         cfg = desk_config(n_rf=8, n_k=2, n_irs=8, m_ary=2, n_b=2)
         ch = draw_channels(cfg, 0)
@@ -137,7 +141,7 @@ class TestAnProjection:
         an = build_an_projection(cfg, ch, v)
         assert an.strategy_used == "null_space"
         eff_b, _ = effective_channels(ch, v)
-        base = eff_b @ assemble_analog_matrix(fa)
+        base = eff_b @ dense_analog_matrix(fa)
         leak = np.linalg.norm(base @ an.t_an, "fro")
         assert leak < 1e-6 * np.linalg.norm(base, "fro")
         assert np.linalg.norm(an.t_an, "fro") ** 2 == pytest.approx(cfg.n_rf, rel=1e-9)
@@ -153,7 +157,7 @@ class TestAnProjection:
         # unitary: T T^H = I
         assert np.allclose(an.t_an @ an.t_an.conj().T, np.eye(2), atol=1e-10)
         # any unitary U gives (X U)(X U)^H = X X^H, the covariance a random unitary produced
-        x = effective_channels(ch, v)[0] @ assemble_analog_matrix(default_analog_blocks(cfg))
+        x = effective_channels(ch, v)[0] @ dense_analog_matrix(default_analog_blocks(cfg))
         z = np.random.default_rng(5).standard_normal((2, 4)).view(complex)
         u, _ = np.linalg.qr(z)
         xu = x @ u
@@ -170,8 +174,8 @@ class TestAnProjection:
         an1 = build_an_projection(cfg, ch_zero_g, v1)
         an2 = build_an_projection(cfg, ch_zero_g, v2)
         assert np.allclose(an1.t_an, an2.t_an)  # no v dependence without G
-        leak = np.linalg.norm((ch.h @ assemble_analog_matrix(fa)) @ an1.t_an)
-        assert leak < 1e-6 * np.linalg.norm(ch.h @ assemble_analog_matrix(fa))
+        leak = np.linalg.norm((ch.h @ dense_analog_matrix(fa)) @ an1.t_an)
+        assert leak < 1e-6 * np.linalg.norm(ch.h @ dense_analog_matrix(fa))
 
     def test_degenerate_falls_back_to_identity(self):
         cfg = desk_config(n_rf=4, n_k=2, n_irs=4, m_ary=2)
