@@ -1,8 +1,9 @@
 """Walk through one fading realization of the secure spatial-modulation link.
 
-Draws geometry-based channels, builds the artificial-noise projection and the
-interference-plus-noise whitening, then compares the cut-off-rate secrecy
-objective against the Monte Carlo mutual-information oracle.
+Draws geometry-based channels, builds the link map (the artificial-noise
+shaping T and the interference-plus-noise whitening), then compares the
+cut-off-rate secrecy objective against the Monte Carlo mutual-information
+oracle.
 """
 
 import numpy as np
@@ -30,10 +31,14 @@ print(f"channel scales: |H| ~ {np.abs(ch.h).mean():.2e}, |F| ~ {np.abs(ch.f).mea
 v = np.ones(cfg.n_irs, dtype=complex)  # neutral reflection state
 p = HybridPrecoder.default_init(cfg)
 
-an, omega_b, omega_e, wch = link_state(cfg, ch, v)
-print(f"AN strategy: {an.strategy_used}; Bob AN covariance norm "
-      f"{np.linalg.norm(an.effective_an_cov_b):.2e} (nulled), Eve "
-      f"{np.linalg.norm(an.effective_an_cov_e):.2e}")
+t_an, omega_b, omega_e, wch = link_state(cfg, ch, v)
+rank_t = np.linalg.matrix_rank(t_an)
+shaping = "identity" if np.array_equal(t_an, np.eye(cfg.n_rf)) else f"rank-{rank_t} null-space projector"
+print(f"AN shaping T: {shaping} on {cfg.n_rf} RF chains, ||T||_F^2 = "
+      f"{np.linalg.norm(t_an) ** 2:.3f}")
+leak_b = np.linalg.norm(omega_b - cfg.sigma_b2 * np.eye(cfg.n_b))
+leak_e = np.linalg.norm(omega_e - cfg.sigma_e2 * np.eye(cfg.n_e))
+print(f"AN power ||Omega - sigma^2 I|| at Bob {leak_b:.2e} (nulled), at Eve {leak_e:.2e}")
 print(f"noise-whitened Bob channel gain: {np.linalg.norm(wch.h):.3f} "
       f"(raw {np.linalg.norm(ch.h):.2e} over sqrt(noise))")
 

@@ -43,7 +43,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_flops(args: argparse.Namespace) -> int:
     cfg = harness.full_scale_config() if args.full_scale else harness.desk_config()
-    if args.n_irs:
+    if args.n_irs is not None:
         cfg = replace(cfg, n_irs=args.n_irs)
     print(f"N={cfg.n_irs}, N_RF={cfg.n_rf}, N_k={cfg.n_k}, M={cfg.m_ary}, "
           f"iterations D={args.iterations}")

@@ -231,9 +231,11 @@ class ExperimentSpec:
             raise ValueError("n_channel_trials must be >= 1")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        for m in self.combinations:
+        for i, m in enumerate(self.combinations):
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+            if m in self.combinations[:i]:
+                raise ValueError(f"method {m!r} is listed more than once in combinations")
         if not self.combinations:
             raise ValueError("combinations must be non-empty")
         for gp in self.grid_points():

@@ -6,16 +6,19 @@ select the active subarray, an M-ary symbol rides on it, and artificial noise
 (AN) fills the remaining power budget.  Bob and Eve receive a superposition of
 the direct path and the path reflected by an IRS with ``n_irs`` unit-modulus
 elements.  This module holds the configuration and channel containers, the
-transmit hypotheses, AN projection, interference-plus-noise whitening, and
-ML detection.  The hypotheses are a function of the config alone: the M-PSK
-set of ``m_ary`` on each of the ``n_rf`` subarrays, as the labelled list
-``enumerate_hypotheses(cfg)``, whose stacked ``x_vec`` rows ML detection and
-the Monte Carlo oracle read; the rates and optimizers need only (n_rf, m_ary).
-``link_state`` is the one map from a reflection vector v to the whitened
-link; the whitened channels are a
-``ChannelSet``, so ``effective_channels`` gives H + GVF and Q + MVF for raw
-and whitened sets alike.  Everything downstream (cut-off rates, the IRS and
-precoder optimizers, the experiment harness) is built on these pieces.
+transmit hypotheses, the link map, and ML detection.  The hypotheses are a
+function of the config alone: the M-PSK set ``psk_symbols(m_ary)`` on each
+of the ``n_rf`` subarrays, as the labelled list ``enumerate_hypotheses(cfg)``,
+whose stacked ``x_vec`` rows ML detection and the Monte Carlo oracle read;
+the rates and optimizers need only (n_rf, m_ary).  ``link_state`` is the one
+map from a reflection vector v to the whitened link: it builds the zero-phase
+analog matrix F_A, the AN shaping T (the scaled null-space projector of
+Bob's effective channel when n_rf > n_b, the identity otherwise), both
+interference-plus-noise covariances, and the whitened channels.  The
+whitened channels are a ``ChannelSet``, so ``effective_channels`` gives
+H + GVF and Q + MVF for raw and whitened sets alike.  Everything downstream
+(cut-off rates, the IRS and precoder optimizers, the experiment harness) is
+built on these pieces.
 
 All powers are linear milliwatts; dB/dBm conversions happen at config load.
 """
@@ -160,22 +163,10 @@ class ChannelSet:
                 raise ValueError(f"channel {name} contains non-finite entries")
 
 
-@dataclass(frozen=True)
-class Constellation:
-    """M-ary constellation with unit average symbol energy."""
-
-    symbols: np.ndarray
-
-    def __post_init__(self) -> None:
-        energy = float(np.mean(np.abs(self.symbols) ** 2))
-        if abs(energy - 1.0) > 1e-12:
-            raise ValueError(f"mean symbol energy {energy} != 1")
-
-    @classmethod
-    def psk(cls, m: int) -> "Constellation":
-        """Unit-energy M-PSK (Gray labeling is implicit in the index order)."""
-        k = np.arange(m)
-        return cls(np.exp(2j * np.pi * k / m))
+def psk_symbols(m: int) -> np.ndarray:
+    """(m,) M-PSK symbols s_j = exp(2 pi i j / m), |s_j| = 1 (Gray labeling is implicit in the index order)."""
+    k = np.arange(m)
+    return np.exp(2j * np.pi * k / m)
 
 
 @dataclass(frozen=True)
@@ -195,7 +186,7 @@ class TransmitHypothesis:
 
 def enumerate_hypotheses(cfg: SystemConfig) -> list[TransmitHypothesis]:
     """All n_rf * m_ary labelled M-PSK transmit hypotheses, ordered by (subarray, symbol)."""
-    symbols = Constellation.psk(cfg.m_ary).symbols
+    symbols = psk_symbols(cfg.m_ary)
     hyps = []
     for i in range(1, cfg.n_rf + 1):
         lo = (i - 1) * cfg.n_k
@@ -246,100 +237,10 @@ class HybridPrecoder:
         return cls(p=p, n_rf=cfg.n_rf)
 
 
-def default_analog_blocks(cfg: SystemConfig) -> np.ndarray:
-    """Zero-phase analog vectors, one row per subarray."""
-    return np.full((cfg.n_rf, cfg.n_k), 1.0 / np.sqrt(cfg.n_k), dtype=complex)
-
-
-def assemble_analog_matrix(fa_blocks: np.ndarray) -> np.ndarray:
-    """Block-diagonal analog precoding matrix, shape (n_rf*n_k, n_rf)."""
-    n_rf, n_k = fa_blocks.shape
-    fa = np.zeros((n_rf * n_k, n_rf), dtype=complex)
-    for i in range(n_rf):
-        fa[i * n_k : (i + 1) * n_k, i] = fa_blocks[i]
-    return fa
-
-
-@dataclass(frozen=True)
-class AnProjection:
-    """AN shaping matrix plus its cached covariance contributions.
-
-    ``t_an`` is n_rf x n_rf with ||t_an||_F^2 = n_rf so the total AN power is
-    the same for the null-space projector and the identity fallback.
-    ``effective_an_cov_b/e`` cache (ch F_A T) (ch F_A T)^H for the Bob and
-    Eve effective channels.
-    """
-
-    t_an: np.ndarray
-    effective_an_cov_b: np.ndarray
-    effective_an_cov_e: np.ndarray
-    strategy_used: str
-    degenerate: bool = False
-
-    def __post_init__(self) -> None:
-        fro2 = float(np.linalg.norm(self.t_an, "fro") ** 2)
-        n_rf = self.t_an.shape[0]
-        if abs(fro2 - n_rf) > 1e-9 * max(1.0, n_rf):
-            raise ValueError(f"||t_an||_F^2 = {fro2}, expected {n_rf}")
-
-
 def effective_channels(ch: ChannelSet, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(H + G V F, Q + M V F) for the reflection vector v; whitened sets give H~ + G~ V F."""
     vf = v[:, None] * ch.f
     return ch.h + ch.g @ vf, ch.q + ch.m @ vf
-
-
-def build_an_projection(cfg: SystemConfig, ch: ChannelSet, v: np.ndarray) -> AnProjection:
-    """Construct the AN shaping matrix for the current reflection state.
-
-    AN rides on the zero-phase analog subarrays F_A.  When n_rf > n_b, T is
-    the projector onto the null space of the effective Bob channel times the
-    analog precoder, (H + GVF) F_A, scaled to ||T||_F^2 = n_rf.  Otherwise
-    T = I: every unitary T gives (X T)(X T)^H = X X^H, so no other choice
-    changes the covariances.  A rank-zero effective channel also falls back
-    to the identity and sets the ``degenerate`` flag.
-    """
-    fa = assemble_analog_matrix(default_analog_blocks(cfg))
-    eff_b, eff_e = effective_channels(ch, v)
-    xb = eff_b @ fa  # n_b x n_rf
-    n_rf = cfg.n_rf
-    t_an = np.eye(n_rf, dtype=complex)
-    used, degenerate = "identity", False
-    if n_rf > cfg.n_b:
-        _, s, vh = np.linalg.svd(xb)
-        rank = int(np.sum(s > 1e-12 * max(s[0], 1e-300)))
-        if rank == 0:
-            degenerate = True
-        else:
-            null_basis = vh[rank:].conj().T  # n_rf x (n_rf - rank)
-            proj = null_basis @ null_basis.conj().T
-            t_an = proj * np.sqrt(n_rf / (n_rf - rank))
-            used = "null_space"
-
-    yb = xb @ t_an
-    ye = (eff_e @ fa) @ t_an
-    cov_b = yb @ yb.conj().T
-    cov_e = ye @ ye.conj().T
-    return AnProjection(
-        t_an=t_an,
-        effective_an_cov_b=0.5 * (cov_b + cov_b.conj().T),
-        effective_an_cov_e=0.5 * (cov_e + cov_e.conj().T),
-        strategy_used=used,
-        degenerate=degenerate,
-    )
-
-
-def interference_covariances(cfg: SystemConfig, an: AnProjection) -> tuple[np.ndarray, np.ndarray]:
-    """Interference-plus-noise covariances at Bob and Eve.
-
-    Omega = (1 - beta) p_total C + sigma^2 I with C the cached AN covariance
-    contribution of the projection.  C is exactly Hermitian, so Omega is too;
-    ``whiten`` rejects an Omega that is not positive definite.
-    """
-    an_power = (1.0 - cfg.beta) * cfg.p_total
-    omega_b = an_power * an.effective_an_cov_b + cfg.sigma_b2 * np.eye(cfg.n_b)
-    omega_e = an_power * an.effective_an_cov_e + cfg.sigma_e2 * np.eye(cfg.n_e)
-    return omega_b, omega_e
 
 
 @dataclass(frozen=True)
@@ -409,14 +310,51 @@ def ml_detect(
     return k // cfg.m_ary + 1, k % cfg.m_ary + 1
 
 
+def _an_shaping(xb: np.ndarray) -> np.ndarray:
+    """AN shaping T for Bob's (n_b, n_rf) channel X_B on the analog subarrays.
+
+    When n_rf > n_b, T is the projector onto the null space of X_B scaled to
+    ||T||_F^2 = n_rf, so the total AN power matches the identity's.  Otherwise
+    T = I: every unitary T gives (X T)(X T)^H = X X^H, so no other choice
+    changes the covariances.  A rank-zero X_B also falls back to the identity.
+    """
+    n_b, n_rf = xb.shape
+    if n_rf > n_b:
+        _, s, vh = np.linalg.svd(xb)
+        rank = int(np.sum(s > 1e-12 * max(s[0], 1e-300)))
+        if rank > 0:
+            null_basis = vh[rank:].conj().T  # n_rf x (n_rf - rank)
+            proj = null_basis @ null_basis.conj().T
+            return proj * np.sqrt(n_rf / (n_rf - rank))
+    return np.eye(n_rf, dtype=complex)
+
+
 def link_state(
     cfg: SystemConfig, ch: ChannelSet, v: np.ndarray
-) -> tuple[AnProjection, np.ndarray, np.ndarray, WhitenedChannels]:
-    """AN projection, covariances and whitened channels for one reflection state.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, WhitenedChannels]:
+    """(T, Omega_B, Omega_E, whitened channels) for one reflection state.
 
     A pure function of (cfg, ch, v): the one map from v to the whitened link
-    that every optimizer reads.
+    that every optimizer reads.  AN rides on the zero-phase analog subarrays
+    F_A, shaped by T (``_an_shaping`` of X_B = (H + GVF) F_A), and each
+    receiver's interference-plus-noise covariance is
+    Omega = (1 - beta) p_total (Y Y^H + (Y Y^H)^H) / 2 + sigma^2 I with Y = X T,
+    exactly Hermitian; ``whiten`` rejects an Omega that is not positive definite.
     """
-    an = build_an_projection(cfg, ch, v)
-    omega_b, omega_e = interference_covariances(cfg, an)
-    return an, omega_b, omega_e, whiten(ch, omega_b, omega_e)
+    n_rf = cfg.n_rf
+    fa = np.zeros((cfg.n_tx, n_rf), dtype=complex)
+    fa[np.arange(cfg.n_tx), np.arange(cfg.n_tx) // cfg.n_k] = 1.0 / np.sqrt(cfg.n_k)
+    eff_b, eff_e = effective_channels(ch, v)
+    xb = eff_b @ fa  # n_b x n_rf
+    t_an = _an_shaping(xb)
+    fro2 = float(np.linalg.norm(t_an, "fro") ** 2)
+    if abs(fro2 - n_rf) > 1e-9 * max(1.0, n_rf):
+        raise ValueError(f"AN shaping ||T||_F^2 = {fro2}, expected n_rf = {n_rf}")
+    an_power = (1.0 - cfg.beta) * cfg.p_total
+    omegas = []
+    for x, sigma2 in ((xb, cfg.sigma_b2), (eff_e @ fa, cfg.sigma_e2)):
+        y = x @ t_an
+        cov = y @ y.conj().T
+        omegas.append(an_power * (0.5 * (cov + cov.conj().T)) + sigma2 * np.eye(len(y)))
+    omega_b, omega_e = omegas
+    return t_an, omega_b, omega_e, whiten(ch, omega_b, omega_e)

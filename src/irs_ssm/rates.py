@@ -21,7 +21,8 @@ The pair kernel is factored by subarray.  Hypothesis m = (i, j) sends
 M-PSK symbol s_j on subarray i, so r_m = s_j u_i with u_i = W_i p_i
 (``subarray_responses``).  The hypothesis set is read from the config
 (n_rf, m_ary) alone: |s_j| = 1 and conj(s_j) s_j' = c_delta depends only on
-delta = (j' - j) mod M (``psk_rotations``), so
+delta = (j' - j) mod M, with c_delta = s_delta as s_0 = 1
+(``model.psk_symbols``), so
 
     ||r_m - r_n||^2 = ||u_i - c_delta u_i'||^2
 
@@ -54,12 +55,12 @@ import numpy as np
 
 from .model import (
     LN2,
-    Constellation,
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
     effective_channels,
     enumerate_hypotheses,
+    psk_symbols,
 )
 
 MC_CHUNK = 256  # noise draws per block of the Monte Carlo MI oracle
@@ -83,11 +84,6 @@ def receiver_stack(w_b: np.ndarray, w_e: np.ndarray) -> np.ndarray:
     stack[0, : len(w_b)] = w_b
     stack[1, : len(w_e)] = w_e
     return stack
-
-
-def psk_rotations(m_ary: int) -> np.ndarray:
-    """(M,) rotations c_delta = conj(s_j) s_{j + delta} of M-PSK: c_delta = s_delta, as s_0 = 1."""
-    return Constellation.psk(m_ary).symbols
 
 
 def subarray_channels(w_eff: np.ndarray, n_rf: int) -> np.ndarray:
@@ -237,7 +233,7 @@ def link_kernel(w_b: np.ndarray, w_e: np.ndarray, n_rf: int, m_ary: int, tau: fl
     Its pass at p holds (kappa_B, kappa_E) on the leading receiver axis.
     """
     w_blocks = np.ascontiguousarray(subarray_channels(receiver_stack(w_b, w_e), n_rf))
-    return PairKernel(w_blocks, psk_rotations(m_ary), tau)
+    return PairKernel(w_blocks, psk_symbols(m_ary), tau)
 
 
 def rate_from_kappas(kappa_b: float, kappa_e: float) -> float:

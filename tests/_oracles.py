@@ -1,9 +1,9 @@
 """Independent brute-force reference implementations used only by the tests.
 
 Everything here trades efficiency for obviousness: dense per-pair matrix
-products, elementwise covariance reassembly, exhaustive phase grids, and a
-full-matrix SDP solver.  None of it shares code paths with the package's
-optimized implementations.
+products, a pseudo-inverse AN projector, elementwise covariance reassembly,
+exhaustive phase grids, and a full-matrix SDP solver.  None of it shares
+code paths with the package's optimized implementations.
 """
 
 from __future__ import annotations
@@ -13,13 +13,26 @@ import numpy as np
 from irs_ssm.model import ChannelSet, SystemConfig, TransmitHypothesis, WhitenedChannels
 
 
-def dense_analog_matrix(fa_blocks: np.ndarray) -> np.ndarray:
-    """F_A filled entry by entry: antenna t of subarray t // n_k feeds RF chain t // n_k."""
-    n_rf, n_k = fa_blocks.shape
-    fa = np.zeros((n_rf * n_k, n_rf), dtype=complex)
-    for t in range(n_rf * n_k):
-        fa[t, t // n_k] = fa_blocks[t // n_k, t % n_k]
+def dense_analog_matrix(cfg: SystemConfig) -> np.ndarray:
+    """Zero-phase F_A filled entry by entry: antenna t of subarray t // n_k feeds RF chain t // n_k."""
+    fa = np.zeros((cfg.n_tx, cfg.n_rf), dtype=complex)
+    for t in range(cfg.n_tx):
+        fa[t, t // cfg.n_k] = 1.0 / np.sqrt(cfg.n_k)
     return fa
+
+
+def an_shaping_pinv(xb: np.ndarray) -> np.ndarray:
+    """AN shaping T from the pseudo-inverse: (I - X_B^+ X_B) scaled to ||T||_F^2 = n_rf.
+
+    The identity when n_rf <= n_b (there is no AN subspace to pick) or when
+    X_B = 0 (its null space is everything).
+    """
+    n_b, n_rf = xb.shape
+    proj = np.eye(n_rf) - np.linalg.pinv(xb, rcond=1e-12) @ xb
+    null_dim = round(np.trace(proj).real)
+    if n_rf <= n_b or null_dim == n_rf:
+        return np.eye(n_rf, dtype=complex)
+    return proj * np.sqrt(n_rf / null_dim)
 
 
 def dense_selection_matrix(hyp: TransmitHypothesis, n_rf: int, n_k: int) -> np.ndarray:
@@ -108,14 +121,13 @@ def an_covariances_elementwise(
     cfg: SystemConfig,
     ch: ChannelSet,
     v: np.ndarray,
-    fa_blocks: np.ndarray,
-    t_an: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Omega matrices rebuilt entry by entry from explicit sums."""
-    fa = dense_analog_matrix(fa_blocks)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, Omega_B, Omega_E): T from ``an_shaping_pinv``, the Omegas rebuilt entry by entry."""
+    fa = dense_analog_matrix(cfg)
     vmat = np.diag(v)
     eff_b = ch.h + ch.g @ vmat @ ch.f
     eff_e = ch.q + ch.m @ vmat @ ch.f
+    t_an = an_shaping_pinv(eff_b @ fa)
     xb = eff_b @ fa @ t_an
     xe = eff_e @ fa @ t_an
     cb = np.zeros((cfg.n_b, cfg.n_b), dtype=complex)
@@ -128,6 +140,7 @@ def an_covariances_elementwise(
             ce[a, b] = sum(xe[a, k] * np.conj(xe[b, k]) for k in range(cfg.n_rf))
     an_power = (1.0 - cfg.beta) * cfg.p_total
     return (
+        t_an,
         an_power * cb + cfg.sigma_b2 * np.eye(cfg.n_b),
         an_power * ce + cfg.sigma_e2 * np.eye(cfg.n_e),
     )

@@ -13,6 +13,14 @@ def test_flops_subcommand(capsys):
     assert "irs_sdr" in out and "O(N^4.5)" in out
 
 
+@pytest.mark.parametrize("n_irs", ["0", "-3"])
+def test_flops_rejects_a_non_positive_element_count(n_irs, capsys):
+    # 0 is falsy: it must reach the config's check, not fall back to the default N = 16 table
+    with pytest.raises(ValueError, match="n_irs must all be >= 1"):
+        main(["flops", "--n-irs", n_irs])
+    assert "N=16" not in capsys.readouterr().out
+
+
 def test_run_subcommand(tmp_path, capsys):
     config = tmp_path / "campaign.yaml"
     config.write_text(

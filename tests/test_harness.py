@@ -236,6 +236,9 @@ class TestRunExperiment:
                 ExperimentSpec(kind="cdf", combinations=("irs_bca",), threads=threads)
         with pytest.raises(ValueError):
             ExperimentSpec(kind="cdf", combinations=("who",))
+        # a method listed twice would run twice per cell and write every row and aggregate twice
+        with pytest.raises(ValueError, match="method 'irs_bca' is listed more than once"):
+            ExperimentSpec(kind="cdf", combinations=("irs_bca", "cor_ga", "irs_bca"))
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="powers_dbm"):
                 ExperimentSpec(kind="cdf", combinations=("irs_bca",), powers_dbm=(10.0, bad))

@@ -4,8 +4,10 @@ Each example draws a system (n_rf <= n_b included, so the identity AN
 fallback is exercised; beta = 1, n_irs = 1 and n_b != n_e included, so the
 zero-padded receiver stack is exercised), seeded channels, a random
 reflection vector and a random precoder inside the power ball, then checks
-the link state, the rate and the precoder gradient (with each receiver's
-d log2 kappa) against the brute-force oracles, that the three rate entry
+the link state (the AN shaping T, with ||T||_F^2 = n_rf, X_B T = 0 when
+n_rf > n_b and T = I otherwise, and both covariances), the rate and the
+precoder gradient (with each receiver's d log2 kappa) against the
+brute-force oracles, that the three rate entry
 points (the rate report, the IRS forms and the precoder quadratics) return
 the same float, that the IRS forms, assembled on the receiver stack, give
 the surrogate of the direct pair norms and Hermitian PSD aggregates, that
@@ -34,7 +36,7 @@ from irs_ssm.joint import joint_optimize
 from irs_ssm.model import (
     LN2,
     db_to_linear,
-    default_analog_blocks,
+    effective_channels,
     enumerate_hypotheses,
     link_state,
 )
@@ -44,6 +46,7 @@ from irs_ssm.rates import approx_secrecy_rate, link_kernel, rate_from_kappas
 from _instances import subnormal_beta_config
 from _oracles import (
     an_covariances_elementwise,
+    dense_analog_matrix,
     dense_pair_matrices,
     kappa_dense,
     precoder_gradient_dense,
@@ -98,14 +101,19 @@ def _rel(got: np.ndarray, want: np.ndarray) -> float:
 @given(link_cases())
 def test_covariances_match_elementwise_oracle(case):
     cfg, ch, v, _ = case
-    an, omega_b, omega_e, _ = link_state(cfg, ch, v)
-    assert an.strategy_used == ("null_space" if cfg.n_rf > cfg.n_b else "identity")
-    want_b, want_e = an_covariances_elementwise(cfg, ch, v, default_analog_blocks(cfg), an.t_an)
+    t_an, omega_b, omega_e, _ = link_state(cfg, ch, v)
+    want_t, want_b, want_e = an_covariances_elementwise(cfg, ch, v)
+    assert np.linalg.norm(t_an, "fro") ** 2 == pytest.approx(cfg.n_rf, rel=1e-9)
+    assert _rel(t_an, want_t) <= 1e-9
     assert _rel(omega_b, want_b) <= 1e-10
     assert _rel(omega_e, want_e) <= 1e-10
     if cfg.n_rf > cfg.n_b:
         # the null-space projector keeps all AN off Bob's effective channel
+        xb = effective_channels(ch, v)[0] @ dense_analog_matrix(cfg)
+        assert np.linalg.norm(xb @ t_an) <= 1e-9 * np.linalg.norm(xb)
         assert _rel(omega_b, cfg.sigma_b2 * np.eye(cfg.n_b)) <= 1e-9
+    else:
+        assert np.array_equal(t_an, np.eye(cfg.n_rf))
 
 
 @PROPERTY_SETTINGS

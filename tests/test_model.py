@@ -1,4 +1,4 @@
-"""Hypothesis enumeration, AN projection, whitening, and ML detection."""
+"""Hypothesis enumeration, the link map (AN shaping, covariances, whitening), and ML detection."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,14 @@ import pytest
 from irs_ssm.harness import desk_config, draw_channels
 from irs_ssm.model import (
     ChannelSet,
-    Constellation,
     HybridPrecoder,
     SystemConfig,
-    assemble_analog_matrix,
-    build_an_projection,
-    default_analog_blocks,
     effective_channels,
     enumerate_hypotheses,
-    interference_covariances,
     inv_sqrt_hermitian,
     link_state,
     ml_detect,
+    psk_symbols,
     whiten,
 )
 from irs_ssm.precoder_opt import PrecoderQuadratics
@@ -48,11 +44,11 @@ class TestConfig:
         assert cfg.tau == pytest.approx(cfg.beta * cfg.p_total / 4)
 
     def test_constellation_unit_energy(self):
-        for m in (2, 4, 8):
-            cons = Constellation.psk(m)
-            assert np.mean(np.abs(cons.symbols) ** 2) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            Constellation(np.array([2.0 + 0j, 0.5 + 0j]))
+        for m in (2, 4, 8, 16):
+            symbols = psk_symbols(m)
+            assert symbols.shape == (m,) and symbols[0] == 1.0
+            assert np.max(np.abs(np.abs(symbols) - 1.0)) <= 1e-15  # |s_j| = 1
+            assert len(np.unique(np.round(symbols, 12))) == m
 
 
 class TestHybridPrecoder:
@@ -105,11 +101,11 @@ class TestHypotheses:
 
     def test_same_subarray_difference_structure(self):
         cfg = desk_config(n_rf=2, n_k=2, m_ary=4)
-        cons = Constellation.psk(4)
+        symbols = psk_symbols(4)
         hyps = enumerate_hypotheses(cfg)
         p = np.ones(cfg.n_tx, dtype=complex)
         expected = np.zeros(cfg.n_tx, dtype=complex)
-        expected[:2] = cons.symbols[0] - cons.symbols[1]
+        expected[:2] = symbols[0] - symbols[1]
         # (i=1, j=1) vs (i=1, j=2)
         assert np.allclose((hyps[0].x_vec - hyps[1].x_vec) * p, expected)
 
@@ -128,57 +124,75 @@ class TestHypotheses:
                     assert abs(dist[m, n] - np.linalg.norm((xm - xn) @ p) ** 2) < 1e-12
 
 
+def _an_covariance(cfg: SystemConfig, omega: np.ndarray, sigma2: float) -> np.ndarray:
+    """(Y Y^H + (Y Y^H)^H) / 2 read back from Omega = (1 - beta) p_total (...) + sigma^2 I."""
+    return (omega - sigma2 * np.eye(len(omega))) / ((1.0 - cfg.beta) * cfg.p_total)
+
+
 class TestAnProjection:
     def test_analog_matrix_matches_the_dense_oracle(self):
-        blocks = np.exp(1j * np.arange(8.0)).reshape(4, 2)
-        assert np.array_equal(assemble_analog_matrix(blocks), dense_analog_matrix(blocks))
+        # H = I and no IRS path with n_rf <= n_b (T = I): Bob's AN covariance is F_A F_A^H
+        cfg = desk_config(n_rf=4, n_k=2, n_b=8, n_irs=4, m_ary=2)
+        rng = np.random.default_rng(0)
+        ch = ChannelSet(
+            h=np.eye(cfg.n_tx, dtype=complex),
+            q=np.zeros((cfg.n_e, cfg.n_tx), dtype=complex),
+            f=rng.standard_normal((cfg.n_irs, cfg.n_tx)) + 0j,
+            g=np.zeros((cfg.n_b, cfg.n_irs), dtype=complex),
+            m=np.zeros((cfg.n_e, cfg.n_irs), dtype=complex),
+        )
+        t_an, omega_b, _, _ = link_state(cfg, ch, np.exp(1j * np.arange(4.0)))
+        assert np.array_equal(t_an, np.eye(cfg.n_rf))
+        fa = dense_analog_matrix(cfg)
+        assert np.linalg.norm(_an_covariance(cfg, omega_b, cfg.sigma_b2) - fa @ fa.conj().T) < 1e-12
 
     def test_null_space_property(self):
         cfg = desk_config(n_rf=8, n_k=2, n_irs=8, m_ary=2, n_b=2)
         ch = draw_channels(cfg, 0)
         v = np.exp(1j * np.linspace(0, 1, cfg.n_irs))
-        fa = default_analog_blocks(cfg)
-        an = build_an_projection(cfg, ch, v)
-        assert an.strategy_used == "null_space"
+        t_an = link_state(cfg, ch, v)[0]
         eff_b, _ = effective_channels(ch, v)
-        base = eff_b @ dense_analog_matrix(fa)
-        leak = np.linalg.norm(base @ an.t_an, "fro")
+        base = eff_b @ dense_analog_matrix(cfg)
+        # a scaled orthogonal projector of rank n_rf - n_b: T = T^H and T^2 = c T
+        c = np.sqrt(cfg.n_rf / (cfg.n_rf - cfg.n_b))
+        assert np.allclose(t_an, t_an.conj().T, atol=1e-12)
+        assert np.allclose(t_an @ t_an, c * t_an, atol=1e-12)
+        leak = np.linalg.norm(base @ t_an, "fro")
         assert leak < 1e-6 * np.linalg.norm(base, "fro")
-        assert np.linalg.norm(an.t_an, "fro") ** 2 == pytest.approx(cfg.n_rf, rel=1e-9)
+        assert np.linalg.norm(t_an, "fro") ** 2 == pytest.approx(cfg.n_rf, rel=1e-9)
 
     def test_no_null_space_random_unitary(self):
         cfg = desk_config(n_rf=2, n_k=2, n_irs=4, m_ary=2, n_b=2)
         ch = draw_channels(cfg, 1)
         v = np.ones(4, dtype=complex)
-        an = build_an_projection(cfg, ch, v)
-        assert an.strategy_used == "identity"
-        assert not an.degenerate
-        assert np.linalg.norm(an.t_an, "fro") ** 2 == pytest.approx(2.0, rel=1e-9)
-        # unitary: T T^H = I
-        assert np.allclose(an.t_an @ an.t_an.conj().T, np.eye(2), atol=1e-10)
+        t_an, omega_b, _, _ = link_state(cfg, ch, v)
+        assert np.array_equal(t_an, np.eye(2))
+        assert np.linalg.norm(t_an, "fro") ** 2 == pytest.approx(2.0, rel=1e-9)
         # any unitary U gives (X U)(X U)^H = X X^H, the covariance a random unitary produced
-        x = effective_channels(ch, v)[0] @ dense_analog_matrix(default_analog_blocks(cfg))
+        x = effective_channels(ch, v)[0] @ dense_analog_matrix(cfg)
         z = np.random.default_rng(5).standard_normal((2, 4)).view(complex)
         u, _ = np.linalg.qr(z)
         xu = x @ u
+        an_cov_b = _an_covariance(cfg, omega_b, cfg.sigma_b2)
         for cov in (x @ x.conj().T, xu @ xu.conj().T):
-            assert np.linalg.norm(an.effective_an_cov_b - cov) < 1e-12 * np.linalg.norm(cov)
+            assert np.linalg.norm(an_cov_b - cov) < 1e-12 * np.linalg.norm(cov)
 
     def test_zero_irs_path_reduces_to_direct(self):
         cfg = desk_config(n_rf=4, n_k=2, n_irs=4, m_ary=2)
         ch = draw_channels(cfg, 2)
         ch_zero_g = ChannelSet(h=ch.h, q=ch.q, f=ch.f, g=np.zeros_like(ch.g), m=ch.m)
-        fa = default_analog_blocks(cfg)
         v1 = np.ones(4, dtype=complex)
         v2 = np.exp(1j * np.arange(4))
-        an1 = build_an_projection(cfg, ch_zero_g, v1)
-        an2 = build_an_projection(cfg, ch_zero_g, v2)
-        assert np.allclose(an1.t_an, an2.t_an)  # no v dependence without G
-        leak = np.linalg.norm((ch.h @ dense_analog_matrix(fa)) @ an1.t_an)
-        assert leak < 1e-6 * np.linalg.norm(ch.h @ dense_analog_matrix(fa))
+        t1 = link_state(cfg, ch_zero_g, v1)[0]
+        t2 = link_state(cfg, ch_zero_g, v2)[0]
+        assert np.allclose(t1, t2)  # no v dependence without G
+        fa = dense_analog_matrix(cfg)
+        leak = np.linalg.norm((ch.h @ fa) @ t1)
+        assert leak < 1e-6 * np.linalg.norm(ch.h @ fa)
 
     def test_degenerate_falls_back_to_identity(self):
         cfg = desk_config(n_rf=4, n_k=2, n_irs=4, m_ary=2)
+        assert cfg.n_rf > cfg.n_b  # a null space is asked for, and X_B = 0 has rank zero
         zero = ChannelSet(
             h=np.zeros((cfg.n_b, cfg.n_tx), dtype=complex),
             q=np.zeros((cfg.n_e, cfg.n_tx), dtype=complex),
@@ -186,34 +200,30 @@ class TestAnProjection:
             g=np.zeros((cfg.n_b, cfg.n_irs), dtype=complex),
             m=np.zeros((cfg.n_e, cfg.n_irs), dtype=complex),
         )
-        an = build_an_projection(cfg, zero, np.ones(4, dtype=complex))
-        assert an.degenerate
-        assert np.allclose(an.t_an, np.eye(4))
+        t_an = link_state(cfg, zero, np.ones(4, dtype=complex))[0]
+        assert np.array_equal(t_an, np.eye(4))
 
 
 class TestCovariancesAndWhitening:
     def test_beta_one_gives_noise_only(self):
         inst = make_instance(0, beta=1.0)
-        an = build_an_projection(inst.cfg, inst.ch, inst.v)
-        omega_b, omega_e = interference_covariances(inst.cfg, an)
-        assert np.allclose(omega_b, inst.cfg.sigma_b2 * np.eye(inst.cfg.n_b))
-        assert np.allclose(omega_e, inst.cfg.sigma_e2 * np.eye(inst.cfg.n_e))
+        assert np.allclose(inst.omega_b, inst.cfg.sigma_b2 * np.eye(inst.cfg.n_b))
+        assert np.allclose(inst.omega_e, inst.cfg.sigma_e2 * np.eye(inst.cfg.n_e))
 
     def test_perfect_projection_gives_noise_only_at_bob(self):
-        # n_rf > n_b: default strategy nulls Bob's AN covariance entirely
+        # n_rf > n_b: the null-space projector nulls Bob's AN covariance entirely
         inst = make_instance(3, n_rf=4, n_k=2)
-        an, omega_b, _, _ = link_state(inst.cfg, inst.ch, inst.v)
-        assert an.strategy_used == "null_space"
+        t_an, omega_b, _, _ = link_state(inst.cfg, inst.ch, inst.v)
+        assert not np.allclose(t_an, np.eye(inst.cfg.n_rf))
         assert np.allclose(omega_b, inst.cfg.sigma_b2 * np.eye(inst.cfg.n_b), atol=1e-12)
 
     def test_matches_elementwise_oracle(self):
         for seed in range(4):
             inst = make_instance(seed, n_rf=4, n_k=2, n_irs=5, m_ary=2)
-            fa = default_analog_blocks(inst.cfg)
-            an = build_an_projection(inst.cfg, inst.ch, inst.v)
-            got_b, got_e = interference_covariances(inst.cfg, an)
-            want_b, want_e = an_covariances_elementwise(inst.cfg, inst.ch, inst.v, fa, an.t_an)
+            t_an, got_b, got_e, _ = link_state(inst.cfg, inst.ch, inst.v)
+            want_t, want_b, want_e = an_covariances_elementwise(inst.cfg, inst.ch, inst.v)
             scale_e = np.linalg.norm(want_e)
+            assert np.linalg.norm(t_an - want_t) < 1e-10 * np.linalg.norm(want_t)
             assert np.linalg.norm(got_b - want_b) < 1e-10 * max(1.0, np.linalg.norm(want_b))
             assert np.linalg.norm(got_e - want_e) < 1e-10 * max(1.0, scale_e)
 
@@ -260,15 +270,12 @@ class TestCovariancesAndWhitening:
             whiten(inst.ch, np.full((2, 2), np.nan, dtype=complex), eye_e)
 
     def test_non_pd_covariance_names_eigenvalue(self):
+        # an AN covariance of -I under noise of 1e-300 gives an Omega with eigenvalue -(1 - beta) p_total
         inst = make_instance(0)
-        an = build_an_projection(inst.cfg, inst.ch, inst.v)
-        bad_cfg = desk_config(
-            n_rf=inst.cfg.n_rf, n_k=inst.cfg.n_k, n_irs=inst.cfg.n_irs,
-            m_ary=inst.cfg.m_ary, sigma_b2=1e-300, sigma_e2=1e-300,
-        )
-        object.__setattr__(an, "effective_an_cov_b", -np.eye(inst.cfg.n_b))
+        an_power = (1.0 - inst.cfg.beta) * inst.cfg.p_total
+        eye_b, eye_e = np.eye(inst.cfg.n_b), np.eye(inst.cfg.n_e)
         with pytest.raises(ValueError, match="smallest eigenvalue"):
-            whiten(inst.ch, *interference_covariances(bad_cfg, an))
+            whiten(inst.ch, an_power * -eye_b + 1e-300 * eye_b, eye_e)
 
 
 class TestMlDetection:

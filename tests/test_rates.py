@@ -15,13 +15,13 @@ from irs_ssm.model import (
     effective_channels,
     enumerate_hypotheses,
     link_state,
+    psk_symbols,
 )
 from irs_ssm.rates import (
     PairKernel,
     approx_secrecy_rate,
     link_kernel,
     mc_mutual_information,
-    psk_rotations,
     rate_from_kappas,
     receiver_stack,
     subarray_channels,
@@ -47,7 +47,7 @@ def _zero_wch(inst) -> WhitenedChannels:
 
 def _kappa(w_eff: np.ndarray, cfg: SystemConfig, p: np.ndarray, tau: float) -> float:
     """kappa of one (n_r, n_tx) channel by the forward pass of the factored kernel."""
-    return float(PairKernel(subarray_channels(w_eff, cfg.n_rf), psk_rotations(cfg.m_ary), tau).run(p).kappa)
+    return float(PairKernel(subarray_channels(w_eff, cfg.n_rf), psk_symbols(cfg.m_ary), tau).run(p).kappa)
 
 
 class TestKappa:
@@ -92,7 +92,7 @@ class TestKappa:
         # is rounding noise of order 1e-4, negative for some draws; the kernel
         # must clamp it
         cfg = SystemConfig(n_rf=2, n_k=2, n_b=2, n_e=2, n_irs=2, m_ary=2, p_total=1e6)
-        rot = psk_rotations(cfg.m_ary)
+        rot = psk_symbols(cfg.m_ary)
         p = HybridPrecoder.default_init(cfg)
         k_hyp = cfg.n_hyp
         negative = 0
@@ -156,7 +156,7 @@ class TestPairKernel:
         cfg, receivers, w_blocks, points = _kernel_case(name)
         hyps = enumerate_hypotheses(cfg)
         i, j = np.divmod(np.arange(cfg.n_hyp), cfg.m_ary)
-        kernel = PairKernel(w_blocks, psk_rotations(cfg.m_ary), cfg.tau)
+        kernel = PairKernel(w_blocks, psk_symbols(cfg.m_ary), cfg.tau)
         for p in points:
             kernel.at(p)
             kappa = np.atleast_1d(kernel.kappa)
@@ -179,14 +179,14 @@ class TestPairKernel:
         # a buffer read after the pass overwrote it (the norms under the
         # distances, say) would make a reused kernel differ from a fresh one
         cfg, _, w_blocks, (p1, p2) = _kernel_case(name, seed=1)
-        rot = psk_rotations(cfg.m_ary)
+        rot = psk_symbols(cfg.m_ary)
         kernel = PairKernel(w_blocks, rot, cfg.tau)
         for p in (p1, p2, p1, p2, p2):
             assert _kernel_bytes(kernel.at(p)) == _kernel_bytes(PairKernel(w_blocks, rot, cfg.tau).run(p))
 
     def test_copies_build_their_own_buffers(self):
         cfg, _, w_blocks, (p1, p2) = _kernel_case("M = 2")
-        kernel = PairKernel(w_blocks, psk_rotations(cfg.m_ary), cfg.tau).run(p1)
+        kernel = PairKernel(w_blocks, psk_symbols(cfg.m_ary), cfg.tau).run(p1)
         for twin in (copy.deepcopy(kernel), pickle.loads(pickle.dumps(kernel))):
             assert _kernel_bytes(twin.run(p2)) == _kernel_bytes(kernel.run(p2))
             kernel.run(p1)
@@ -194,7 +194,7 @@ class TestPairKernel:
 
     def test_rejects_a_point_of_the_held_bytes_in_another_shape(self):
         cfg, _, w_blocks, (p, _) = _kernel_case("M = 2")
-        kernel = PairKernel(w_blocks, psk_rotations(cfg.m_ary), cfg.tau).run(p)
+        kernel = PairKernel(w_blocks, psk_symbols(cfg.m_ary), cfg.tau).run(p)
         with pytest.raises(ValueError, match="precoder p has shape"):
             kernel.at(p.reshape(-1, 1))
 
