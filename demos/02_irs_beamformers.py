@@ -12,17 +12,18 @@ import numpy as np
 
 from irs_ssm import (
     HybridPrecoder,
+    approx_secrecy_rate,
     build_quadratic_forms,
     desk_config,
     draw_channels,
     irs_admm,
     irs_bca,
     irs_sdr,
+    link_state,
 )
 from irs_ssm.harness import CAMPAIGN_ADMM
 from irs_ssm.irs_opt import IrsPhaseVector
-from irs_ssm.model import db_to_linear, link_state
-from irs_ssm.rates import approx_secrecy_rate
+from irs_ssm.model import db_to_linear
 
 cfg = desk_config(p_total=db_to_linear(20.0))
 ch = draw_channels(cfg, seed=11)

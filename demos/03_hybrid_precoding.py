@@ -17,8 +17,9 @@ from irs_ssm import (
     draw_channels,
     factorize_hybrid,
     irs_bca,
+    link_state,
 )
-from irs_ssm.model import db_to_linear, link_state
+from irs_ssm.model import db_to_linear
 
 cfg = desk_config(p_total=db_to_linear(30.0))
 ch = draw_channels(cfg, seed=3)

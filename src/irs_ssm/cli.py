@@ -22,9 +22,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out is not None:
         overrides["output_path"] = args.out
     if args.full_scale:
-        overrides["system"] = harness.full_scale_config(
-            geometry=spec.system.geometry, beta=spec.system.beta
-        )
+        overrides["system"] = replace(spec.system, **harness.FULL_SCALE)
     if overrides:
         spec = replace(spec, **overrides)
     records, summary = harness.run_experiment(spec)
@@ -45,10 +43,11 @@ def _cmd_flops(args: argparse.Namespace) -> int:
     cfg = harness.full_scale_config() if args.full_scale else harness.desk_config()
     if args.n_irs is not None:
         cfg = replace(cfg, n_irs=args.n_irs)
+    estimates = {m: harness.flop_estimates(cfg, m, iterations=args.iterations)
+                 for m in IRS_SOLVERS + PRECODER_SOLVERS}
     print(f"N={cfg.n_irs}, N_RF={cfg.n_rf}, N_k={cfg.n_k}, M={cfg.m_ary}, "
           f"iterations D={args.iterations}")
-    for m in IRS_SOLVERS + PRECODER_SOLVERS:
-        est = harness.flop_estimates(cfg, m, iterations=args.iterations)
+    for m, est in estimates.items():
         print(f"  {m:>8s}: {est.count:>18,.0f} FLOPs   {est.big_o}")
     return 0
 
@@ -65,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--threads", type=int, default=None, help="worker process count")
     p_run.add_argument("--out", default=None, help="output path prefix (.csv/.json appended)")
     p_run.add_argument("--full-scale", action="store_true",
-                       help="swap in the full-scale system parameters")
+                       help="set the full-scale n_rf, n_k, n_irs, sigma_b2 and sigma_e2 on the file's system")
     p_run.set_defaults(func=_cmd_run)
 
     p_flops = sub.add_parser("flops", help="print the FLOP-count models")

@@ -58,16 +58,13 @@ def desk_config(**overrides) -> SystemConfig:
     return replace(SystemConfig(), **overrides) if overrides else SystemConfig()
 
 
+# the fields the full-scale system sets: an 8 x 4 transmitter, N = 50 and -80 dBm noise
+FULL_SCALE = {"n_rf": 8, "n_k": 4, "n_irs": 50, "sigma_b2": db_to_linear(-80.0), "sigma_e2": db_to_linear(-80.0)}
+
+
 def full_scale_config(**overrides) -> SystemConfig:
-    """Full-scale parameter set: N_RF=8, N_k=4, N=50, -80 dBm noise."""
-    base = SystemConfig(
-        n_rf=8,
-        n_k=4,
-        n_irs=50,
-        sigma_b2=db_to_linear(-80.0),
-        sigma_e2=db_to_linear(-80.0),
-    )
-    return replace(base, **overrides) if overrides else base
+    """The desk defaults with the ``FULL_SCALE`` fields, then ``overrides``."""
+    return SystemConfig(**{**FULL_SCALE, **overrides})
 
 
 def path_loss_db(d: float, alpha: float, pl0_db: float = -30.0, d0: float = 1.0) -> float:
@@ -133,14 +130,10 @@ def _shared_pair_flops(cfg: SystemConfig) -> float:
     """Auxiliary-vector plus per-pair assembly counts shared by the IRS methods."""
     n = cfg.n_irs
     k = cfg.n_hyp
-    c_a = max(8 * cfg.n_b * cfg.n_k - 2 * cfg.n_b, 0) + max(8 * n * cfg.n_k - 2 * n, 0)
+    c_a = (8 * cfg.n_b * cfg.n_k - 2 * cfg.n_b) + (8 * n * cfg.n_k - 2 * n)
 
     def per_receiver(nr: int) -> float:
-        return (
-            max(8 * n * n * nr - 2 * n * n, 0)
-            + max(8 * n * n * nr - 2 * n * nr, 0)
-            + max(8 * n * nr - 2 * n, 0)
-        )
+        return (8 * n * n * nr - 2 * n * n) + (8 * n * n * nr - 2 * n * nr) + (8 * n * nr - 2 * n)
 
     c_b = per_receiver(cfg.n_b) + per_receiver(cfg.n_e)
     return k * c_a + k * k * c_b
@@ -151,14 +144,17 @@ def flop_estimates(cfg: SystemConfig, method: str, iterations: int = 1) -> FlopE
 
     IRS methods include the shared hypothesis/pair assembly terms; the SDP
     core scales as N^4.5 log(1/tol) at the SDP tolerance ``irs_opt.SDP_TOL``.
-    Aggregates clamp at zero.
+    ``iterations`` must be an integer >= 0.
     """
+    check_integer("iterations", iterations)
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     n = cfg.n_irs
     nt = cfg.n_tx
     k = cfg.n_hyp
-    d = max(int(iterations), 0)
+    d = int(iterations)
     if method == "irs_admm":
-        core = max(n**3 + 24 * n**2 - 5 * n, 0)
+        core = n**3 + 24 * n**2 - 5 * n
         return FlopEstimate(_shared_pair_flops(cfg) + d * core, "O(N^3)")
     if method == "irs_bca":
         return FlopEstimate(_shared_pair_flops(cfg) + d * n, "O(N^2)")
@@ -166,10 +162,10 @@ def flop_estimates(cfg: SystemConfig, method: str, iterations: int = 1) -> FlopE
         core = n**4.5 * math.log(1.0 / SDP_TOL)
         return FlopEstimate(_shared_pair_flops(cfg) + d * core, "O(N^4.5)")
     if method == "asr_sca":
-        core = 4 * k**2 * max(8 * nt**2 + 6 * nt - 2, 0) + nt**3
+        core = 4 * k**2 * (8 * nt**2 + 6 * nt - 2) + nt**3
         return FlopEstimate(d * core, "O((N_RF N_k)^3)")
     if method == "cor_ga":
-        core = k**2 * max(32 * nt**2 + 4 * nt - 4, 0) + 6 * nt
+        core = k**2 * (32 * nt**2 + 4 * nt - 4) + 6 * nt
         return FlopEstimate(d * core, "O((N_RF M)^2 (N_RF N_k)^2)")
     if method == "random_phase":
         return FlopEstimate(0.0, "O(1)")
@@ -352,10 +348,6 @@ def _run_cell(spec: ExperimentSpec, gp_index: int, gp: dict, trial: int) -> Expe
     return record
 
 
-def _cell_worker(args) -> ExperimentRecord:
-    return _run_cell(*args)
-
-
 def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRecord], dict]:
     """Execute the campaign and return (records, summary).
 
@@ -372,7 +364,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRecord], dict]:
     ]
     if spec.threads > 1:
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            records = list(pool.map(_cell_worker, tasks, chunksize=4))
+            records = list(pool.map(_run_cell, *zip(*tasks), chunksize=4))
     else:
         records = [_run_cell(*t) for t in tasks]
     records.sort(key=lambda r: (r.gp_index, r.trial))
@@ -431,7 +423,7 @@ def summarize(spec: ExperimentSpec, records: list[ExperimentRecord]) -> dict:
         "n_channel_trials": spec.n_channel_trials,
         "combinations": list(spec.combinations),
         "grid": grid,
-        "system": _config_echo(spec.system),
+        "system": asdict(spec.system),
         "aggregates": aggregates,
         "failure_fraction": failure_fraction,
         "failures": [
@@ -444,12 +436,6 @@ def summarize(spec: ExperimentSpec, records: list[ExperimentRecord]) -> dict:
     if convergence:
         summary["convergence"] = convergence
     return summary
-
-
-def _config_echo(cfg: SystemConfig) -> dict:
-    echo = asdict(cfg)
-    echo["geometry"] = asdict(cfg.geometry)
-    return echo
 
 
 def records_to_csv(records: list[ExperimentRecord], combinations: tuple[str, ...]) -> str:
@@ -535,10 +521,6 @@ def system_config_from_dict(raw: dict) -> SystemConfig:
     return replace(defaults, **data)
 
 
-def experiment_spec_from_dict(raw: dict, system: SystemConfig) -> ExperimentSpec:
-    return ExperimentSpec(system=system, **raw)
-
-
 def load_config(path: str) -> ExperimentSpec:
     """Parse a YAML campaign config with ``system`` and ``experiment`` sections."""
     import yaml
@@ -552,4 +534,12 @@ def load_config(path: str) -> ExperimentSpec:
             raise ValueError(f"{path}: the '{section}' section is empty or not a mapping: "
                              f"{raw[section]!r}")
     system = system_config_from_dict(raw.get("system", {}))
-    return experiment_spec_from_dict(raw["experiment"], system)
+    experiment = raw["experiment"]
+    if "system" in experiment:
+        raise ValueError("the 'system' section sits under 'experiment'; it belongs at the top level")
+    unknown = set(experiment) - {f.name for f in fields(ExperimentSpec)}
+    if unknown:
+        raise ValueError(f"unknown experiment fields: {sorted(unknown)}")
+    if "kind" not in experiment:
+        raise ValueError(f"the experiment section has no 'kind'; choose from {EXPERIMENT_KINDS}")
+    return ExperimentSpec(system=system, **experiment)

@@ -65,9 +65,6 @@ class IrsPhaseVector:
         if not np.max(np.abs(np.abs(self.v) - 1.0)) <= 1e-9:
             raise ValueError("reflection coefficients must have unit modulus")
 
-    def __len__(self) -> int:
-        return len(self.v)
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The coefficient vector v, so ``np.asarray`` reads a phase vector as its array (NumPy 1 or 2)."""
         return np.array(self.v, dtype=dtype) if copy else np.asarray(self.v, dtype=dtype)

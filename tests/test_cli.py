@@ -5,6 +5,7 @@ import json
 import pytest
 
 from irs_ssm.cli import main
+from irs_ssm.harness import FULL_SCALE
 
 
 def test_flops_subcommand(capsys):
@@ -19,6 +20,13 @@ def test_flops_rejects_a_non_positive_element_count(n_irs, capsys):
     with pytest.raises(ValueError, match="n_irs must all be >= 1"):
         main(["flops", "--n-irs", n_irs])
     assert "N=16" not in capsys.readouterr().out
+
+
+def test_flops_rejects_a_negative_iteration_count(capsys):
+    # the table must not print D = -1 above counts computed at another D
+    with pytest.raises(ValueError, match="iterations must be >= 0, got -1"):
+        main(["flops", "--iterations", "-1"])
+    assert "D=-1" not in capsys.readouterr().out
 
 
 def test_run_subcommand(tmp_path, capsys):
@@ -46,6 +54,33 @@ experiment:
     summary = json.loads((tmp_path / "results.json").read_text())
     assert summary["base_seed"] == 9
     assert summary["n_channel_trials"] == 2
+
+
+def test_run_full_scale_keeps_the_file_system_fields(tmp_path):
+    config = tmp_path / "campaign.yaml"
+    config.write_text(
+        """
+system:
+  p_total_dbm: 20.0
+  n_e: 4
+  m_ary: 2
+  alpha_ab: 3.0
+  beta: 0.5
+  geometry:
+    eve: [10.0, 30.0, 0.0]
+experiment:
+  kind: cdf
+  n_channel_trials: 1
+  combinations: [random_phase]
+  deterministic_timing: true
+"""
+    )
+    assert main(["run", str(config), "--full-scale", "--out", str(tmp_path / "results")]) == 0
+    echo = json.loads((tmp_path / "results.json").read_text())["system"]
+    assert {k: echo[k] for k in FULL_SCALE} == FULL_SCALE
+    assert echo["p_total"] == pytest.approx(100.0)
+    assert (echo["n_e"], echo["m_ary"], echo["alpha_ab"], echo["beta"]) == (4, 2, 3.0, 0.5)
+    assert echo["geometry"]["eve"] == [10.0, 30.0, 0.0]
 
 
 def test_run_rejects_non_positive_threads(tmp_path):

@@ -1,6 +1,6 @@
-"""Smoke test: every demo script runs to completion.
+"""Smoke test: every demo script and README's quick start run to completion.
 
-Each demo runs in a fresh interpreter with the package source on PYTHONPATH
+Each script runs in a fresh interpreter with the package source on PYTHONPATH
 and a temporary working directory, since the campaign demo writes its
 ``demo_campaign.*`` outputs into the current directory.
 """
@@ -20,11 +20,21 @@ def test_all_five_demos_found():
     assert len(DEMOS) == 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo, tmp_path):
+def _run(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
-    )
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    proc = _run([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from irs_ssm import" in quick_start
+    proc = _run(["-c", quick_start], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -36,27 +36,22 @@ def test_no_code_path_loads_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-# model internals the demos, the CLI and the benchmark do not read; the tests
-# import them from ``irs_ssm.model``
-_NOT_EXPORTED = ("TransmitHypothesis", "inv_sqrt_hermitian", "psk_symbols")
-
-
 def test_public_surface_is_what_the_demos_import():
     import irs_ssm
-    from irs_ssm import model
-
-    for name in _NOT_EXPORTED:  # a deleted name listed here would pass the last check vacuously
-        assert getattr(model, name, None) is not None, name
 
     exported = irs_ssm.__all__
     for name in exported:
         assert getattr(irs_ssm, name, None) is not None, name
     assert len(set(exported)) == len(exported)
     assert list(exported) == sorted(exported)
-    demo_imports = set()
+    demo_imports, from_submodules = set(), set()
     for demo in sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")):
         for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.module == "irs_ssm" and node.level == 0:
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "irs_ssm":
                 demo_imports.update(alias.name for alias in node.names)
-    assert demo_imports and demo_imports <= set(exported), sorted(demo_imports - set(exported))
-    assert not set(_NOT_EXPORTED) & set(exported)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.startswith("irs_ssm."):
+                from_submodules.update(f"{node.module}.{alias.name}" for alias in node.names
+                                       if alias.name in exported)
+    assert set(exported) == demo_imports, sorted(set(exported) ^ demo_imports)
+    # an exported name is imported from the top level, so the export is what the demos read
+    assert not from_submodules, sorted(from_submodules)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import irs_ssm.harness as harness
 from irs_ssm.harness import (
@@ -16,7 +17,6 @@ from irs_ssm.harness import (
     channel_digest,
     desk_config,
     draw_channels,
-    experiment_spec_from_dict,
     flop_estimates,
     load_config,
     full_scale_config,
@@ -118,6 +118,16 @@ class TestFlopModels:
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError):
             flop_estimates(desk_config(), "magic")
+
+    @pytest.mark.parametrize("iterations, named", [
+        (-1, "iterations must be >= 0, got -1"),
+        (2.5, "iterations must be an integer, got 2.5"),
+        (True, "iterations must be an integer, got True"),
+    ])
+    def test_bad_iteration_count_is_named(self, iterations, named):
+        for method in ("irs_bca", "cor_ga", "random_phase"):
+            with pytest.raises(ValueError, match=named):
+                flop_estimates(desk_config(), method, iterations=iterations)
 
     def test_big_o_labels(self):
         cfg = desk_config()
@@ -301,6 +311,13 @@ class TestRunExperiment:
         assert idx == len(rows)
 
 
+def _load_experiment(tmp_path, experiment: dict) -> ExperimentSpec:
+    """``load_config`` on a file whose only section is ``experiment``, written by ``yaml.safe_dump``."""
+    path = tmp_path / "campaign.yaml"
+    path.write_text(yaml.safe_dump({"experiment": experiment}))
+    return load_config(str(path))
+
+
 class TestConfigIo:
     def test_round_trip(self, tmp_path):
         cfg_yaml = """
@@ -382,11 +399,15 @@ experiment:
         ("pl0_db: 4000", "", r"alice-bob link: path loss 3955.35 dB \(pl0_db = 4000\) is out of range"),
         ("geometry: {alice: [0, 0, 2]}", "irs_y_values: [20, 0.5]",
          "alice-irs link: distance 0.5 m is below the reference distance 1.0 m"),
+        ("", "n_trials: 3", r"unknown experiment fields: \['n_trials'\]"),
+        ("", "system: {n_irs: 6}", "the 'system' section sits under 'experiment'"),
+        ("", None, "the experiment section has no 'kind'"),  # None: the section has no kind line
     ])
     def test_bad_value_is_named_at_load(self, tmp_path, system, experiment, named):
         path = tmp_path / "campaign.yaml"
+        kind = "" if experiment is None else "kind: cdf\n  "
         path.write_text(f"system:\n  n_b: 2\n  {system}\n"
-                        f"experiment:\n  kind: cdf\n  combinations: [irs_bca]\n  {experiment}\n")
+                        f"experiment:\n  {kind}combinations: [irs_bca]\n  {experiment or ''}\n")
         with pytest.raises(ValueError, match=named):
             load_config(str(path))
 
@@ -394,30 +415,25 @@ experiment:
         ("combinations", "irs_bca"), ("powers_dbm", 30), ("n_irs_values", 16),
         ("n_e_values", "2"), ("irs_y_values", 45.0),
     ])
-    def test_scalar_for_a_list_is_named(self, key, value):
+    def test_scalar_for_a_list_is_named(self, tmp_path, key, value):
         data = {"kind": "cdf", "combinations": ["irs_bca"], key: value}
         with pytest.raises(ValueError, match=f"experiment {key} must be a list"):
-            experiment_spec_from_dict(data, desk_config())
+            _load_experiment(tmp_path, data)
         # built in code, the same check: a string is never split into characters
         with pytest.raises(ValueError, match=f"experiment {key} must be a list"):
             ExperimentSpec(**data)
 
-    def test_non_bool_deterministic_timing_is_named(self):
+    def test_non_bool_deterministic_timing_is_named(self, tmp_path):
         # a YAML "no" is a string, not false; it must not silently zero wall_ms
         named = "deterministic_timing must be true or false, got 'no'"
         with pytest.raises(ValueError, match=named):
             ExperimentSpec(kind="cdf", combinations=("irs_bca",), deterministic_timing="no")
         with pytest.raises(ValueError, match=named):
-            experiment_spec_from_dict(
-                {"kind": "cdf", "combinations": ["irs_bca"], "deterministic_timing": "no"}, desk_config()
-            )
+            _load_experiment(tmp_path, {"kind": "cdf", "combinations": ["irs_bca"], "deterministic_timing": "no"})
 
-    def test_spec_from_dict_tuplifies(self):
-        spec = experiment_spec_from_dict(
-            {"kind": "cdf", "n_e_values": [2, 4], "combinations": ["irs_bca"],
-             "n_channel_trials": 1},
-            desk_config(),
-        )
+    def test_spec_from_dict_tuplifies(self, tmp_path):
+        spec = _load_experiment(tmp_path, {"kind": "cdf", "n_e_values": [2, 4], "combinations": ["irs_bca"],
+                                           "n_channel_trials": 1})
         assert spec.n_e_values == (2, 4)
 
 
