@@ -21,7 +21,6 @@ from irs_ssm import (
     irs_sdr,
     link_state,
 )
-from irs_ssm.harness import CAMPAIGN_ADMM
 from irs_ssm.irs_opt import IrsPhaseVector
 from irs_ssm.model import db_to_linear
 
@@ -49,7 +48,7 @@ bca = irs_bca(qf, v0=v0)
 print(f"IRS-BCA:        surrogate {bca.surrogate_value:10.4f}  "
       f"rate {reported_rate(bca.v.v):.4f}  ({bca.iterations} sweeps)")
 
-admm = irs_admm(qf, v0=v0, **CAMPAIGN_ADMM)
+admm = irs_admm(qf, v0=v0)
 print(f"IRS-ADMM:       surrogate {admm.surrogate_value:10.4f}  "
       f"rate {reported_rate(admm.v.v):.4f}  ({admm.iterations} outer iterations, "
       f"primal residual {admm.extras['primal_residual']:.1e})")

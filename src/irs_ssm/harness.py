@@ -28,6 +28,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -44,10 +45,6 @@ EXPERIMENT_KINDS = ("sr_vs_power", "cdf", "convergence", "sr_vs_elements", "posi
 
 JOINT_METHODS = tuple(f"joint_{combination}" for combination in NAMED_COMBINATIONS)
 ALL_METHODS = ("random_phase",) + IRS_SOLVERS + PRECODER_SOLVERS + JOINT_METHODS
-
-# campaign runs solve ADMM to research accuracy; 0.01 is the printed
-# algorithm default, far coarser than desk-scale objective values
-CAMPAIGN_ADMM = {"tol": 1e-6, "max_iters": 200, "inner_max": 300}
 
 CSV_COLUMNS = ("trial", "power_dbm", "n_irs", "n_e", "irs_y", "method",
                "sr_bits", "iterations", "wall_ms", "flops")
@@ -108,9 +105,7 @@ def draw_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     def draw(rows: int, cols: int, std: float) -> np.ndarray:
         return std * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
 
-    ch = ChannelSet(**{name: draw(*args) for name, args in _links(cfg).items()})
-    ch.validate(cfg)
-    return ch
+    return ChannelSet(**{name: draw(*args) for name, args in _links(cfg).items()})
 
 
 def channel_digest(ch: ChannelSet) -> str:
@@ -275,10 +270,6 @@ class ExperimentRecord:
     errors: dict[str, str] = field(default_factory=dict)
 
 
-def _method_rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, tag))))
-
-
 def run_method(method: str, cfg: SystemConfig, ch: ChannelSet, seed: int) -> MethodOutcome:
     """Run one method on one channel draw and report the achieved secrecy rate.
 
@@ -290,19 +281,21 @@ def run_method(method: str, cfg: SystemConfig, ch: ChannelSet, seed: int) -> Met
     IRS step without the joint loop's revert, so an IRS method can report a
     rate below the one at v = 1: on demo 02's draw the three IRS solvers
     report 0.4621 bit against 0.4780 at v = 1, because the surrogate holds
-    the whitening fixed.  The joint methods revert such a step.
+    the whitening fixed.  The joint methods revert such a step.  Malformed
+    channels fail first, with a ValueError naming the channel.
     """
+    ch.validate(cfg)
     tic = time.perf_counter()
     p0 = HybridPrecoder.default_init(cfg)
     if method == "random_phase":
-        v = IrsPhaseVector.random(cfg.n_irs, _method_rng(seed, 0x0BA5E)).v
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x0BA5E))))
+        v = IrsPhaseVector.random(cfg.n_irs, rng).v
         sr = approx_secrecy_rate(cfg, link_state(cfg, ch, v)[3], v, p0).r_approx
         out = MethodOutcome(sr, 0, 0.0, flop_estimates(cfg, method).count)
     elif method in IRS_SOLVERS + PRECODER_SOLVERS:
         v0 = np.ones(cfg.n_irs, dtype=complex)
         irs_method = method if method in IRS_SOLVERS else "irs_bca"
-        res, wch = irs_step(cfg, irs_method, link_state(cfg, ch, v0)[3], v0, p0, ch, seed,
-                            admm_settings=CAMPAIGN_ADMM)
+        res, wch = irs_step(cfg, irs_method, link_state(cfg, ch, v0)[3], v0, p0, ch, seed)
         if method in IRS_SOLVERS:
             sr = approx_secrecy_rate(cfg, wch, res.v.v, p0).r_approx
         else:
@@ -354,8 +347,11 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRecord], dict]:
     Trials are independent and may run on a process pool; records are folded
     in sorted (grid point, trial) order so aggregates and emitted files do not
     depend on the worker count.  Per-cell failures are recorded and the
-    campaign continues.
+    campaign continues.  The output's directory is made before the first
+    cell, so a path that cannot be written fails before any work.
     """
+    if spec.output_path:
+        Path(spec.output_path).parent.mkdir(parents=True, exist_ok=True)
     grid = spec.grid_points()
     tasks = [
         (spec, gp_index, gp, trial)
@@ -505,12 +501,14 @@ def system_config_from_dict(raw: dict) -> SystemConfig:
     """Build a SystemConfig from a config-file section.
 
     Powers may be given linear (``p_total``, ``sigma_b2``, ``sigma_e2`` in mW)
-    or in dBm via the ``*_dbm`` variants; dBm wins when both are present.
+    or in dBm via the ``*_dbm`` variants, not both.
     """
     data = dict(raw)
     for lin_key in ("p_total", "sigma_b2", "sigma_e2"):
         dbm_key = f"{lin_key}_dbm"
         if dbm_key in data:
+            if lin_key in data:
+                raise ValueError(f"give {lin_key} or {dbm_key}, not both")
             data[lin_key] = _dbm_to_linear(dbm_key, data.pop(dbm_key))
     if "geometry" in data:
         data["geometry"] = _geometry_from_dict(data["geometry"])

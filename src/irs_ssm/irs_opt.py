@@ -49,6 +49,10 @@ SDP_RESTARTS = 5
 SDP_MAX_SWEEPS = 5000  # row-coordinate sweeps per restart
 SDP_SEED = 0
 SDR_RANDOMIZATIONS = 200  # Gaussian samples drawn from the SDP solution
+# irs_admm's defaults, bound where it is defined; joint.JOINT_ADMM is the one caller passing others
+ADMM_TOL = 1e-6  # inner stop on ||v_k - v_{k-1}||, outer stop on the rate change
+ADMM_MAX_ITERS = 200  # outer re-linearizations
+ADMM_INNER_MAX = 300  # ADMM steps per outer iteration
 # a numerator below the smallest normal float has no usable phase: 1/|z| overflows
 TINY = np.finfo(float).tiny
 
@@ -70,12 +74,8 @@ class IrsPhaseVector:
         return np.array(self.v, dtype=dtype) if copy else np.asarray(self.v, dtype=dtype)
 
     @classmethod
-    def from_phases(cls, theta: np.ndarray) -> "IrsPhaseVector":
-        return cls(np.exp(1j * np.asarray(theta, dtype=float)))
-
-    @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "IrsPhaseVector":
-        return cls.from_phases(rng.uniform(0.0, 2.0 * np.pi, size=n))
+        return cls(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n)))
 
 
 def initial_phases(v0: IrsPhaseVector | np.ndarray | None, n_irs: int) -> np.ndarray:
@@ -268,9 +268,9 @@ def irs_bca(
 def irs_admm(
     qf: QuadraticForms,
     v0: IrsPhaseVector | np.ndarray | None = None,
-    tol: float = 0.01,
-    max_iters: int = 50,
-    inner_max: int = 100,
+    tol: float = ADMM_TOL,
+    max_iters: int = ADMM_MAX_ITERS,
+    inner_max: int = ADMM_INNER_MAX,
 ) -> BeamformerResult:
     """DC-linearized ADMM over the unit-modulus set.
 
@@ -286,7 +286,9 @@ def irs_admm(
     ||v_k - v_{k-1}|| <= tol.  Outer stop: the change of ``qf.secrecy_rate``,
     the rate at the forms' fixed whitening, is <= tol.  Returns the
     best-surrogate iterate seen, so the result never falls below the
-    starting point.
+    starting point.  The defaults are ADMM_TOL, ADMM_MAX_ITERS and
+    ADMM_INNER_MAX; only ``joint.joint_optimize`` passes others
+    (``joint.JOINT_ADMM``).
     """
     n = qf.n_irs
     v = initial_phases(v0, n)
@@ -303,8 +305,7 @@ def irs_admm(
     converged = False
     outer = 0
     for outer in range(1, max_iters + 1):
-        u_o = v.copy()
-        rhs_const = 2.0 * (qf.phi_b.conj().T @ u_o) + lin
+        rhs_const = 2.0 * (qf.phi_b.conj().T @ v) + lin
         for _ in range(inner_max):
             u = system_inv @ (rhs_const + lam + rho * v)
             v_new = project_unit_modulus(u - lam / rho, v)
@@ -360,10 +361,6 @@ class SdpSolution:
         """The Hermitian solution matrix Y Y^H."""
         q = self.factor @ self.factor.conj().T
         return 0.5 * (q + q.conj().T)
-
-
-def _row_normalize(y: np.ndarray) -> np.ndarray:
-    return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
 def _bm_ascent(
@@ -429,7 +426,8 @@ def sdp_unit_diag(psi: np.ndarray) -> SdpSolution:
     for restart in range(SDP_RESTARTS):
         restarts = restart + 1
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((SDP_SEED, restart))))
-        y0 = _row_normalize(rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank)))
+        y0 = rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank))
+        y0 /= np.linalg.norm(y0, axis=1, keepdims=True)
         y, value, residual = _bm_ascent(psi, y0, tol_abs, SDP_MAX_SWEEPS)
         if best is None or value > best[0]:
             best = (value, y, residual)

@@ -49,13 +49,9 @@ NAMED_COMBINATIONS: dict[str, tuple[str, str]] = {
 }
 EPSILON = 0.01  # stop once an outer iteration changes the objective by at most this
 MAX_OUTER = 30
-
-
-def resolve_combination(combination: str) -> tuple[str, str]:
-    """(IRS solver, precoder solver) of a named combination."""
-    if combination not in NAMED_COMBINATIONS:
-        raise ValueError(f"unknown combination {combination!r}; choose from {tuple(NAMED_COMBINATIONS)}")
-    return NAMED_COMBINATIONS[combination]
+# joint III's ADMM keeps the printed algorithm's coarser setting, not irs_opt.ADMM_*;
+# one setting for every caller would move joint_III's rates (ROADMAP item 11)
+JOINT_ADMM = {"tol": 0.01, "max_iters": 50, "inner_max": 100}
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,8 @@ def irs_step(
 
     Returns the solver's result and the whitened link of ``ch`` refreshed at
     its v.  SDR ignores v and draws its randomizations from ``seed``;
-    ``admm_settings`` (keyword arguments of ``irs_admm``: tol, max_iters,
-    inner_max) reach ``irs_admm`` alone.
+    ``admm_settings`` (keyword arguments of ``irs_admm``) reach ``irs_admm``
+    alone; only ``joint_optimize`` passes them, as ``JOINT_ADMM``.
     """
     qf = build_quadratic_forms(cfg, wch, p)
     if method == "irs_bca":
@@ -131,8 +127,12 @@ def joint_optimize(
     objective after each outer iteration never decreases: a v-step that
     lowers the true objective is reverted, and so is a precoder step that
     lowers it by more than 1e-9 (counted in ``extras["precoder_rejected"]``).
+    Malformed channels and an unknown combination fail before any work.
     """
-    irs_method, pre_method = resolve_combination(combination)
+    ch.validate(cfg)
+    if combination not in NAMED_COMBINATIONS:
+        raise ValueError(f"unknown combination {combination!r}; choose from {tuple(NAMED_COMBINATIONS)}")
+    irs_method, pre_method = NAMED_COMBINATIONS[combination]
     p = p0 if p0 is not None else HybridPrecoder.default_init(cfg)
     v = initial_phases(v0, cfg.n_irs)
     wch = link_state(cfg, ch, v)[3]
@@ -146,7 +146,7 @@ def joint_optimize(
         tic = time.perf_counter()
         prev_objective = objective
 
-        res_v, wch_cand = irs_step(cfg, irs_method, wch, v, p, ch, seed + k)
+        res_v, wch_cand = irs_step(cfg, irs_method, wch, v, p, ch, seed + k, JOINT_ADMM)
         v_cand = res_v.v.v
         pq_cand = build_precoder_quadratics(cfg, wch_cand, v_cand)
         obj_cand = pq_cand.secrecy_rate(p)

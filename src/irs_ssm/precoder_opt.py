@@ -49,10 +49,6 @@ SCA_INNER_MAX_ITERS = 300
 GA_TOL = 1e-6  # stop once an accepted step gains at most this
 GA_MAX_ITERS = 500
 
-# the gradient of log2 kappa_E - log2 kappa_B is tau/ln2 times these over
-# kappa, times each receiver's pull-back: Bob first, as in the receiver stack
-_RECEIVER_SIGNS = np.array([2.0, -2.0])
-
 
 @dataclass(frozen=True)
 class PrecoderQuadratics:
@@ -71,12 +67,13 @@ class PrecoderQuadratics:
     m_ary: int  # PSK order M
     # the buffered pair kernel on the (2, n_rf, n_r, n_k) subarray blocks
     kernel: rates.PairKernel = field(init=False, repr=False, compare=False)
-    # tau/ln2 * _RECEIVER_SIGNS, formed once
+    # tau/ln2 * (2, -2), formed once: the gradient of log2 kappa_E - log2 kappa_B
+    # is these over kappa, times each receiver's pull-back, Bob first as in the receiver stack
     _receiver_scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kernel", rates.link_kernel(self.w_b, self.w_e, self.n_rf, self.m_ary, self.tau))
-        object.__setattr__(self, "_receiver_scale", (self.tau / LN2) * _RECEIVER_SIGNS)
+        object.__setattr__(self, "_receiver_scale", (self.tau / LN2) * np.array([2.0, -2.0]))
 
     def pair_values(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K x K arrays (p^H B_mn p, p^H E_mn p) over the ordered pairs, gathered from the pass's distances.

@@ -58,6 +58,7 @@ from .model import (
     HybridPrecoder,
     SystemConfig,
     WhitenedChannels,
+    check_integer,
     effective_channels,
     enumerate_hypotheses,
     psk_symbols,
@@ -310,8 +311,12 @@ def mc_mutual_information(
     ``n_noise_samples`` draws from counter-based streams, so the result is
     deterministic per seed.  Returns (mi_bob, mi_eve, (se_bob, se_eve)).
     """
+    check_integer("n_noise_samples", n_noise_samples)
+    check_integer("seed", seed)
     if n_noise_samples < 100:
         raise ValueError("n_noise_samples must be >= 100")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     signals = np.stack([h.x_vec for h in enumerate_hypotheses(cfg)]) * np.asarray(p)[None, :]  # rows X_m p
     scale = np.sqrt(cfg.beta * cfg.p_total)
     ss = np.random.SeedSequence(entropy=seed)

@@ -15,7 +15,6 @@ import pytest
 from scipy.stats import ttest_rel
 
 from irs_ssm.harness import (
-    CAMPAIGN_ADMM,
     ExperimentSpec,
     desk_config,
     draw_channels,
@@ -111,7 +110,7 @@ def test_criterion_3_grid_optimality(grid_instances):
         tic = time.perf_counter()
         runs = {
             "irs_sdr": irs_sdr(qf, seed=seed).surrogate_value,
-            "irs_admm": irs_admm(qf, **CAMPAIGN_ADMM).surrogate_value,
+            "irs_admm": irs_admm(qf).surrogate_value,
             "irs_bca": irs_bca(qf).surrogate_value,
         }
         slowest = max(slowest, time.perf_counter() - tic)

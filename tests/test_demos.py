@@ -1,4 +1,4 @@
-"""Smoke test: every demo script and README's quick start run to completion.
+"""Smoke test: every demo script, README's quick start and its command lines run to completion.
 
 Each script runs in a fresh interpreter with the package source on PYTHONPATH
 and a temporary working directory, since the campaign demo writes its
@@ -6,6 +6,8 @@ and a temporary working directory, since the campaign demo writes its
 """
 
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +40,15 @@ def test_readme_quick_start_runs(tmp_path):
     assert "from irs_ssm import" in quick_start
     proc = _run(["-c", quick_start], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_command_line_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert [cmd[:2] for cmd in commands] == [["irs-ssm", "run"], ["irs-ssm", "flops"]]
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")  # the run line names a config by relative path
+    for cmd in commands:
+        args = cmd[1:] + (["--trials", "1"] if cmd[1] == "run" else [])
+        proc = _run(["-m", "irs_ssm.cli", *args], tmp_path)
+        assert proc.returncode == 0, proc.stderr[-2000:]

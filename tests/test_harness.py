@@ -166,14 +166,28 @@ class TestRunExperiment:
         summary_loaded = json.loads((tmp_path / "out.json").read_text())
         assert summary_loaded["kind"] == "sr_vs_power"
 
+    def test_missing_output_directory_is_made(self, tmp_path):
+        run_experiment(_tiny_spec(tmp_path, n_channel_trials=1, output_path=str(tmp_path / "missing" / "x")))
+        assert (tmp_path / "missing" / "x.csv").is_file()
+        assert (tmp_path / "missing" / "x.json").is_file()
+
+    def test_unwritable_output_fails_before_any_cell(self, tmp_path, monkeypatch):
+        (tmp_path / "file").write_text("")
+
+        def no_cell(*args):
+            raise AssertionError("a cell ran before the output path was checked")
+
+        monkeypatch.setattr(harness, "_run_cell", no_cell)
+        with pytest.raises(FileExistsError):
+            run_experiment(_tiny_spec(tmp_path, output_path=str(tmp_path / "file" / "x")))
+
     def test_trial_seeds_offset_from_base(self, tmp_path):
         spec = _tiny_spec(tmp_path)
         records, _ = run_experiment(spec)
         assert sorted({r.seed for r in records}) == [77, 78, 79]
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
-        spec1 = _tiny_spec(tmp_path / "a" if False else tmp_path, threads=1,
-                           output_path=str(tmp_path / "t1"))
+        spec1 = _tiny_spec(tmp_path, threads=1, output_path=str(tmp_path / "t1"))
         spec2 = replace(spec1, threads=2, output_path=str(tmp_path / "t2"))
         run_experiment(spec1)
         run_experiment(spec2)
@@ -402,6 +416,9 @@ experiment:
         ("", "n_trials: 3", r"unknown experiment fields: \['n_trials'\]"),
         ("", "system: {n_irs: 6}", "the 'system' section sits under 'experiment'"),
         ("", None, "the experiment section has no 'kind'"),  # None: the section has no kind line
+        ("p_total: 1.0\n  p_total_dbm: 30.0", "", "give p_total or p_total_dbm, not both"),
+        ("sigma_b2: 1e-9\n  sigma_b2_dbm: -60.0", "", "give sigma_b2 or sigma_b2_dbm, not both"),
+        ("sigma_e2_dbm: -60.0\n  sigma_e2: 1e-9", "", "give sigma_e2 or sigma_e2_dbm, not both"),
     ])
     def test_bad_value_is_named_at_load(self, tmp_path, system, experiment, named):
         path = tmp_path / "campaign.yaml"
@@ -445,6 +462,20 @@ class TestMethodRunners:
             out = run_method(method, cfg, ch, 3)
             assert np.isfinite(out.sr_bits)
             assert out.flops >= 0.0
+
+    @pytest.mark.parametrize("entry", [
+        lambda cfg, ch: run_method("irs_bca", cfg, ch, 0),
+        lambda cfg, ch: joint_optimize(cfg, ch, "I"),
+    ], ids=["run_method", "joint_optimize"])
+    @pytest.mark.parametrize("malform, named", [
+        (lambda ch: replace(ch, g=ch.g[:, :-1]), r"channel g has shape \(2, 3\), expected \(2, 4\)"),
+        (lambda ch: replace(ch, h=np.where(np.eye(*ch.h.shape, dtype=bool), np.nan, ch.h)),
+         "channel h contains non-finite entries"),
+    ], ids=["g-short", "h-nan"])
+    def test_malformed_channels_are_named(self, entry, malform, named):
+        cfg = desk_config(n_irs=4)
+        with pytest.raises(ValueError, match=named):
+            entry(cfg, malform(draw_channels(cfg, 0)))
 
     def test_unknown_method_raises(self):
         cfg = desk_config(n_irs=4)

@@ -7,7 +7,7 @@ import pytest
 
 from irs_ssm import joint, rates
 from irs_ssm.harness import desk_config, draw_channels
-from irs_ssm.joint import joint_optimize, resolve_combination
+from irs_ssm.joint import NAMED_COMBINATIONS, joint_optimize
 from irs_ssm.model import ChannelSet, HybridPrecoder, db_to_linear
 from irs_ssm.precoder_opt import PrecoderResult
 
@@ -24,13 +24,19 @@ def _zero_channels(cfg) -> ChannelSet:
 
 class TestCombinations:
     def test_named_combinations(self):
-        assert resolve_combination("I") == ("irs_bca", "asr_sca")
-        assert resolve_combination("II") == ("irs_sdr", "cor_ga")
-        assert resolve_combination("III") == ("irs_admm", "cor_ga")
+        assert NAMED_COMBINATIONS == {
+            "I": ("irs_bca", "asr_sca"), "II": ("irs_sdr", "cor_ga"), "III": ("irs_admm", "cor_ga"),
+        }
 
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_combination("IV")
+    def test_rejects_unknown(self, monkeypatch):
+        cfg = desk_config(n_rf=2, n_k=2, n_irs=4, m_ary=2)
+
+        def no_work(*args):
+            raise AssertionError("link work began before the combination was checked")
+
+        monkeypatch.setattr(joint, "link_state", no_work)
+        with pytest.raises(ValueError, match="unknown combination 'IV'"):
+            joint_optimize(cfg, _zero_channels(cfg), "IV")
 
 
 class TestJointOptimize:

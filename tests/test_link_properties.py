@@ -30,9 +30,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irs_ssm.harness import CAMPAIGN_ADMM, desk_config, draw_channels
+from irs_ssm.harness import desk_config, draw_channels
 from irs_ssm.irs_opt import build_quadratic_forms, irs_admm, irs_bca
-from irs_ssm.joint import joint_optimize
+from irs_ssm.joint import JOINT_ADMM, joint_optimize
 from irs_ssm.model import (
     LN2,
     db_to_linear,
@@ -280,7 +280,7 @@ def test_admm_invariants(case):
     cfg, ch, v0, p = case
     qf = build_quadratic_forms(cfg, link_state(cfg, ch, v0)[3], p)
     start = qf.surrogate_value(v0)
-    for settings_ in ({}, CAMPAIGN_ADMM):
+    for settings_ in (JOINT_ADMM, {}):
         res = irs_admm(qf, v0=v0, **settings_)
         assert res.trace[0] == start
         assert res.surrogate_value >= start

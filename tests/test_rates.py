@@ -270,6 +270,17 @@ class TestMcMutualInformation:
         with pytest.raises(ValueError):
             mc_mutual_information(inst.cfg, inst.wch, inst.v, inst.p, 10, seed=0)
 
+    @pytest.mark.parametrize("bad, named", [
+        ({"n_noise_samples": 150.5}, "n_noise_samples must be an integer, got 150.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ], ids=["fractional-count", "fractional-seed", "negative-seed"])
+    def test_bad_count_or_seed_is_named(self, bad, named):
+        inst = make_instance(0)
+        args = {"n_noise_samples": 150, "seed": 0, **bad}
+        with pytest.raises(ValueError, match=named):
+            mc_mutual_information(inst.cfg, inst.wch, inst.v, inst.p, **args)
+
     def test_zero_channel_gives_zero(self):
         inst = make_instance(0)
         mib, mie, (seb, see) = mc_mutual_information(
