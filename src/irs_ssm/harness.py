@@ -33,10 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from .irs_opt import SDP_TOL, IrsPhaseVector
-from .irs_opt import irs_bca  # noqa: F401  unused; perfbench's tests patch harness.irs_bca (ROADMAP item 3)
+from .irs_opt import irs_bca  # noqa: F401  unused; perfbench's tests patch harness.irs_bca (ROADMAP item 7)
 from .joint import IRS_SOLVERS, NAMED_COMBINATIONS, PRECODER_SOLVERS, irs_step, joint_optimize, precoder_step
 from .model import (
-    ChannelSet, Geometry, HybridPrecoder, SystemConfig, check_integer, check_real, db_to_linear, link_state,
+    ChannelSet, Geometry, HybridPrecoder, SystemConfig, check_integer, check_real, check_seed, db_to_linear,
+    link_state,
 )
 from .precoder_opt import build_precoder_quadratics
 from .rates import approx_secrecy_rate
@@ -64,11 +65,14 @@ def full_scale_config(**overrides) -> SystemConfig:
     return SystemConfig(**{**FULL_SCALE, **overrides})
 
 
-def path_loss_db(d: float, alpha: float, pl0_db: float = -30.0, d0: float = 1.0) -> float:
-    """Distance path loss in dB; d must be at least the 1 m reference."""
-    if d < d0:
-        raise ValueError(f"distance {d} m is below the reference distance {d0} m")
-    return pl0_db - 10.0 * alpha * math.log10(d / d0)
+REFERENCE_DISTANCE_M = 1.0  # the distance at which the path loss is pl0_db
+
+
+def path_loss_db(d: float, alpha: float, pl0_db: float = -30.0) -> float:
+    """Distance path loss in dB; d must be at least REFERENCE_DISTANCE_M."""
+    if d < REFERENCE_DISTANCE_M:
+        raise ValueError(f"distance {d} m is below the reference distance {REFERENCE_DISTANCE_M} m")
+    return pl0_db - 10.0 * alpha * math.log10(d / REFERENCE_DISTANCE_M)
 
 
 def _link_std(cfg: SystemConfig, a: str, b: str, alpha: float) -> float:
@@ -98,8 +102,9 @@ def draw_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     """One i.i.d. Rayleigh fading realization of all five channels.
 
     Entry variances equal the linear path loss over the 3-D distance between
-    the endpoints.  Deterministic per (cfg, seed).
+    the endpoints.  Deterministic per (cfg, seed); a seed not an integer >= 0 fails first.
     """
+    check_seed(seed)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     def draw(rows: int, cols: int, std: float) -> np.ndarray:
@@ -281,10 +286,13 @@ def run_method(method: str, cfg: SystemConfig, ch: ChannelSet, seed: int) -> Met
     IRS step without the joint loop's revert, so an IRS method can report a
     rate below the one at v = 1: on demo 02's draw the three IRS solvers
     report 0.4621 bit against 0.4780 at v = 1, because the surrogate holds
-    the whitening fixed.  The joint methods revert such a step.  Malformed
-    channels fail first, with a ValueError naming the channel.
+    the whitening fixed.  The joint methods revert such a step.  A bad seed
+    or malformed channels fail first, with a ValueError naming them; for a
+    joint method ``joint_optimize`` is their one check, inside ``wall_ms``.
     """
-    ch.validate(cfg)
+    if method not in JOINT_METHODS:
+        check_seed(seed)
+        ch.validate(cfg)
     tic = time.perf_counter()
     p0 = HybridPrecoder.default_init(cfg)
     if method == "random_phase":
@@ -344,9 +352,10 @@ def _run_cell(spec: ExperimentSpec, gp_index: int, gp: dict, trial: int) -> Expe
 def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRecord], dict]:
     """Execute the campaign and return (records, summary).
 
-    Trials are independent and may run on a process pool; records are folded
-    in sorted (grid point, trial) order so aggregates and emitted files do not
-    depend on the worker count.  Per-cell failures are recorded and the
+    Trials are independent and may run on a process pool; the pool's ``map``
+    and the in-process loop both return records in task order, the sorted
+    (grid point, trial) order, so aggregates and emitted files do not depend
+    on the worker count.  Per-cell failures are recorded and the
     campaign continues.  The output's directory is made before the first
     cell, so a path that cannot be written fails before any work.
     """
@@ -363,7 +372,6 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRecord], dict]:
             records = list(pool.map(_run_cell, *zip(*tasks), chunksize=4))
     else:
         records = [_run_cell(*t) for t in tasks]
-    records.sort(key=lambda r: (r.gp_index, r.trial))
     summary = summarize(spec, records)
     if spec.output_path:
         write_outputs(spec, records, summary)
@@ -375,28 +383,21 @@ def summarize(spec: ExperimentSpec, records: list[ExperimentRecord]) -> dict:
     aggregates = []
     cdf = {}
     convergence = {}
-    n_cells = 0
-    n_failures = 0
     for gp_index, gp in enumerate(grid):
         cell_records = [r for r in records if r.gp_index == gp_index]
         for method in spec.combinations:
-            n_cells += len(cell_records)
-            srs = np.array([
-                r.outputs[method].sr_bits for r in cell_records if method in r.outputs
-            ])
-            n_failures += sum(1 for r in cell_records if method in r.errors)
+            outs = [r.outputs[method] for r in cell_records if method in r.outputs]
+            srs = np.array([o.sr_bits for o in outs])
             entry = {
                 "grid": gp,
                 "method": method,
-                "n_ok": int(len(srs)),
-                "mean_sr": float(np.mean(srs)) if len(srs) else None,
-                "std_err": float(np.std(srs, ddof=1) / np.sqrt(len(srs))) if len(srs) > 1 else None,
-                "mean_iterations": float(np.mean([
-                    r.outputs[method].iterations for r in cell_records if method in r.outputs
-                ])) if len(srs) else None,
+                "n_ok": len(outs),
+                "mean_sr": float(np.mean(srs)) if outs else None,
+                "std_err": float(np.std(srs, ddof=1) / np.sqrt(len(srs))) if len(outs) > 1 else None,
+                "mean_iterations": float(np.mean([o.iterations for o in outs])) if outs else None,
             }
             aggregates.append(entry)
-            if spec.kind == "cdf" and len(srs):
+            if spec.kind == "cdf" and outs:
                 qs = np.linspace(0.05, 0.95, 19)
                 cdf[f"gp{gp_index}:{method}"] = {
                     "grid": gp,
@@ -407,12 +408,10 @@ def summarize(spec: ExperimentSpec, records: list[ExperimentRecord]) -> dict:
                 convergence[f"gp{gp_index}:{method}"] = {
                     "grid": gp,
                     "method": method,
-                    "traces": [
-                        r.outputs[method].trace for r in cell_records
-                        if method in r.outputs and r.outputs[method].trace is not None
-                    ],
+                    "traces": [o.trace for o in outs if o.trace is not None],
                 }
-    failure_fraction = n_failures / max(n_cells, 1)
+    n_failures = sum(len(r.errors) for r in records)
+    failure_fraction = n_failures / max(len(records) * len(spec.combinations), 1)
     summary = {
         "kind": spec.kind,
         "base_seed": spec.base_seed,

@@ -337,13 +337,11 @@ def irs_admm(
 
 
 class SdpNonConvergence(RuntimeError):
-    """Raised when no restart meets the stationarity residual; carries the best iterate."""
+    """Raised when no restart meets the stationarity residual; ``solution`` is the best iterate's ``SdpSolution``."""
 
-    def __init__(self, message: str, q: np.ndarray, value: float, residual: float):
+    def __init__(self, message: str, solution: SdpSolution):
         super().__init__(message)
-        self.q = q
-        self.value = value
-        self.residual = residual
+        self.solution = solution
 
 
 @dataclass
@@ -405,8 +403,10 @@ def sdp_unit_diag(psi: np.ndarray) -> SdpSolution:
     up to SDP_RESTARTS random restarts, seeded from SDP_SEED, guard against
     spurious stationary points and a dual certificate (Diag(mu) - psi >= 0
     at mu = Re diag(psi Q)) ends the restart loop early when global
-    optimality is confirmed.  Raises ``SdpNonConvergence`` when no restart
-    reaches the stationarity tolerance SDP_TOL * max(1, ||psi||_F).
+    optimality is confirmed.  The best iterate is built once as an
+    ``SdpSolution``: returned, or, when no restart reaches the stationarity
+    tolerance SDP_TOL * max(1, ||psi||_F), carried by the raised
+    ``SdpNonConvergence``.
     """
     psi = np.asarray(psi)
     if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
@@ -439,21 +439,11 @@ def sdp_unit_diag(psi: np.ndarray) -> SdpSolution:
                 best = (value, y, residual)
                 break
     value, y, residual = best
+    sol = SdpSolution(value=value, factor=y, residual=residual, certified=certified, restarts_used=restarts)
     if residual > tol_abs:
-        q = y @ y.conj().T
         raise SdpNonConvergence(
-            f"stationarity residual {residual:.3e} above {tol_abs:.3e} after {restarts} restarts",
-            q=q,
-            value=value,
-            residual=residual,
-        )
-    return SdpSolution(
-        value=value,
-        factor=y,
-        residual=residual,
-        certified=certified,
-        restarts_used=restarts,
-    )
+            f"stationarity residual {residual:.3e} above {tol_abs:.3e} after {restarts} restarts", sol)
+    return sol
 
 
 def irs_sdr(qf: QuadraticForms, seed: int = 0) -> BeamformerResult:
@@ -473,8 +463,7 @@ def irs_sdr(qf: QuadraticForms, seed: int = 0) -> BeamformerResult:
     psi = np.zeros((n + 1, n + 1), dtype=complex)
     psi[:n, :n] = qf.phi
     psi[:n, n] = np.conj(qf.delta)
-    psi[n, :n] = qf.delta
-    psi = 0.5 * (psi + psi.conj().T)
+    psi[n, :n] = qf.delta  # exactly Hermitian: build_quadratic_forms symmetrizes phi_b and phi_e
 
     sol = sdp_unit_diag(psi)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xC0FFEE))))

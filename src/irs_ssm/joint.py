@@ -35,7 +35,7 @@ from .irs_opt import (
     irs_bca,
     irs_sdr,
 )
-from .model import ChannelSet, HybridPrecoder, SystemConfig, WhitenedChannels, link_state
+from .model import ChannelSet, HybridPrecoder, SystemConfig, WhitenedChannels, check_seed, link_state
 from .precoder_opt import PrecoderQuadratics, PrecoderResult, asr_sca, build_precoder_quadratics, cor_ga
 
 # The single solvers by their harness method names.
@@ -127,8 +127,11 @@ def joint_optimize(
     objective after each outer iteration never decreases: a v-step that
     lowers the true objective is reverted, and so is a precoder step that
     lowers it by more than 1e-9 (counted in ``extras["precoder_rejected"]``).
-    Malformed channels and an unknown combination fail before any work.
+    A seed that is not an integer >= 0, malformed channels and an unknown
+    combination fail before any work; ``harness.run_method`` leaves these
+    checks of a joint method to this function.
     """
+    check_seed(seed)
     ch.validate(cfg)
     if combination not in NAMED_COMBINATIONS:
         raise ValueError(f"unknown combination {combination!r}; choose from {tuple(NAMED_COMBINATIONS)}")

@@ -53,6 +53,13 @@ def check_real(name: str, *values) -> None:
             raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
+def check_seed(seed) -> None:
+    """Raise a ValueError naming ``seed`` unless it is an integer (``check_integer``) >= 0."""
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class Geometry:
     """3-D coordinates (meters) of the four terminals."""
@@ -239,6 +246,8 @@ class HybridPrecoder:
 
 def effective_channels(ch: ChannelSet, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(H + G V F, Q + M V F) for the reflection vector v; whitened sets give H~ + G~ V F."""
+    if np.shape(v) != (len(ch.f),):  # every map from v to the link reads v here, so its length is checked here
+        raise ValueError(f"v has shape {np.shape(v)}, expected (n_irs,) = ({len(ch.f)},)")
     vf = v[:, None] * ch.f
     return ch.h + ch.g @ vf, ch.q + ch.m @ vf
 

@@ -59,6 +59,7 @@ from .model import (
     SystemConfig,
     WhitenedChannels,
     check_integer,
+    check_seed,
     effective_channels,
     enumerate_hypotheses,
     psk_symbols,
@@ -312,11 +313,9 @@ def mc_mutual_information(
     deterministic per seed.  Returns (mi_bob, mi_eve, (se_bob, se_eve)).
     """
     check_integer("n_noise_samples", n_noise_samples)
-    check_integer("seed", seed)
+    check_seed(seed)
     if n_noise_samples < 100:
         raise ValueError("n_noise_samples must be >= 100")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     signals = np.stack([h.x_vec for h in enumerate_hypotheses(cfg)]) * np.asarray(p)[None, :]  # rows X_m p
     scale = np.sqrt(cfg.beta * cfg.p_total)
     ss = np.random.SeedSequence(entropy=seed)

@@ -1,4 +1,4 @@
-"""The pinned `run_method` outputs: the fixed draws, the row builder and the row comparator.
+"""The pinned `run_method` outputs (the fixed draws, the row builder and the row comparator) and the campaign set.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/output_rows.py OUT.json
 
@@ -18,6 +18,15 @@ lists every row whose ``sr_bits`` moved from A to B with the change in bits,
 then the largest change per method, and exits non-zero when any row's
 ``iterations`` or ``flops`` differ, a row is missing from either file, or,
 with ``--max-bits``, any row's ``sr_bits`` moved by more than X bits.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/output_rows.py --campaigns DIR
+
+writes the standard campaign set, 8 files, into DIR: a ``cdf`` campaign over
+n_e in {2, 4} with every method but ``asr_sca`` and a ``convergence``
+campaign with the three joint methods, each at desk scale and at full scale
+with n_irs = 8, at 10 and 30 dBm, 3 trials from base seed 5, on 2 workers
+with ``deterministic_timing``.  Run it once per tree and compare the two
+directories with ``diff -r``: any byte that moves is a changed output.
 """
 
 import json
@@ -65,6 +74,25 @@ def main(path: str) -> None:
         for case in todo:
             fh.write(json.dumps(row(*case)) + "\n")
     print(f"wrote {len(todo)} rows to {path}")
+
+
+def campaigns(out_dir: str) -> list[str]:
+    """Run the standard campaign set into ``out_dir``; returns the paths of the files written."""
+    from irs_ssm import harness
+
+    sets = {"cdf": (tuple(m for m in harness.ALL_METHODS if m != "asr_sca"), {"n_e_values": (2, 4)}),
+            "convergence": (harness.JOINT_METHODS, {})}
+    paths = []
+    for kind, (methods, axes) in sets.items():
+        for scale, system in (("desk", harness.desk_config()), ("full", harness.full_scale_config(n_irs=8))):
+            spec = harness.ExperimentSpec(
+                kind=kind, system=system, powers_dbm=(10.0, 30.0), n_channel_trials=3, base_seed=5,
+                combinations=methods, output_path=f"{out_dir}/{kind}_{scale}", threads=2,
+                deterministic_timing=True, **axes)
+            harness.run_experiment(spec)
+            paths += [f"{spec.output_path}.csv", f"{spec.output_path}.json"]
+    print(f"wrote {len(paths)} files to {out_dir}")
+    return paths
 
 
 def load(path) -> dict[tuple, dict]:
@@ -117,6 +145,10 @@ if __name__ == "__main__":
         sys.exit(compare(args[1], args[2]))
     if len(args) == 5 and args[0] == "--compare" and args[3] == "--max-bits":
         sys.exit(compare(args[1], args[2], float(args[4])))
-    if len(args) != 1:
-        sys.exit("usage: python tests/output_rows.py OUT.json | --compare A.json B.json [--max-bits X]")
-    main(args[0])
+    if len(args) == 2 and args[0] == "--campaigns":
+        campaigns(args[1])
+    elif len(args) == 1:
+        main(args[0])
+    else:
+        sys.exit("usage: python tests/output_rows.py OUT.json | --compare A.json B.json [--max-bits X]"
+                 " | --campaigns DIR")

@@ -26,8 +26,9 @@ from irs_ssm.harness import (
     run_method,
     system_config_from_dict,
 )
+from irs_ssm import joint
 from irs_ssm.joint import joint_optimize
-from irs_ssm.model import Geometry, db_to_linear
+from irs_ssm.model import ChannelSet, Geometry, db_to_linear
 
 from _instances import subnormal_beta_config
 
@@ -86,6 +87,12 @@ class TestDrawChannels:
             var_h += np.mean(np.abs(draw_channels(cfg, seed).h) ** 2)
             var_q_swapped += np.mean(np.abs(draw_channels(swapped, seed + n_draws).q) ** 2)
         assert var_h / n_draws == pytest.approx(var_q_swapped / n_draws, rel=0.03)
+
+    @pytest.mark.parametrize("seed, named", [(-1, "seed must be >= 0, got -1"),
+                                             (1.5, "seed must be an integer, got 1.5")])
+    def test_bad_seed_is_named(self, seed, named):
+        with pytest.raises(ValueError, match=named):
+            draw_channels(desk_config(), seed)
 
     def test_geometry_too_close_raises(self):
         cfg = desk_config(geometry=Geometry(alice=(0.0, 0.0, 0.0), irs=(0.5, 0.0, 0.0),
@@ -481,6 +488,34 @@ class TestMethodRunners:
         cfg = desk_config(n_irs=4)
         with pytest.raises(ValueError):
             run_method("nope", cfg, draw_channels(cfg, 0), 0)
+
+    @pytest.mark.parametrize("method", harness.ALL_METHODS)
+    @pytest.mark.parametrize("seed, named", [(-1, "seed must be >= 0, got -1"),
+                                             (1.5, "seed must be an integer, got 1.5")])
+    def test_bad_seed_is_named_before_any_work(self, monkeypatch, method, seed, named):
+        cfg = desk_config(n_rf=2, n_k=2, n_irs=4, m_ary=2)
+        ch = draw_channels(cfg, 0)
+
+        def no_work(*args):
+            raise AssertionError("link work began before the seed was checked")
+
+        for module in (harness, joint):
+            monkeypatch.setattr(module, "link_state", no_work)
+        with pytest.raises(ValueError, match=named):
+            run_method(method, cfg, ch, seed)
+
+    def test_each_method_checks_its_draw_once(self, monkeypatch):
+        cfg = desk_config(n_rf=2, n_k=2, n_irs=4, m_ary=2)
+        ch = draw_channels(cfg, 0)
+        validate = ChannelSet.validate
+        calls = []
+        monkeypatch.setattr(ChannelSet, "validate", lambda self, c: calls.append(1) or validate(self, c))
+        counts = {}
+        for method in harness.ALL_METHODS:
+            calls.clear()
+            run_method(method, cfg, ch, 0)
+            counts[method] = len(calls)
+        assert counts == dict.fromkeys(harness.ALL_METHODS, 1)
 
     def test_subnormal_beta_draw_finishes_at_a_unit_modulus_v(self):
         # every BCA numerator is subnormal here; a NaN v from c / |c| would make

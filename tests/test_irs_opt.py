@@ -315,11 +315,12 @@ class TestSdpUnitDiag:
         psi = 0.5 * (a + a.conj().T)
         with pytest.raises(SdpNonConvergence) as info:
             sdp_unit_diag(psi)
-        err = info.value
-        assert err.residual > irs_opt.SDP_TOL * max(1.0, float(np.linalg.norm(psi, "fro")))
-        assert err.q.shape == (8, 8)
-        assert np.allclose(np.diag(err.q).real, 1.0)
-        assert err.value == pytest.approx(float(np.trace(psi @ err.q).real))
+        sol = info.value.solution
+        assert sol.residual > irs_opt.SDP_TOL * max(1.0, float(np.linalg.norm(psi, "fro")))
+        assert sol.q.shape == (8, 8)
+        assert np.allclose(np.diag(sol.q).real, 1.0)
+        assert sol.value == pytest.approx(float(np.trace(psi @ sol.q).real))
+        assert not any(hasattr(info.value, name) for name in ("q", "value", "residual"))
 
     def test_non_convergence_is_a_recorded_campaign_failure(self, monkeypatch):
         monkeypatch.setattr(irs_opt, "SDP_MAX_SWEEPS", 1)

@@ -38,6 +38,21 @@ class TestCombinations:
         with pytest.raises(ValueError, match="unknown combination 'IV'"):
             joint_optimize(cfg, _zero_channels(cfg), "IV")
 
+    @pytest.mark.parametrize("combination, seed, named", [
+        ("I", -3, "seed must be >= 0, got -3"),
+        ("II", -5, "seed must be >= 0, got -5"),
+        ("III", 1.5, "seed must be an integer, got 1.5"),
+    ])
+    def test_rejects_a_bad_seed_before_any_work(self, monkeypatch, combination, seed, named):
+        cfg = desk_config(n_rf=2, n_k=2, n_irs=4, m_ary=2)
+
+        def no_work(*args):
+            raise AssertionError("link work began before the seed was checked")
+
+        monkeypatch.setattr(joint, "link_state", no_work)
+        with pytest.raises(ValueError, match=named):
+            joint_optimize(cfg, _zero_channels(cfg), combination, seed=seed)
+
 
 class TestJointOptimize:
     def test_zero_channels_converges_immediately(self):

@@ -16,7 +16,8 @@ from irs_ssm.model import (
     psk_symbols,
     whiten,
 )
-from irs_ssm.precoder_opt import PrecoderQuadratics
+from irs_ssm.precoder_opt import PrecoderQuadratics, build_precoder_quadratics
+from irs_ssm.rates import approx_secrecy_rate, mc_mutual_information
 
 from _oracles import an_covariances_elementwise, dense_analog_matrix, dense_selection_matrix
 from _instances import make_instance
@@ -127,6 +128,22 @@ class TestHypotheses:
 def _an_covariance(cfg: SystemConfig, omega: np.ndarray, sigma2: float) -> np.ndarray:
     """(Y Y^H + (Y Y^H)^H) / 2 read back from Omega = (1 - beta) p_total (...) + sigma^2 I."""
     return (omega - sigma2 * np.eye(len(omega))) / ((1.0 - cfg.beta) * cfg.p_total)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda inst, v: link_state(inst.cfg, inst.ch, v),
+    lambda inst, v: approx_secrecy_rate(inst.cfg, inst.wch, v, inst.p),
+    lambda inst, v: build_precoder_quadratics(inst.cfg, inst.wch, v),
+    lambda inst, v: ml_detect(inst.cfg, inst.ch, v, inst.p, np.zeros(inst.cfg.n_b)),
+    lambda inst, v: mc_mutual_information(inst.cfg, inst.wch, v, inst.p, 100, seed=0),
+], ids=["link_state", "approx_secrecy_rate", "build_precoder_quadratics", "ml_detect", "mc_mutual_information"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_reflection_vector_of_the_wrong_length_is_named(entry, delta):
+    # effective_channels is the one reader of v on every path from v to the link
+    inst = make_instance(0, n_irs=16)
+    v = np.ones(16 + delta, dtype=complex)
+    with pytest.raises(ValueError, match=rf"v has shape \({16 + delta},\), expected \(n_irs,\) = \(16,\)"):
+        entry(inst, v)
 
 
 class TestAnProjection:

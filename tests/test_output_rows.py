@@ -1,4 +1,4 @@
-"""The row comparison of ``output_rows.py``: moved rates listed, changed counts fail."""
+"""``output_rows.py``: the row comparison lists moved rates and fails on changed counts; the campaign set's files."""
 
 import json
 import subprocess
@@ -52,3 +52,22 @@ def test_max_bits_fails_on_a_rate_moved_beyond_it(tmp_path, capsys):
         run = subprocess.run([sys.executable, script, "--compare", a, b, "--max-bits", max_bits],
                              capture_output=True, text=True)
         assert run.returncode == code, run.stdout + run.stderr
+
+
+def test_campaigns_writes_the_standard_set(tmp_path, capsys):
+    from irs_ssm.harness import CSV_COLUMNS
+
+    paths = output_rows.campaigns(str(tmp_path))
+    assert f"wrote 8 files to {tmp_path}" in capsys.readouterr().out
+    names = [f"{kind}_{scale}.{ext}" for kind in ("cdf", "convergence") for scale in ("desk", "full")
+             for ext in ("csv", "json")]
+    assert paths == [str(tmp_path / name) for name in names]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    # 2 powers x 3 trials, times 2 Eve antenna counts x 8 methods (cdf) or 3 joint methods (convergence)
+    for name, n_rows in (("cdf", 96), ("convergence", 18)):
+        for scale in ("desk", "full"):
+            lines = (tmp_path / f"{name}_{scale}.csv").read_text(encoding="utf-8").splitlines()
+            assert lines[0] == ",".join(CSV_COLUMNS)
+            assert len(lines) == 1 + n_rows
+            summary = json.loads((tmp_path / f"{name}_{scale}.json").read_text(encoding="utf-8"))
+            assert summary["kind"] == name and summary["failure_fraction"] == 0.0
